@@ -1,9 +1,13 @@
 GO ?= go
 
-.PHONY: check vet sgvet lint build test test-race bench-smoke bench-json fuzz-smoke serve-smoke explore-smoke leak-smoke cluster-smoke
+.PHONY: check fmt vet sgvet lint build test test-race bench-smoke bench-json fuzz-smoke serve-smoke explore-smoke leak-smoke cluster-smoke
 
 # The full gate: what CI (and every PR) must pass.
-check: vet sgvet build test test-race lint bench-smoke fuzz-smoke serve-smoke explore-smoke leak-smoke cluster-smoke
+check: fmt vet sgvet build test test-race lint bench-smoke fuzz-smoke serve-smoke explore-smoke leak-smoke cluster-smoke
+
+# Every committed Go file must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 vet:
 	$(GO) vet ./...
@@ -27,14 +31,18 @@ test:
 # Race-detector pass over the concurrency-heavy packages: the serve
 # layer (coalescing, drain, backpressure) and the bench trace caches
 # it is built on — plus the batch golden tests (multi-lane lockstep
-# over one shared decode window), pinning lane isolation under -race.
+# over one shared decode window) and the lane scheduler's tests
+# (RunDrains, the fuzz oracle with its two-drain batch split), pinning lane
+# isolation across workers under -race.
 # The bench suite runs full timing simulations, which the detector
 # slows ~20×; heavy sweep tests shed redundant work under -race (see
 # bench/race_on_test.go) and the explicit -timeout gives slow
 # single-core machines headroom past the 600s default.
 test-race:
 	$(GO) test -race -timeout 900s ./internal/serve/... ./internal/bench/... ./internal/cluster/... ./internal/load/...
-	$(GO) test -race -run 'TestBatchMatchesSingle|TestGoldenStatsBatched' ./internal/pipeline ./internal/bench
+	$(GO) test -race -run 'TestBatchMatchesSingle|TestGoldenStatsBatched|TestRunDrains|TestWindowMemLastBounded' ./internal/pipeline ./internal/bench
+	$(GO) test -race -run 'TestFuzzSmoke' ./internal/fuzz
+	$(GO) test -race -run 'TestRunIndependentOfParallelism' ./internal/explore
 
 # One iteration of each performance benchmark — catches benchmark rot
 # without paying for a full measurement run — plus a fixed-seed sweep of

@@ -44,7 +44,7 @@ func main() {
 	workloads := flag.String("workloads", "", "comma-separated workload subset (default all)")
 	scheme := flag.String("scheme", "2bit", "program/predictor scheme: 2-bitBP, Proposed or PerfectBP")
 	maxPoints := flag.Int("max-points", explore.DefaultMaxPoints, "refuse grids larger than this")
-	par := flag.Int("par", 0, "max concurrent drains (0 = GOMAXPROCS, 1 = serial)")
+	par := flag.Int("par", 0, "lane-scheduler workers (0 = GOMAXPROCS, 1 = serial)")
 	all := flag.Bool("all", false, "print every grid point after the frontier table")
 	jsonPath := flag.String("json", "", "write the full report as JSON to this file")
 	version := flag.Bool("version", false, "print version and exit")

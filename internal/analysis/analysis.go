@@ -327,11 +327,11 @@ type funcAnalysis struct {
 	// register state is the architectural zero-init ({r0, p0} defined).
 	entryFn bool
 
-	reach   map[*prog.Block]bool
-	mustIn  map[*prog.Block]dep.RegSet
-	obsIn   map[*prog.Block]dep.RegSet
-	rd      *ReachDefs
-	copies  *CopyFacts
+	reach  map[*prog.Block]bool
+	mustIn map[*prog.Block]dep.RegSet
+	obsIn  map[*prog.Block]dep.RegSet
+	rd     *ReachDefs
+	copies *CopyFacts
 }
 
 // prepare solves the dataflow problems the rules consume.

@@ -210,7 +210,7 @@ other:
     halt
 `,
 			mark: [3]any{"entry", 1, true},
-			not: RuleSpecFaulting,
+			not:  RuleSpecFaulting,
 		},
 		{
 			name: "spec-off-trace-live/positive",
@@ -249,7 +249,7 @@ other:
     halt
 `,
 			mark: [3]any{"entry", 2, true},
-			not: RuleSpecLive,
+			not:  RuleSpecLive,
 		},
 		{
 			name: "spec-off-trace-live/branch-reads-dest",
@@ -283,7 +283,7 @@ other:
     halt
 `,
 			mark: [3]any{"entry", 1, true},
-			not: RuleSpecLive,
+			not:  RuleSpecLive,
 		},
 		{
 			name: "split-phase-overlap/positive",

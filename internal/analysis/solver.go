@@ -18,7 +18,7 @@ type flow[T any] struct {
 	// top is the identity of meet: the initial optimistic value.
 	top func() T
 	// meet combines facts flowing in from multiple edges.
-	meet func(a, b T) T
+	meet  func(a, b T) T
 	equal func(a, b T) bool
 	// transfer pushes a fact through a whole block: in→out (forward)
 	// or out→in (backward).

@@ -25,11 +25,11 @@ import (
 // the single-lane RunSpec path (pinned by TestGoldenStatsBatched and
 // the drain-accounting test).
 
-// MaxBatchLanes caps the lanes folded into one lockstep drain. A giant
-// grid in one group would serialize the whole sweep onto a single
-// drain's goroutine; splitting into subgroups of this size restores the
-// multicore fan-out while keeping drains ≪ cells (lane dedup applies
-// within a subgroup).
+// MaxBatchLanes caps the lanes folded into one drain. Lanes, not
+// drains, are the unit of parallel work (pipeline.RunDrains), so the
+// cap no longer buys fan-out: it bounds live lane state, since at most
+// one drain per worker is live at once. Lane dedup applies within a
+// drain.
 const MaxBatchLanes = 32
 
 // laneKey identifies a timing configuration within one trace group:
@@ -48,14 +48,14 @@ type batchLane struct {
 	model    *machine.Model // nil = Runner's model
 	pred     predict.Predictor
 	specIdxs []int
-	stats    pipeline.Stats
 }
 
 // batchGroup is one trace drain: all lanes replaying the same
 // (workload, program) architectural execution with one icache geometry.
 type batchGroup struct {
 	w     Workload
-	p     *prog.Program
+	p     *prog.Program // nil: w's base program (see Runner.traceFor)
+	work  int64         // estimated events × lanes, for admission order
 	lanes []*batchLane
 	byKey map[laneKey]*batchLane
 }
@@ -127,6 +127,7 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 	}
 	type optVal struct {
 		p   *prog.Program
+		fp  uint64
 		rep *core.Report
 	}
 	optCache := map[optKey]optVal{}
@@ -148,10 +149,11 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 		}
 		out[i].Profile = prof
 
-		var p *prog.Program
+		var p *prog.Program // nil: the base program
+		var fp uint64
 		switch spec.Scheme {
 		case SchemeTwoBit, SchemePerfect:
-			p = w.Build()
+			fp = w.Fingerprint()
 		case SchemeProposed:
 			opts := w.Opt
 			if spec.Opt != nil {
@@ -165,15 +167,16 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 				if err != nil {
 					return nil, fmt.Errorf("bench: optimizing %s: %w", w.Name, err)
 				}
+				ov.fp = ov.p.Fingerprint()
 				optCache[ok] = ov
 			}
-			p = ov.p
+			p, fp = ov.p, ov.fp
 			out[i].Report = ov.rep
 		default:
 			return nil, fmt.Errorf("bench: unknown scheme %d", spec.Scheme)
 		}
 
-		gk := groupKey{traceKey{w.Name, p.Fingerprint()}, m.ICacheBytes, m.CacheLineBytes}
+		gk := groupKey{traceKey{w.Name, fp}, m.ICacheBytes, m.CacheLineBytes}
 		g := groups[gk]
 		if g == nil {
 			g = &batchGroup{w: w, p: p, byKey: map[laneKey]*batchLane{}}
@@ -188,7 +191,7 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 		if ln == nil {
 			if len(g.lanes) == MaxBatchLanes {
 				// Subgroup full: open a fresh drain for further lanes of
-				// this key so huge grids still fan out across cores.
+				// this key, bounding the lane state one drain holds.
 				g = &batchGroup{w: w, p: p, byKey: map[laneKey]*batchLane{}}
 				groups[gk] = g
 				order = append(order, g)
@@ -196,46 +199,58 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 			ln = &batchLane{key: lk, model: spec.Model}
 			g.byKey[lk] = ln
 			g.lanes = append(g.lanes, ln)
+			// The profiled run counts the base program's events; an
+			// optimized program's differ a little, which only the
+			// admission order sees.
+			g.work += prof.DynInstrs
 		}
 		ln.specIdxs = append(ln.specIdxs, i)
 	}
 
-	// Phase 2: one lockstep batch per group, independent groups in
-	// parallel (bounded like every other fan-out helper).
-	errs := make([]error, len(order))
-	r.parallelFor(ctx, len(order), func(gi int) {
-		errs[gi] = r.runGroup(ctx, order[gi])
-	})
-	if err := ctx.Err(); err != nil {
+	// Phase 2: every group is one drain, and one lane-level scheduler
+	// runs them all, so even a single hot drain spreads over every
+	// worker (bounded like every other fan-out helper).
+	drains := make([]pipeline.Drain, len(order))
+	for i, g := range order {
+		drains[i] = pipeline.Drain{
+			Name: "bench: simulating " + g.w.Name,
+			Work: g.work,
+			Open: func() (*pipeline.Batch, pipeline.Source, error) { return r.openGroup(ctx, g) },
+			Done: func(b *pipeline.Batch, stats []pipeline.Stats) {
+				r.traceDrains.Add(1)
+				r.simLanes.Add(int64(len(g.lanes)))
+				r.addSkip(b.SkipStats())
+				for j, ln := range g.lanes {
+					for _, i := range ln.specIdxs {
+						out[i].Stats = stats[j]
+					}
+				}
+			},
+		}
+	}
+	err := pipeline.RunDrains(ctx, drains, r.Parallelism)
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
+	}
+	if err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	for _, g := range order {
-		for _, ln := range g.lanes {
-			for _, i := range ln.specIdxs {
-				out[i].Stats = ln.stats
-			}
-		}
 	}
 	return out, nil
 }
 
-// runGroup drains one trace through all of a group's lanes in
-// lockstep. TwoBit lanes get their counter tables carved out of a
-// single contiguous backing array, in lane order, so the batch's
-// predictor state stays dense; gshare and oracle lanes build their own
-// predictors. Each lane simulates on its own model (pipeline.Batch
-// supports heterogeneous lane models; the shared icache bits apply
-// because the group key pinned the geometry).
-func (r *Runner) runGroup(ctx context.Context, g *batchGroup) error {
+// openGroup builds one group's lanes over its trace. TwoBit lanes get
+// their counter tables carved out of a single contiguous backing array,
+// in lane order, so the batch's predictor state stays dense; gshare and
+// oracle lanes build their own predictors. Each lane simulates on its
+// own model (pipeline.Batch supports heterogeneous lane models; the
+// shared icache bits apply because the group key pinned the geometry).
+func (r *Runner) openGroup(ctx context.Context, g *batchGroup) (*pipeline.Batch, pipeline.Source, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
 	tr, err := r.traceFor(g.p, g.w)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 
 	laneModel := func(ln *batchLane) *machine.Model {
@@ -266,19 +281,9 @@ func (r *Runner) runGroup(ctx context.Context, g *batchGroup) error {
 	}
 	batch, err := pipeline.NewBatch(cfgs)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	stats, err := batch.Run(tr.NewReader())
-	if err != nil {
-		return fmt.Errorf("bench: simulating %s: %w", g.w.Name, err)
-	}
-	r.traceDrains.Add(1)
-	r.simLanes.Add(int64(len(g.lanes)))
-	r.addSkip(batch.SkipStats())
-	for i, ln := range g.lanes {
-		ln.stats = stats[i]
-	}
-	return nil
+	return batch, tr.NewReader(), nil
 }
 
 // schemeForLane maps a lane back to the scheme facet buildPredictor

@@ -52,6 +52,21 @@ func TestWorkloadRegistry(t *testing.T) {
 	}
 }
 
+// TestWorkloadFingerprint: the once-computed base fingerprint every
+// trace-cache and store key uses equals the fingerprint of a fresh
+// Build, for the built-in kernels and for a workload without a
+// prototype, so existing stores keep hitting.
+func TestWorkloadFingerprint(t *testing.T) {
+	ws := append(All(), LeakWorkloads()...)
+	custom := Grep()
+	ws = append(ws, Workload{Name: "custom", Build: custom.Build, Init: custom.Init})
+	for _, w := range ws {
+		if got, want := w.Fingerprint(), w.Build().Fingerprint(); got != want {
+			t.Errorf("%s: Fingerprint() = %016x, Build().Fingerprint() = %016x", w.Name, got, want)
+		}
+	}
+}
+
 func TestLCGDeterminism(t *testing.T) {
 	a, b := lcg{s: 7}, lcg{s: 7}
 	for i := 0; i < 100; i++ {

@@ -83,8 +83,8 @@ type Runner struct {
 	// 0 uses the model's.
 	PredictorEntries int
 	// Parallelism caps concurrent simulations in RunAll and the other
-	// fan-out helpers; 0 means runtime.GOMAXPROCS(0), 1 forces the
-	// serial path.
+	// fan-out helpers, and the lane-scheduler workers of RunSpecs; 0
+	// means runtime.GOMAXPROCS(0), 1 forces the serial path.
 	Parallelism int
 
 	mu       sync.Mutex
@@ -200,16 +200,26 @@ func (r *Runner) collectProfile(w Workload) (*profile.Profile, error) {
 	}
 	prof.DynInstrs = res.DynInstrs
 	prof.Annulled = res.Annulled
-	te := r.traceEntry(traceKey{w.Name, p.Fingerprint()})
+	te := r.traceEntry(traceKey{w.Name, w.Fingerprint()})
 	te.once.Do(func() { te.tr = tr })
 	return prof, nil
 }
 
 // traceFor returns (capturing if needed) the packed trace of p under
-// w's input image.
+// w's input image. A nil p names w's unmodified base program, keyed by
+// its cached fingerprint and built only if the trace must be captured.
 func (r *Runner) traceFor(p *prog.Program, w Workload) (*trace.Trace, error) {
-	te := r.traceEntry(traceKey{w.Name, p.Fingerprint()})
+	var fp uint64
+	if p != nil {
+		fp = p.Fingerprint()
+	} else {
+		fp = w.Fingerprint()
+	}
+	te := r.traceEntry(traceKey{w.Name, fp})
 	te.once.Do(func() {
+		if p == nil {
+			p = w.Build()
+		}
 		code, err := interp.Predecode(p, nil)
 		if err != nil {
 			te.err = fmt.Errorf("bench: predecoding %s: %w", w.Name, err)
@@ -269,7 +279,7 @@ func (r *Runner) RunContext(ctx context.Context, w Workload, s Scheme) (Result, 
 	}
 	res.Profile = prof
 
-	p := w.Build()
+	var p *prog.Program // nil: the base program (see traceFor)
 	var pred predict.Predictor
 	switch s {
 	case SchemeTwoBit:
@@ -278,6 +288,7 @@ func (r *Runner) RunContext(ctx context.Context, w Workload, s Scheme) (Result, 
 		pred = predict.NewPerfect()
 	case SchemeProposed:
 		pred = predict.NewTwoBit(r.entries())
+		p = w.Build()
 		rep, err := core.Optimize(p, prof, r.Model, w.Opt)
 		if err != nil {
 			return res, fmt.Errorf("bench: optimizing %s: %w", w.Name, err)
@@ -293,11 +304,11 @@ func (r *Runner) RunContext(ctx context.Context, w Workload, s Scheme) (Result, 
 	return res, nil
 }
 
-// simulate runs one timing simulation of p by replaying its cached
-// packed trace — bit-identical to feeding the pipeline from a live
-// interpreter, but with the architectural work amortized across every
-// simulation of the same program. ctx cancels the timing loop
-// cooperatively (pipeline.Config.Context).
+// simulate runs one timing simulation of p (nil: w's base program) by
+// replaying its cached packed trace — bit-identical to feeding the
+// pipeline from a live interpreter, but with the architectural work
+// amortized across every simulation of the same program. ctx cancels
+// the timing loop cooperatively (pipeline.Config.Context).
 func (r *Runner) simulate(ctx context.Context, p *prog.Program, w Workload, m *machine.Model, pred predict.Predictor) (pipeline.Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return pipeline.Stats{}, err
@@ -433,7 +444,7 @@ func (r *Runner) RunSpec(ctx context.Context, spec Spec) (Result, error) {
 	}
 	res.Profile = prof
 
-	p := w.Build()
+	var p *prog.Program // nil: the base program (see traceFor)
 	switch spec.Scheme {
 	case SchemeTwoBit, SchemePerfect:
 	case SchemeProposed:
@@ -441,6 +452,7 @@ func (r *Runner) RunSpec(ctx context.Context, spec Spec) (Result, error) {
 		if spec.Opt != nil {
 			opts = *spec.Opt
 		}
+		p = w.Build()
 		rep, err := core.Optimize(p, prof, m, opts)
 		if err != nil {
 			return res, fmt.Errorf("bench: optimizing %s: %w", w.Name, err)

@@ -35,8 +35,8 @@ const (
 )
 
 var (
-	victimProto        protoCache
-	victimGuardedProto protoCache
+	victimProto        = protoCache{build: func() *prog.Program { return buildVictim(false) }}
+	victimGuardedProto = protoCache{build: func() *prog.Program { return buildVictim(true) }}
 )
 
 // LeakWorkloads returns the victim kernels, leaky first.
@@ -65,7 +65,7 @@ func LeakWorkloadByName(name string) (Workload, error) {
 // it. The committed stream never touches the secret, so every flagged
 // access is purely speculative.
 func Victim() Workload {
-	return Workload{Name: "victim", Build: func() *prog.Program { return victimProto.get(func() *prog.Program { return buildVictim(false) }) }, Init: initVictim}
+	return victimProto.workload("victim", initVictim)
 }
 
 // VictimGuarded is the same kernel with the paper's guarded execution
@@ -73,7 +73,7 @@ func Victim() Workload {
 // so a wrong-path execution with an out-of-bounds index annuls them
 // before they can touch memory.
 func VictimGuarded() Workload {
-	return Workload{Name: "victim-guarded", Build: func() *prog.Program { return victimGuardedProto.get(func() *prog.Program { return buildVictim(true) }) }, Init: initVictim}
+	return victimGuardedProto.workload("victim-guarded", initVictim)
 }
 
 func buildVictim(guarded bool) *prog.Program {

@@ -34,6 +34,19 @@ type Workload struct {
 	// Opt carries workload-specific optimizer options (zero value =
 	// paper defaults).
 	Opt core.Options
+
+	proto *protoCache // the built-in kernels' prototype, nil otherwise
+}
+
+// Fingerprint returns the fingerprint of the program Build returns.
+// The built-in kernels compute it once per process with their
+// prototype, sparing every caller that only names the base program
+// (trace-cache and store keys) a deep clone and a full rendering.
+func (w Workload) Fingerprint() uint64 {
+	if w.proto != nil {
+		return w.proto.load().fp
+	}
+	return w.Build().Fingerprint()
 }
 
 // protoCache builds a kernel's IR once per process and hands out deep
@@ -41,20 +54,30 @@ type Workload struct {
 // blocks in place), so Build must stay fresh-per-call, but the builder
 // chains themselves are pure and need not rerun for every simulation.
 type protoCache struct {
+	build func() *prog.Program
 	once  sync.Once
 	proto *prog.Program
+	fp    uint64
 }
 
-func (c *protoCache) get(build func() *prog.Program) *prog.Program {
-	c.once.Do(func() { c.proto = build() })
-	return c.proto.Clone()
+func (c *protoCache) load() *protoCache {
+	c.once.Do(func() {
+		c.proto = c.build()
+		c.fp = c.proto.Fingerprint()
+	})
+	return c
+}
+
+// workload names the kernel c builds.
+func (c *protoCache) workload(name string, init func(interp.Memory) error) Workload {
+	return Workload{Name: name, Build: func() *prog.Program { return c.load().proto.Clone() }, Init: init, proto: c}
 }
 
 var (
-	compressProto protoCache
-	espressoProto protoCache
-	xlispProto    protoCache
-	grepProto     protoCache
+	compressProto = protoCache{build: buildCompress}
+	espressoProto = protoCache{build: buildEspresso}
+	xlispProto    = protoCache{build: buildXlisp}
+	grepProto     = protoCache{build: buildGrep}
 )
 
 // All returns the four kernels in the paper's Table 1 order.
@@ -100,7 +123,7 @@ const (
 // bit-twiddling compress does per symbol and gives the optimizer an
 // if-conversion target.
 func Compress() Workload {
-	return Workload{Name: "compress", Build: func() *prog.Program { return compressProto.get(buildCompress) }, Init: initCompress}
+	return compressProto.workload("compress", initCompress)
 }
 
 func buildCompress() *prog.Program {
@@ -225,7 +248,7 @@ const (
 // biased sparsity branch and a popcount-flavoured inner computation
 // round out the mix.
 func Espresso() Workload {
-	return Workload{Name: "espresso", Build: func() *prog.Program { return espressoProto.get(buildEspresso) }, Init: initEspresso}
+	return espressoProto.workload("espresso", initEspresso)
 }
 
 func buildEspresso() *prog.Program {
@@ -326,7 +349,7 @@ const (
 // call + return, also non-BTB). This is why the paper's xlisp has the
 // lowest IPC of the four under every scheme.
 func Xlisp() Workload {
-	return Workload{Name: "xlisp", Build: func() *prog.Program { return xlispProto.get(buildXlisp) }, Init: initXlisp}
+	return xlispProto.workload("xlisp", initXlisp)
 }
 
 func buildXlisp() *prog.Program {
@@ -443,7 +466,7 @@ const (
 // (every 4th position is upper-case in the synthetic text) exercises
 // the cyclic-pattern path of the feedback analysis.
 func Grep() Workload {
-	return Workload{Name: "grep", Build: func() *prog.Program { return grepProto.get(buildGrep) }, Init: initGrep}
+	return grepProto.workload("grep", initGrep)
 }
 
 func buildGrep() *prog.Program {

@@ -114,8 +114,8 @@ func TestLiveAtWalk(t *testing.T) {
 	f := prog.NewFunc("main")
 	b0 := f.AddBlock("b0")
 	b0.Instrs = []*isa.Instr{
-		{Op: isa.Li, Rd: isa.R(3), Imm: 7},                  // 0: defines r3
-		{Op: isa.Add, Rd: isa.R(4), Rs: isa.R(3), Imm: 1},   // 1: uses r3
+		{Op: isa.Li, Rd: isa.R(3), Imm: 7},                        // 0: defines r3
+		{Op: isa.Add, Rd: isa.R(4), Rs: isa.R(3), Imm: 1},         // 1: uses r3
 		{Op: isa.Mov, Rd: isa.R(3), Rs: isa.R(4), Pred: isa.P(2)}, // 2: guarded def of r3
 		{Op: isa.J, Label: "end"},
 	}

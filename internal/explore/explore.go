@@ -69,9 +69,9 @@ func (p *Point) Label() string {
 
 // Report is a completed sweep.
 type Report struct {
-	Scheme    string  `json:"scheme"`
+	Scheme    string   `json:"scheme"`
 	Workloads []string `json:"workloads"`
-	Points    []Point `json:"points"`
+	Points    []Point  `json:"points"`
 	// Frontier holds the indices into Points of the Pareto-optimal
 	// cells, in ascending cost order.
 	Frontier []int `json:"frontier"`

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -157,5 +158,45 @@ func TestRunRejectsBadAxis(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("invalid cell not rejected")
+	}
+}
+
+// sweepGridAxes is a 32-point grid over the timing axes the benchmark's
+// sweep-grid workload varies: fetch width, queue and active-list depth,
+// table size, predictor family, at fixed penalties and a throttled
+// fetch width.
+var sweepGridAxes = []machine.Axis{
+	{Name: "fetch_width", Values: []int{2, 4}},
+	{Name: "int_queue", Values: []int{16, 32}},
+	{Name: "active_list", Values: []int{32, 48}},
+	{Name: "entries", Values: []int{256, 4096}},
+	{Name: "predictor", Values: []int{int(machine.PredTwoBit), int(machine.PredGShare)}},
+	{Name: "mispredict_penalty", Values: []int{5}},
+	{Name: "miss_penalty", Values: []int{6}},
+	{Name: "throttle_width", Values: []int{2}},
+}
+
+// TestRunIndependentOfParallelism: a sweep's report is cell for cell
+// the same whether its lanes run on one worker or on two (lane-level
+// scheduling moves a drain's lanes between workers round by round).
+// grep keeps it quick; the full registry is the benchmark's sweep-grid.
+func TestRunIndependentOfParallelism(t *testing.T) {
+	sweep := func(par int) *Report {
+		r := bench.NewRunner()
+		r.Parallelism = par
+		rep, err := Run(context.Background(), r, Request{Axes: sweepGridAxes, Workloads: []bench.Workload{bench.Grep()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	one, two := sweep(1), sweep(2)
+	if len(one.Points) != 32 || len(two.Points) != 32 {
+		t.Fatalf("got %d and %d points, want 32", len(one.Points), len(two.Points))
+	}
+	for i := range one.Points {
+		if !reflect.DeepEqual(one.Points[i], two.Points[i]) {
+			t.Errorf("point %s differs between W=1 and W=2:\nW=1: %+v\nW=2: %+v", one.Points[i].Label(), one.Points[i], two.Points[i])
+		}
 	}
 }

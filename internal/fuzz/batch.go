@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 
@@ -22,13 +23,16 @@ import (
 // rate — all Validate-legal derivations of the oracle's base model)
 // derive from the program fingerprint, so every fuzz seed exercises a
 // different deterministic mix. Both paths run with SelfCheck audits
-// on, which also exercises the batched lane-isolation invariants.
+// on, which also exercises the batched lane-isolation invariants. The
+// same lane mix is then split over two drains of the trace and run by
+// the lane scheduler on two workers, which must not change any lane.
 //
 // Stable check names:
 //
 //	batch-run        the batched drain itself failed (invariant trip)
 //	batch-single     a reference single-lane run failed
 //	batch-vs-single  some lane's Stats diverged from its reference
+//	batch-split      the two-drain, two-worker run failed or diverged
 func (o *Oracle) CheckBatch(p *prog.Program) error {
 	fail := func(check, format string, args ...any) error {
 		return &Failure{Check: check, Msg: fmt.Sprintf(format, args...)}
@@ -130,6 +134,36 @@ func (o *Oracle) CheckBatch(p *prog.Program) error {
 		if !reflect.DeepEqual(got[i], want) {
 			return fail("batch-vs-single", "lane %d of %d (kind %v): batched stats diverge:\nbatched: %+v\nsingle:  %+v",
 				i, lanes, kinds[i], got[i], want)
+		}
+	}
+
+	// Lanes [0, lanes/2) and [lanes/2, lanes) as two drains on two
+	// workers. The TwoBit lanes still share one backing array across
+	// the drains, as a concurrent sweep's lanes may.
+	preds := newPreds()
+	bounds := [3]int{0, lanes / 2, lanes}
+	var split [2][]pipeline.Stats
+	drains := make([]pipeline.Drain, 2)
+	for d := range drains {
+		drains[d] = pipeline.Drain{
+			Open: func() (*pipeline.Batch, pipeline.Source, error) {
+				var cfgs []pipeline.Config
+				for i := bounds[d]; i < bounds[d+1]; i++ {
+					cfgs = append(cfgs, config(i, preds[i]))
+				}
+				b, err := pipeline.NewBatch(cfgs)
+				return b, tr.NewReader(), err
+			},
+			Done: func(_ *pipeline.Batch, st []pipeline.Stats) { split[d] = st },
+		}
+	}
+	if err := pipeline.RunDrains(context.Background(), drains, 2); err != nil {
+		return fail("batch-split", "lanes=%v split at %d: %v", kinds, bounds[1], err)
+	}
+	for i, st := range append(split[0], split[1]...) {
+		if !reflect.DeepEqual(st, got[i]) {
+			return fail("batch-split", "lane %d of %d (kind %v) split at %d: stats diverge from the one-drain run:\nsplit:     %+v\none drain: %+v",
+				i, lanes, kinds[i], bounds[1], st, got[i])
 		}
 	}
 	return nil

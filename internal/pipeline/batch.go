@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 
 	"specguard/internal/cache"
@@ -80,11 +81,11 @@ type winEvent struct {
 }
 
 // window is the shared decode buffer: a double-buffered ring of
-// 2×chunk slots refilled one chunk at a time. Batch.Run only refills
-// when every active lane has fetched up to the frontier, so a refill
-// overwrites slots that trail the frontier by at least a full chunk —
-// and chunk is sized (chunkFor) so no lane's in-flight state can reach
-// that far back.
+// 2×chunk slots refilled one chunk at a time. A refill happens only
+// once every live lane has fetched up to the frontier, so it overwrites
+// slots that trail the frontier by at least a full chunk — and chunk is
+// sized (Batch.geometry) so no lane's in-flight state can reach that
+// far back.
 type window struct {
 	src   Source
 	fast  EventSource
@@ -111,16 +112,20 @@ type window struct {
 
 	// Dependence pre-pass state, advanced once per event. memLast
 	// reuses the open-addressed disambiguation table (last store/load
-	// seq per address, never pruned during a drain — it grows instead),
-	// which probes in one or two cache lines where the Go map it
-	// replaced paid a hash call and bucket chase per event.
+	// seq per address), which probes in one or two cache lines where
+	// the Go map it replaced paid a hash call and bucket chase per
+	// event. Each refill first prunes the accesses at seqs ≤ frontier −
+	// horizon (see pruneMem), so the table holds at most chunk + horizon
+	// addresses and never grows.
 	lastWriter [128]int64
 	memLast    memTable
+	horizon    int64 // the largest lane ActiveList
+	pruned     int64 // next seq pruneMem retires
 	regBuf     []isa.Reg
 }
 
-func newWindow(src Source, chunk int64) *window {
-	w := &window{src: src, chunk: chunk}
+func newWindow(src Source, chunk, horizon int64) *window {
+	w := &window{src: src, chunk: chunk, horizon: horizon}
 	w.fast, _ = src.(EventSource)
 	if cs, ok := src.(interface{ Code() *interp.Code }); ok {
 		w.code = cs.Code()
@@ -130,7 +135,7 @@ func newWindow(src Source, chunk int64) *window {
 	for i := range w.lastWriter {
 		w.lastWriter[i] = -1
 	}
-	w.memLast.init(1024)
+	w.memLast.init(int(chunk + horizon))
 	w.regBuf = make([]isa.Reg, 0, 4)
 	return w
 }
@@ -140,9 +145,10 @@ func (w *window) refill() {
 	if w.eof || w.err != nil {
 		return
 	}
+	w.pruneMem()
 	lim := w.frontier + w.chunk
 	for w.frontier < lim {
-		slot := &w.slots[w.frontier&int64(len(w.slots)-1)]
+		slot := &w.slots[w.frontier&w.mask]
 		var ok bool
 		var err error
 		if w.fast != nil {
@@ -166,6 +172,22 @@ func (w *window) refill() {
 			return
 		}
 		w.frontier++
+	}
+}
+
+// pruneMem retires from memLast every memory access at a seq ≤ frontier
+// − horizon, the way commit prunes a single lane's table. The edges it
+// drops are ones no lane can use: every event decoded from now on has
+// seq ≥ frontier, and batchDispatch discards any producer at or below
+// seq − ActiveList (its minLive filter, ActiveList ≤ horizon), so a
+// pruned seq and the noSeq that replaces it are equally inert. The
+// retired events are still in the ring: they trail the frontier by at
+// most chunk + horizon < 2×chunk slots.
+func (w *window) pruneMem() {
+	for lim := w.frontier - w.horizon; w.pruned <= lim; w.pruned++ {
+		if slot := &w.slots[w.pruned&w.mask]; slot.memAccess {
+			w.memLast.prune(slot.ev.MemAddr, w.pruned)
+		}
 	}
 }
 
@@ -324,29 +346,36 @@ func NewBatch(cfgs []Config) (*Batch, error) {
 // Lanes returns the number of lanes.
 func (b *Batch) Lanes() int { return len(b.lanes) }
 
-// chunkFor sizes the decode window so a refill can never overwrite a
+// geometry sizes the decode window so a refill can never overwrite a
 // slot still referenced by any lane: a lane's oldest live reference
 // (ROB front or fetch-buffer front) trails its cursor by at most
 // ActiveList + FetchBufferSize events, refills happen only when every
-// active lane's cursor sits at the frontier, and the ring keeps two
+// live lane's cursor sits at the frontier, and the ring keeps two
 // chunks so the previous chunk stays intact through the next refill.
-func (b *Batch) chunkFor() int64 {
+// The floor of 512 events sets the scheduler's grain: one lane's run
+// between refills, and one round barrier per chunk (RunDrains).
+// horizon is the largest lane ActiveList, the reach of batchDispatch's
+// minLive filter.
+func (b *Batch) geometry() (chunk, horizon int64) {
 	need := 0
 	for _, p := range b.lanes {
 		if n := p.model.ActiveList + p.cfg.FetchBufferSize + p.model.IssueWidth; n > need {
 			need = n
 		}
+		horizon = max(horizon, int64(p.model.ActiveList))
 	}
-	chunk := int64(256)
+	chunk = 512
 	for chunk < int64(2*need) {
 		chunk *= 2
 	}
-	return chunk
+	return chunk, horizon
 }
 
-// Run drains src once and returns one Stats per lane, in lane order.
-func (b *Batch) Run(src Source) ([]Stats, error) {
-	w := newWindow(src, b.chunkFor())
+// start resets every lane for a drain of src and returns the drain's
+// empty window.
+func (b *Batch) start(src Source) *window {
+	chunk, horizon := b.geometry()
+	w := newWindow(src, chunk, horizon)
 	// Precompute icache outcomes for the most common geometry (that of
 	// the first icache-enabled lane); matching lanes read bits, others
 	// run their private cache. The bits always describe a cold cache,
@@ -366,37 +395,19 @@ func (b *Batch) Run(src Source) ([]Stats, error) {
 			p.model.ICacheBytes == icBytes && p.model.CacheLineBytes == icLine
 		p.bfbuf.init(p.cfg.FetchBufferSize)
 	}
-	out := make([]Stats, len(b.lanes))
-	// The drain loop advances only live lanes: finished ones are
-	// compacted out of the index slice instead of re-scanned (and
-	// re-branched over) on every refill round — with heterogeneous
-	// lane configs the fastest lanes finish many rounds early.
-	live := make([]int, len(b.lanes))
-	for i := range live {
-		live[i] = i
-	}
-	for len(live) > 0 {
-		w.refill()
-		if w.err != nil {
-			return nil, w.err
-		}
-		n := 0
-		for _, i := range live {
-			p := b.lanes[i]
-			fin, err := p.runBatch()
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: batch lane %d: %w", i, err)
-			}
-			if fin {
-				out[i] = p.stats
-				p.win = nil
-				p.icShared = false
-				continue
-			}
-			live[n] = i
-			n++
-		}
-		live = live[:n]
+	return w
+}
+
+// Run drains src once and returns one Stats per lane, in lane order. It
+// is the one-drain, one-worker case of RunDrains.
+func (b *Batch) Run(src Source) ([]Stats, error) {
+	var out []Stats
+	err := RunDrains(context.Background(), []Drain{{
+		Open: func() (*Batch, Source, error) { return b, src, nil },
+		Done: func(_ *Batch, stats []Stats) { out = stats },
+	}}, 1)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -37,68 +37,68 @@ func TestVerifyOperandClasses(t *testing.T) {
 		wantErr string // "" = must verify clean
 	}{
 		{
-			name: "pred-as-alu-dest",
-			in:   isa.Instr{Op: isa.Add, Rd: isa.P(1), Rs: isa.R(1), Imm: 1},
+			name:    "pred-as-alu-dest",
+			in:      isa.Instr{Op: isa.Add, Rd: isa.P(1), Rs: isa.R(1), Imm: 1},
 			wantErr: "rd operand p1 must be a integer register",
 		},
 		{
-			name: "pred-as-alu-source",
-			in:   isa.Instr{Op: isa.Add, Rd: isa.R(2), Rs: isa.P(1), Imm: 1},
+			name:    "pred-as-alu-source",
+			in:      isa.Instr{Op: isa.Add, Rd: isa.R(2), Rs: isa.P(1), Imm: 1},
 			wantErr: "rs operand p1 must be a integer register",
 		},
 		{
-			name: "int-as-guard",
-			in:   isa.Instr{Op: isa.Mov, Rd: isa.R(2), Rs: isa.R(1), Pred: isa.R(3)},
+			name:    "int-as-guard",
+			in:      isa.Instr{Op: isa.Mov, Rd: isa.R(2), Rs: isa.R(1), Pred: isa.R(3)},
 			wantErr: "guard r3 must be a predicate register",
 		},
 		{
-			name: "int-as-pand-operand",
-			in:   isa.Instr{Op: isa.PAnd, Rd: isa.P(1), Rs: isa.P(2), Rt: isa.R(1)},
+			name:    "int-as-pand-operand",
+			in:      isa.Instr{Op: isa.PAnd, Rd: isa.P(1), Rs: isa.P(2), Rt: isa.R(1)},
 			wantErr: "rt operand r1 must be a predicate register",
 		},
 		{
-			name: "fp-into-int-mov",
-			in:   isa.Instr{Op: isa.Mov, Rd: isa.R(2), Rs: isa.F(1)},
+			name:    "fp-into-int-mov",
+			in:      isa.Instr{Op: isa.Mov, Rd: isa.R(2), Rs: isa.F(1)},
 			wantErr: "rs operand f1 must be a integer register",
 		},
 		{
-			name: "int-into-fmov",
-			in:   isa.Instr{Op: isa.FMov, Rd: isa.F(2), Rs: isa.R(1)},
+			name:    "int-into-fmov",
+			in:      isa.Instr{Op: isa.FMov, Rd: isa.F(2), Rs: isa.R(1)},
 			wantErr: "rs operand r1 must be a floating-point register",
 		},
 		{
-			name: "pred-as-load-dest",
-			in:   isa.Instr{Op: isa.Lw, Rd: isa.P(1), Rs: isa.R(8)},
+			name:    "pred-as-load-dest",
+			in:      isa.Instr{Op: isa.Lw, Rd: isa.P(1), Rs: isa.R(8)},
 			wantErr: "rd operand p1 must be a integer register",
 		},
 		{
-			name: "fp-as-address-base",
-			in:   isa.Instr{Op: isa.Lf, Rd: isa.F(1), Rs: isa.F(2)},
+			name:    "fp-as-address-base",
+			in:      isa.Instr{Op: isa.Lf, Rd: isa.F(1), Rs: isa.F(2)},
 			wantErr: "rs operand f2 must be a integer register",
 		},
 		{
-			name: "int-as-predicate-compare-dest",
-			in:   isa.Instr{Op: isa.PLt, Rd: isa.R(4), Rs: isa.R(1), Imm: 3},
+			name:    "int-as-predicate-compare-dest",
+			in:      isa.Instr{Op: isa.PLt, Rd: isa.R(4), Rs: isa.R(1), Imm: 3},
 			wantErr: "rd operand r4 must be a predicate register",
 		},
 		{
-			name: "pred-as-branch-operand",
-			in:   isa.Instr{Op: isa.Beq, Rs: isa.P(1), Imm: 0, Label: "b3"},
+			name:    "pred-as-branch-operand",
+			in:      isa.Instr{Op: isa.Beq, Rs: isa.P(1), Imm: 0, Label: "b3"},
 			wantErr: "rs operand p1 must be a integer register",
 		},
 		{
-			name: "int-as-bp-operand",
-			in:   isa.Instr{Op: isa.Bp, Rs: isa.R(1), Label: "b3"},
+			name:    "int-as-bp-operand",
+			in:      isa.Instr{Op: isa.Bp, Rs: isa.R(1), Label: "b3"},
 			wantErr: "rs operand r1 must be a predicate register",
 		},
 		{
-			name: "missing-alu-source",
-			in:   isa.Instr{Op: isa.Add, Rd: isa.R(2), Imm: 1},
+			name:    "missing-alu-source",
+			in:      isa.Instr{Op: isa.Add, Rd: isa.R(2), Imm: 1},
 			wantErr: "missing required rs operand",
 		},
 		{
-			name: "missing-mov-source",
-			in:   isa.Instr{Op: isa.Mov, Rd: isa.R(2)},
+			name:    "missing-mov-source",
+			in:      isa.Instr{Op: isa.Mov, Rd: isa.R(2)},
 			wantErr: "missing required rs operand",
 		},
 		// Legal forms that must keep verifying.

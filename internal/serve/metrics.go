@@ -40,19 +40,19 @@ func (h *histogram) Observe(d time.Duration) {
 // and gauges rendered in Prometheus text exposition format by
 // WritePrometheus. Stdlib only — no client library.
 type Metrics struct {
-	Requests      atomic.Int64 // experiment requests accepted for parsing
-	BadRequests   atomic.Int64 // malformed or unknown-workload requests
-	Rejected      atomic.Int64 // backpressure 429s
-	CoalescedHits atomic.Int64 // requests attached to an in-flight twin
-	StoreHits     atomic.Int64 // requests answered from the result store
-	StoreMisses   atomic.Int64 // store lookups that found nothing
-	StoreWrites   atomic.Int64 // results persisted
+	Requests         atomic.Int64 // experiment requests accepted for parsing
+	BadRequests      atomic.Int64 // malformed or unknown-workload requests
+	Rejected         atomic.Int64 // backpressure 429s
+	CoalescedHits    atomic.Int64 // requests attached to an in-flight twin
+	StoreHits        atomic.Int64 // requests answered from the result store
+	StoreMisses      atomic.Int64 // store lookups that found nothing
+	StoreWrites      atomic.Int64 // results persisted
 	StoreQuarantined atomic.Int64 // corrupt store entries set aside
-	SimRuns       atomic.Int64 // simulations executed by the pool
-	SimErrors     atomic.Int64 // simulations that returned an error
-	QueueDepth    atomic.Int64 // jobs waiting for a worker (gauge)
-	InFlight      atomic.Int64 // jobs being simulated (gauge)
-	Draining      atomic.Int64 // 1 once shutdown has begun (gauge)
+	SimRuns          atomic.Int64 // simulations executed by the pool
+	SimErrors        atomic.Int64 // simulations that returned an error
+	QueueDepth       atomic.Int64 // jobs waiting for a worker (gauge)
+	InFlight         atomic.Int64 // jobs being simulated (gauge)
+	Draining         atomic.Int64 // 1 once shutdown has begun (gauge)
 
 	SimSeconds histogram // wall time per executed simulation
 }

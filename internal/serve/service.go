@@ -118,10 +118,10 @@ type RunResponse struct {
 	// the result is stored.
 	Key string `json:"key"`
 	// Canonical is the request's canonical identity string.
-	Canonical        string         `json:"canonical"`
-	Workload         string         `json:"workload"`
-	Scheme           string         `json:"scheme"`
-	PredictorEntries int            `json:"predictor_entries"`
+	Canonical        string `json:"canonical"`
+	Workload         string `json:"workload"`
+	Scheme           string `json:"scheme"`
+	PredictorEntries int    `json:"predictor_entries"`
 	// Source is how this response was produced: "sim" (a fresh
 	// simulation), "coalesced" (attached to an identical in-flight
 	// run), or "store" (read from the on-disk store).
@@ -376,7 +376,7 @@ func NormalizeRequest(req *RunRequest, base *machine.Model) (bench.Spec, string,
 	// minted before the machine/predictor fields existed still addresses
 	// the same stored result.
 	key := fmt.Sprintf("v%d|w=%s|fp=%016x|s=%s|e=%d|o=%s",
-		storeVersion, w.Name, w.Build().Fingerprint(), scheme, entries, req.Opt.canonical())
+		storeVersion, w.Name, w.Fingerprint(), scheme, entries, req.Opt.canonical())
 	if model != nil {
 		key += "|m=" + model.Key()
 	}
@@ -420,10 +420,10 @@ func deriveModel(req *RunRequest, base *machine.Model) (*machine.Model, error) {
 // Stage names reported to Do's notify callback, in the order a request
 // can traverse them.
 const (
-	StageStore     = "store_hit"  // answered from the on-disk store
-	StageCoalesced = "coalesced"  // attached to an identical in-flight run
-	StageQueued    = "queued"     // accepted as leader, waiting for a worker
-	StageResult    = "result"     // terminal: response follows
+	StageStore     = "store_hit" // answered from the on-disk store
+	StageCoalesced = "coalesced" // attached to an identical in-flight run
+	StageQueued    = "queued"    // accepted as leader, waiting for a worker
+	StageResult    = "result"    // terminal: response follows
 )
 
 // Do executes one request through the full store → coalesce → simulate
