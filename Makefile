@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet sgvet lint build test test-race bench-smoke bench-json fuzz-smoke serve-smoke explore-smoke leak-smoke cluster-smoke
+.PHONY: check fmt vet sgvet lint build test test-race bench-smoke fuzz-smoke serve-smoke explore-smoke leak-smoke cluster-smoke
 
 # The full gate: what CI (and every PR) must pass.
 check: fmt vet sgvet build test test-race lint bench-smoke fuzz-smoke serve-smoke explore-smoke leak-smoke cluster-smoke
@@ -30,9 +30,10 @@ test:
 
 # Race-detector pass over the concurrency-heavy packages: the serve
 # layer (coalescing, drain, backpressure) and the bench trace caches
-# it is built on — plus the batch golden tests (multi-lane lockstep
-# over one shared decode window) and the lane scheduler's tests
-# (RunDrains, the fuzz oracle with its two-drain batch split), pinning lane
+# it is built on — plus the batch golden tests (many lanes over one
+# shared decode window), the lane scheduler's tests (RunDrains, the
+# fuzz oracle with its two-drain batch split) and the decode-window
+# free list shared by concurrent Runs and drains, pinning lane
 # isolation across workers under -race.
 # The bench suite runs full timing simulations, which the detector
 # slows ~20×; heavy sweep tests shed redundant work under -race (see
@@ -40,7 +41,7 @@ test:
 # single-core machines headroom past the 600s default.
 test-race:
 	$(GO) test -race -timeout 900s ./internal/serve/... ./internal/bench/... ./internal/cluster/... ./internal/load/...
-	$(GO) test -race -run 'TestBatchMatchesSingle|TestGoldenStatsBatched|TestRunDrains|TestWindowMemLastBounded' ./internal/pipeline ./internal/bench
+	$(GO) test -race -run 'TestBatchMatchesSingle|TestGoldenStatsBatched|TestRunDrains|TestWindowMemLastBounded|TestFreeWindowsBounded' ./internal/pipeline ./internal/bench
 	$(GO) test -race -run 'TestFuzzSmoke' ./internal/fuzz
 	$(GO) test -race -run 'TestRunIndependentOfParallelism' ./internal/explore
 
@@ -60,7 +61,7 @@ bench-smoke:
 
 # A bounded sweep of the differential fuzzer (internal/fuzz): every
 # seed must pass the interp/pipeline/xform agreement oracle (which now
-# includes the batch-vs-single lockstep and leak-soundness stages),
+# includes the batch lane-isolation and leak-soundness stages),
 # plus focused sweeps of the batch and leak oracles alone on disjoint
 # seed ranges. Seconds, not minutes; `sgfuzz -seeds 500` (or more) is
 # the deep version.
@@ -98,7 +99,3 @@ leak-smoke:
 # graceful re-routing after a backend is killed.
 cluster-smoke:
 	./scripts/cluster_smoke.sh
-
-# Regenerate the "after" block of BENCH_pipeline.json.
-bench-json:
-	./scripts/bench_json.sh

@@ -7,31 +7,20 @@
 // Usage:
 //
 //	sgbench [-table N] [-figure] [-summary] [-ablation] [-leaks]
-//	        [-entries N] [-par N] [-benchjson] [-cpuprofile F]
-//	        [-memprofile F]
+//	        [-entries N] [-par N] [-cpuprofile F] [-memprofile F]
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"syscall"
-	"testing"
-	"time"
 
-	"specguard/internal/asm"
 	"specguard/internal/bench"
 	"specguard/internal/buildinfo"
 	"specguard/internal/core"
-	"specguard/internal/interp"
 	"specguard/internal/machine"
-	"specguard/internal/pipeline"
-	"specguard/internal/predict"
-	"specguard/internal/trace"
 )
 
 func main() {
@@ -42,7 +31,6 @@ func main() {
 	leaks := flag.Bool("leaks", false, "print only the speculative-leak ablation (victim kernels, dynamic vs static)")
 	entries := flag.Int("entries", 0, "override the 2-bit predictor table size")
 	par := flag.Int("par", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-	benchjson := flag.Bool("benchjson", false, "emit pipeline/suite performance numbers as JSON and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	version := flag.Bool("version", false, "print version and exit")
@@ -66,14 +54,14 @@ func main() {
 	}
 
 	if err := run(*table, *figure, *summary, *ablation, *leaks, *entries, *par,
-		*benchjson, *cpuprofile, *memprofile); err != nil {
+		*cpuprofile, *memprofile); err != nil {
 		fmt.Fprintln(os.Stderr, "sgbench:", err)
 		os.Exit(1)
 	}
 }
 
 func run(table int, figure, summary, ablation, leaks bool, entries, par int,
-	benchjson bool, cpuprofile, memprofile string) error {
+	cpuprofile, memprofile string) error {
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
@@ -105,10 +93,6 @@ func run(table int, figure, summary, ablation, leaks bool, entries, par int,
 		r.PredictorEntries = entries
 		r.Parallelism = par
 		return r
-	}
-
-	if benchjson {
-		return emitBenchJSON(newRunner, os.Stdout)
 	}
 
 	only := table != 0 || figure || summary || ablation || leaks
@@ -208,445 +192,4 @@ func printAblation(newRunner func() *bench.Runner) error {
 		fmt.Println()
 	}
 	return nil
-}
-
-// benchReport is the schema of BENCH_pipeline.json's,
-// BENCH_frontend.json's and BENCH_batch.json's per-measurement records
-// (see scripts/bench_json.sh, which writes the report to
-// BENCH_batch.json).
-type benchReport struct {
-	Comment      string `json:"comment"`
-	GOMAXPROCS   int    `json:"gomaxprocs"`
-	PipeNsOp     int64  `json:"pipe_ns_op"`
-	PipeAllocsOp int64  `json:"pipe_allocs_op"`
-	PipeBytesOp  int64  `json:"pipe_bytes_op"`
-	// Architectural front-end rates over the benchmark kernel.
-	InterpLiveMinstrS float64 `json:"interp_live_minstr_per_s"`
-	InterpFlatMinstrS float64 `json:"interp_predecoded_minstr_per_s"`
-	// ReplayMinstrS is the packed-trace replay drain — the architectural
-	// event stream reconstructed with no register/memory computation.
-	ReplayMinstrS float64 `json:"replay_minstr_per_s"`
-	// PipeOnTraceMinstrS is a full timing simulation fed from the packed
-	// trace (the harness's steady-state configuration).
-	PipeOnTraceMinstrS float64 `json:"pipe_on_trace_minstr_per_s"`
-	TraceBytesPerKilo  float64 `json:"trace_bytes_per_kevent"`
-	// Sweep accounting: one Runner, full RunAll at two predictor table
-	// sizes. Architectural runs stay at one per (workload, program) —
-	// the second sweep re-simulates timing from cached traces.
-	SweepArchRuns    int64 `json:"sweep_arch_runs"`
-	SweepSimulations int   `json:"sweep_simulations"`
-	SuiteWallMs      int64 `json:"suite_wall_ms"`
-	AblationWallMs   int64 `json:"ablation_row_wall_ms"`
-	// Batched lockstep (pipeline.Batch) over the same kernel trace:
-	// aggregate lane throughput at each lane count, and the 24-lane
-	// multiple over the single-lane figure — the decode/dependence
-	// amortization factor on one shared drain.
-	BatchPipe     []batchRate `json:"batch_pipe_on_trace"`
-	BatchSpeedupX float64     `json:"batch_speedup_x"`
-	// The 24-cell predictor sweep (every workload × {TwoBit, Proposed,
-	// Perfect} × {512, 1024} entries) on pre-warmed runners: per-cell
-	// RunSpec vs. batched RunSpecs, best-of-5 process CPU time, plus
-	// the batched path's drain accounting. The PR 5 baseline is the
-	// same sweep measured at that commit's tip with the same protocol
-	// (recorded in sweep24PR5BaselineMs).
-	Sweep24SingleCPUMs      int64   `json:"sweep24_single_cpu_ms"`
-	Sweep24BatchedCPUMs     int64   `json:"sweep24_batched_cpu_ms"`
-	Sweep24SpeedupX         float64 `json:"sweep24_speedup_x"`
-	Sweep24TraceDrains      int64   `json:"sweep24_trace_drains"`
-	Sweep24SimLanes         int64   `json:"sweep24_sim_lanes"`
-	Sweep24DrainsPerPair    float64 `json:"sweep24_drains_per_workload_program"`
-	Sweep24PR5BaselineCPUMs int64   `json:"sweep24_pr5_baseline_cpu_ms"`
-	Sweep24SpeedupVsPR5X    float64 `json:"sweep24_speedup_vs_pr5_baseline_x"`
-	// Quiescence fast-forward engagement (pipeline.SkipStats; Stats are
-	// byte-identical with skipping on or off). pipe_* instruments one
-	// timing run of the benchmark kernel — a high-IPC workload, so its
-	// skip rate is near zero by design; the latency-bound rates live in
-	// internal/pipeline's TestSkipLongLatencyFP (bench-smoke asserts
-	// them). sweep24_* aggregates the batched 24-cell sweep, where
-	// parked and stalled lanes give the jumps real work.
-	PipeSkippedCycles      int64   `json:"pipe_skipped_cycles"`
-	PipeFastForwards       int64   `json:"pipe_fast_forwards"`
-	PipeSkipRate           float64 `json:"pipe_skip_rate"`
-	Sweep24SkippedCycles   int64   `json:"sweep24_skipped_cycles"`
-	Sweep24FastForwards    int64   `json:"sweep24_fast_forwards"`
-	Sweep24SkipRate        float64 `json:"sweep24_skip_rate"`
-	Sweep24SkippedPerDrain float64 `json:"sweep24_skipped_cycles_per_drain"`
-}
-
-// batchRate is one batched-lockstep measurement: aggregate lane
-// throughput (events × lanes per second of the shared drain) at a
-// fixed lane count, alternating 512/1024-entry predictor tables so
-// lanes genuinely differ.
-type batchRate struct {
-	Lanes   int     `json:"lanes"`
-	MinstrS float64 `json:"pipe_on_trace_minstr_per_s"`
-}
-
-// sweep24PR5BaselineMs is the 24-cell sweep's per-cell CPU time
-// measured at the PR 5 tip (commit cb0ceb1) with the same warmed
-// best-of-N process-CPU protocol, recorded so regenerated reports keep
-// the cross-commit comparison the batching work is judged against.
-const sweep24PR5BaselineMs = 2718
-
-const benchComment = "Batched lockstep timing simulation with quiescence fast-forward. " +
-	"batch_pipe_on_trace counts lane-instructions (events × lanes) over one shared trace " +
-	"drain; batch_speedup_x is the 24-lane aggregate rate over the 1-lane rate. sweep24_* " +
-	"times the full 24-cell predictor sweep on warmed runners (profiles, optimized programs " +
-	"and packed traces prebuilt), best-of-5 process CPU time so co-tenant noise cannot " +
-	"inflate either side. *_skipped_cycles/*_fast_forwards report how many dead cycles the " +
-	"quiescence fast-forward elided (Stats stay byte-identical to a NoCycleSkip run). " +
-	"Same-protocol baseline re-measured at the prior commit (6d4231c) on the same box/day: " +
-	"pipe_ns_op=47560412, sweep24_single_cpu_ms=1446, sweep24_batched_cpu_ms=924 — the " +
-	"fast-forward plus the single-lane dispatch fast path cut the per-cell sweep ~17% and " +
-	"the (already window-amortized) batched sweep ~5%. Regenerate with scripts/bench_json.sh " +
-	"(writes BENCH_batch.json). Measured on a 1-core container (GOMAXPROCS=1)."
-
-// benchKernel is the BenchmarkPipe program (kept in sync with
-// internal/pipeline/speed_test.go) so released binaries can reproduce
-// the recorded baseline without the test harness.
-const benchKernel = `
-func main:
-entry:
-	li r1, 0
-	li r5, 9000
-loop:
-	lw r3, 0(r5)
-	add r3, r3, 1
-	sw r3, 0(r5)
-	and r2, r1, 7
-	beq r2, 0, sp
-pl:
-	add r4, r4, 1
-	j next
-sp:
-	add r6, r6, 1
-next:
-	add r1, r1, 1
-	blt r1, 50000, loop
-exit:
-	halt
-`
-
-// rate converts a testing.Benchmark result over a fixed-size kernel
-// into millions of instructions per second.
-func rate(events int64, r testing.BenchmarkResult) float64 {
-	return float64(events) * float64(r.N) / r.T.Seconds() / 1e6
-}
-
-// emitBenchJSON measures the pipeline microbenchmark, the front-end
-// rates (live interpretation, predecoded execution, packed-trace
-// replay, pipeline-on-trace), the sweep's architectural-run reuse, and
-// the full-suite wall clock, then prints one benchReport as JSON.
-func emitBenchJSON(newRunner func() *bench.Runner, out *os.File) error {
-	code, err := interp.Predecode(asm.MustParse(benchKernel), nil)
-	if err != nil {
-		return err
-	}
-	m := code.NewMachine(interp.Options{})
-
-	// Headline simulation benchmark, in lockstep with
-	// internal/pipeline's BenchmarkPipe: predecode once, then per run
-	// only the machine reset, the event stream and the timing loop.
-	pipe := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.Reset()
-			sim, err := pipeline.New(pipeline.Config{Model: machine.R10000(), Predictor: predict.NewTwoBit(512)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sim.Run(pipeline.NewMachineSource(m)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// Kernel size, counted once.
-	m.Reset()
-	var events int64
-	var ev interp.Event
-	for {
-		if err := m.Step(&ev); err == interp.ErrHalted {
-			break
-		} else if err != nil {
-			return err
-		}
-		events++
-	}
-
-	live := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ref, err := interp.New(asm.MustParse(benchKernel), nil, interp.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := ref.Run(nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	flat := testing.Benchmark(func(b *testing.B) {
-		var ev interp.Event
-		for i := 0; i < b.N; i++ {
-			m.Reset()
-			for {
-				if err := m.Step(&ev); err == interp.ErrHalted {
-					break
-				} else if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-
-	tr, _, err := trace.Capture(code, interp.Options{}, nil, nil)
-	if err != nil {
-		return err
-	}
-	rd := tr.NewReader()
-	replay := testing.Benchmark(func(b *testing.B) {
-		var ev interp.Event
-		for i := 0; i < b.N; i++ {
-			rd.Reset()
-			for {
-				ok, err := rd.NextInto(&ev)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-			}
-		}
-	})
-	pipeOnTrace := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sim, err := pipeline.New(pipeline.Config{Model: machine.R10000(), Predictor: predict.NewTwoBit(512)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sim.Run(tr.NewReader()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// One instrumented timing run for the skip counters (one run is
-	// exact: fast-forward decisions are deterministic).
-	var pipeSkip pipeline.SkipStats
-	var pipeSkipRate float64
-	{
-		sim, err := pipeline.New(pipeline.Config{Model: machine.R10000(), Predictor: predict.NewTwoBit(512)})
-		if err != nil {
-			return err
-		}
-		st, err := sim.Run(tr.NewReader())
-		if err != nil {
-			return err
-		}
-		pipeSkip = sim.SkipStats()
-		if st.Cycles > 0 {
-			pipeSkipRate = round4(float64(pipeSkip.SkippedCycles) / float64(st.Cycles))
-		}
-	}
-
-	// Batched lockstep rates: the same packed trace drained once per
-	// Batch.Run, feeding N lanes (mirrors BenchmarkBatchPipe).
-	var batchRates []batchRate
-	for _, lanes := range []int{1, 4, 8, 24} {
-		lanes := lanes
-		sizes := make([]int, lanes)
-		for i := range sizes {
-			sizes[i] = 512 << uint(i%2)
-		}
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				preds := predict.NewTwoBitLanes(sizes)
-				cfgs := make([]pipeline.Config, lanes)
-				for j := range cfgs {
-					cfgs[j] = pipeline.Config{Model: machine.R10000(), Predictor: preds[j]}
-				}
-				batch, err := pipeline.NewBatch(cfgs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := batch.Run(tr.NewReader()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		batchRates = append(batchRates, batchRate{Lanes: lanes, MinstrS: rate(events*int64(lanes), res)})
-	}
-	batchSpeedup := batchRates[len(batchRates)-1].MinstrS / batchRates[0].MinstrS
-
-	sweepSingle, sweepBatched, sweepMeta, err := sweep24CPU()
-	if err != nil {
-		return err
-	}
-	// Distinct (workload, program) pairs in the sweep: each workload
-	// contributes its original program and its optimizer rewrite.
-	sweepPairs := float64(2 * len(bench.All()))
-
-	// Predictor sweep on one Runner: a full table at two table sizes.
-	// Timing runs double; architectural runs must not.
-	sweep := newRunner()
-	if _, err := sweep.RunAll(); err != nil {
-		return err
-	}
-	sweep.PredictorEntries = 1024
-	if _, err := sweep.RunAll(); err != nil {
-		return err
-	}
-	sweepSims := 2 * 3 * len(bench.All())
-
-	start := time.Now()
-	if _, err := newRunner().RunAll(); err != nil {
-		return err
-	}
-	suiteWall := time.Since(start)
-
-	start = time.Now()
-	if _, err := newRunner().RunProposedOptsAll(core.Options{}); err != nil {
-		return err
-	}
-	ablationWall := time.Since(start)
-
-	rep := benchReport{
-		Comment:            benchComment,
-		GOMAXPROCS:         runtime.GOMAXPROCS(0),
-		PipeNsOp:           pipe.NsPerOp(),
-		PipeAllocsOp:       pipe.AllocsPerOp(),
-		PipeBytesOp:        pipe.AllocedBytesPerOp(),
-		InterpLiveMinstrS:  rate(events, live),
-		InterpFlatMinstrS:  rate(events, flat),
-		ReplayMinstrS:      rate(events, replay),
-		PipeOnTraceMinstrS: rate(events, pipeOnTrace),
-		TraceBytesPerKilo:  float64(tr.SizeBytes()) / float64(tr.Events()) * 1000,
-		SweepArchRuns:      sweep.ArchRuns(),
-		SweepSimulations:   sweepSims,
-		SuiteWallMs:        suiteWall.Milliseconds(),
-		AblationWallMs:     ablationWall.Milliseconds(),
-
-		BatchPipe:               batchRates,
-		BatchSpeedupX:           round2(batchSpeedup),
-		Sweep24SingleCPUMs:      sweepSingle.Milliseconds(),
-		Sweep24BatchedCPUMs:     sweepBatched.Milliseconds(),
-		Sweep24SpeedupX:         round2(float64(sweepSingle) / float64(sweepBatched)),
-		Sweep24TraceDrains:      sweepMeta.drains,
-		Sweep24SimLanes:         sweepMeta.lanes,
-		Sweep24DrainsPerPair:    round2(float64(sweepMeta.drains) / sweepPairs),
-		Sweep24PR5BaselineCPUMs: sweep24PR5BaselineMs,
-		Sweep24SpeedupVsPR5X:    round2(sweep24PR5BaselineMs * float64(time.Millisecond) / float64(sweepBatched)),
-
-		PipeSkippedCycles:      pipeSkip.SkippedCycles,
-		PipeFastForwards:       pipeSkip.FastForwards,
-		PipeSkipRate:           pipeSkipRate,
-		Sweep24SkippedCycles:   sweepMeta.skipped,
-		Sweep24FastForwards:    sweepMeta.jumps,
-		Sweep24SkipRate:        sweepMeta.skipRate(),
-		Sweep24SkippedPerDrain: round2(float64(sweepMeta.skipped) / float64(sweepMeta.drains)),
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// round2 keeps report ratios readable.
-func round2(x float64) float64 { return float64(int64(x*100+0.5)) / 100 }
-
-// round4 keeps small rates readable without flattening them to zero.
-func round4(x float64) float64 { return float64(int64(x*10000+0.5)) / 10000 }
-
-// cpuTime returns the process CPU time (user+system). On a shared box
-// wall clock charges co-tenant bursts to whichever side happens to be
-// running; CPU time does not.
-func cpuTime() time.Duration {
-	var ru syscall.Rusage
-	syscall.Getrusage(syscall.RUSAGE_SELF, &ru)
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
-}
-
-// sweep24Meta carries the batched sweep's per-iteration counter deltas
-// (drain accounting plus quiescence fast-forward engagement) and the
-// cycle total its skip rate is computed against.
-type sweep24Meta struct {
-	drains, lanes  int64
-	skipped, jumps int64
-	cycles         int64
-}
-
-func (m sweep24Meta) skipRate() float64 {
-	if m.cycles == 0 {
-		return 0
-	}
-	return round4(float64(m.skipped) / float64(m.cycles))
-}
-
-// sweep24CPU times the 24-cell predictor sweep (every workload ×
-// {TwoBit, Proposed, Perfect} × {512, 1024} entries) through the
-// per-cell RunSpec path and the batched RunSpecs path. Both runners
-// are pre-warmed (profiles, optimizer rewrites, packed traces), so the
-// measured region is exactly the 24 timing simulations; best-of-5
-// process CPU time keeps scheduler noise out of the ratio. The meta
-// counters are the batched path's per-sweep totals.
-func sweep24CPU() (single, batched time.Duration, meta sweep24Meta, err error) {
-	ctx := context.Background()
-	warm := func() (*bench.Runner, error) {
-		r := bench.NewRunner()
-		r.Parallelism = 1
-		for _, w := range bench.All() {
-			if _, err := r.ProfileOf(w); err != nil {
-				return nil, err
-			}
-			if _, err := r.RunSpec(ctx, bench.Spec{Workload: w, Scheme: bench.SchemeProposed}); err != nil {
-				return nil, err
-			}
-		}
-		return r, nil
-	}
-	rs, err := warm()
-	if err != nil {
-		return
-	}
-	rb, err := warm()
-	if err != nil {
-		return
-	}
-	var specs []bench.Spec
-	for _, entries := range []int{512, 1024} {
-		for _, w := range bench.All() {
-			for _, s := range []bench.Scheme{bench.SchemeTwoBit, bench.SchemeProposed, bench.SchemePerfect} {
-				specs = append(specs, bench.Spec{Workload: w, Scheme: s, Entries: entries})
-			}
-		}
-	}
-	single, batched = 1<<62, 1<<62
-	for i := 0; i < 5; i++ {
-		t0 := cpuTime()
-		for _, sp := range specs {
-			if _, err = rs.RunSpec(ctx, sp); err != nil {
-				return
-			}
-		}
-		if d := cpuTime() - t0; d < single {
-			single = d
-		}
-		d0, l0 := rb.TraceDrains(), rb.SimLanes()
-		s0, j0 := rb.SkippedCycles(), rb.FastForwards()
-		t0 = cpuTime()
-		var results []bench.Result
-		if results, err = rb.RunSpecs(ctx, specs); err != nil {
-			return
-		}
-		if d := cpuTime() - t0; d < batched {
-			batched = d
-		}
-		meta.drains, meta.lanes = rb.TraceDrains()-d0, rb.SimLanes()-l0
-		meta.skipped, meta.jumps = rb.SkippedCycles()-s0, rb.FastForwards()-j0
-		meta.cycles = 0
-		for _, res := range results {
-			meta.cycles += res.Stats.Cycles
-		}
-	}
-	return
 }

@@ -37,7 +37,7 @@ func main() {
 	doShrink := flag.Bool("shrink", true, "reduce failing programs before saving them")
 	replay := flag.String("replay", "", "re-check one saved corpus file and exit")
 	frontOnly := flag.Bool("frontend", false, "run only the front-end agreement oracle (interp vs. predecode vs. trace replay)")
-	batchOnly := flag.Bool("batch", false, "run only the batch-vs-single lockstep oracle (mixed-config lanes over one trace drain)")
+	batchOnly := flag.Bool("batch", false, "run only the batch lane-isolation oracle (mixed-config lanes over one trace drain vs one-lane runs)")
 	leakOnly := flag.Bool("leak", false, "run only the leak-soundness oracle (static spec-secret-load covers dynamic wrong-path secret accesses)")
 	skipOnly := flag.Bool("skip", false, "run only the quiescence fast-forward oracle (skip-enabled vs NoCycleSkip stats equality, single and batched)")
 	verbose := flag.Bool("v", false, "print a line per seed")

@@ -380,6 +380,33 @@ func errorsAs(err error, target any) bool {
 // TestCoordinatorHTTP drives the wire surface against stub backends:
 // run proxying with backend annotation, shard resolution, state, and
 // metrics rendering.
+// TestCoordinatorSweepEntriesValidation: the coordinator's /v1/sweep
+// bounds entries with the same check as the backends, answering 400
+// before any cell reaches a backend.
+func TestCoordinatorSweepEntriesValidation(t *testing.T) {
+	fb := newFakeBackend(t)
+	c := newTestCoordinator(t, []string{fb.ts.URL}, nil)
+	ts := httptest.NewServer(c.Handler())
+	t.Cleanup(ts.Close)
+	for _, v := range []string{"-1", "16777217", "99999999999"} {
+		resp, err := http.Get(ts.URL + "/v1/sweep?entries=" + v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "predictor_entries") {
+			t.Errorf("GET /v1/sweep?entries=%s = %d %s, want 400 naming predictor_entries", v, resp.StatusCode, body)
+		}
+	}
+	if n := fb.hits.Load(); n != 0 {
+		t.Errorf("rejected sweeps sent %d cells to the backend", n)
+	}
+	if n := c.metrics.BadRequests.Load(); n != 3 {
+		t.Errorf("bad requests = %d, want 3", n)
+	}
+}
+
 func TestCoordinatorHTTP(t *testing.T) {
 	fb1, fb2 := newFakeBackend(t), newFakeBackend(t)
 	c := newTestCoordinator(t, []string{fb1.ts.URL, fb2.ts.URL}, nil)

@@ -177,6 +177,10 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 			coordError(w, http.StatusBadRequest, "bad entries: %v", err)
 			return
 		}
+		if err := serve.CheckEntries(n); err != nil {
+			c.writeErr(w, err) // counts the bad request
+			return
+		}
 		entries = n
 	}
 	client := ClientID(r)

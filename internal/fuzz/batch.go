@@ -13,24 +13,24 @@ import (
 	"specguard/internal/trace"
 )
 
-// CheckBatch is the batch-vs-single agreement oracle: a lockstep
-// pipeline.Batch over one packed-trace drain must produce, for every
-// lane, Stats byte-identical to a standalone single-lane run of the
-// same configuration over a fresh drain of the same trace. The lane
+// CheckBatch is the lane-isolation oracle: a pipeline.Batch over one
+// packed-trace drain must produce, for every lane, Stats byte-identical
+// to a one-lane Run of the same configuration over a fresh drain of the
+// same trace — N lanes sharing a window against one. The lane
 // count (2–4), the mix of predictor configurations (two-bit table
 // sizes plus an occasional perfect-prediction lane) and per-lane
 // machine-model variants (narrow fetch, shallow ROB, throttled fetch
 // rate — all Validate-legal derivations of the oracle's base model)
 // derive from the program fingerprint, so every fuzz seed exercises a
-// different deterministic mix. Both paths run with SelfCheck audits
-// on, which also exercises the batched lane-isolation invariants. The
+// different deterministic mix. Every run has SelfCheck audits on,
+// which also exercises the lane-isolation invariants. The
 // same lane mix is then split over two drains of the trace and run by
 // the lane scheduler on two workers, which must not change any lane.
 //
 // Stable check names:
 //
 //	batch-run        the batched drain itself failed (invariant trip)
-//	batch-single     a reference single-lane run failed
+//	batch-single     a reference one-lane Run failed
 //	batch-vs-single  some lane's Stats diverged from its reference
 //	batch-split      the two-drain, two-worker run failed or diverged
 func (o *Oracle) CheckBatch(p *prog.Program) error {

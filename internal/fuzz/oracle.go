@@ -206,12 +206,12 @@ type teeSource struct {
 	d     digest
 }
 
-func (t *teeSource) Next() (interp.Event, bool, error) {
-	ev, ok, err := t.inner.Next()
+func (t *teeSource) NextInto(ev *interp.Event) (bool, error) {
+	ok, err := t.inner.NextInto(ev)
 	if ok && err == nil {
-		t.d.event(ev)
+		t.d.event(*ev)
 	}
-	return ev, ok, err
+	return ok, err
 }
 
 // lintOptions maps a variant name to the analysis options its output
@@ -286,16 +286,15 @@ func (o *Oracle) Check(p *prog.Program) error {
 		return fail("pipeline-counts", "%s", msg)
 	}
 
-	// 3b. Batched lockstep agreement: N mixed-config lanes over one
-	// shared trace drain must match fresh single-lane runs lane for
-	// lane (see CheckBatch).
+	// 3b. Lane isolation: N mixed-config lanes over one shared trace
+	// drain must match one-lane Runs lane for lane (see CheckBatch).
 	if err := o.CheckBatch(p); err != nil {
 		return err
 	}
 
 	// 3c. Quiescence fast-forward agreement: skip-enabled Stats must be
-	// byte-identical to a NoCycleSkip cycle-by-cycle run, single-lane
-	// and batched (see CheckSkip).
+	// byte-identical to a NoCycleSkip cycle-by-cycle run (see
+	// CheckSkip).
 	if err := o.CheckSkip(p); err != nil {
 		return err
 	}

@@ -14,10 +14,11 @@ import (
 // CheckSkip is the quiescence fast-forward oracle: every Stats a
 // pipeline produces with cycle skipping enabled (the default) must be
 // byte-identical to the same configuration run cycle by cycle under
-// Config.NoCycleSkip — on a single lane and inside a lockstep Batch.
-// The machine-model variant (base, throttled fetch, stretched divide
-// latency, shallow rename pool — the shapes with the longest quiescent
-// stretches) and the batched lane mix derive from the program
+// Config.NoCycleSkip. It runs a small lane mix in one Batch both ways:
+// lane 1 carries a machine-model variant biased toward quiescence
+// (throttled fetch, stretched divide latency, shallow rename pool — the
+// shapes with the longest dead stretches), the other lanes the base
+// model. The variant and lane count derive from the program
 // fingerprint, so every fuzz seed pins a different configuration. All
 // runs keep SelfCheck on, which audits each fast-forward jump (no
 // ready entry skipped, no wheel event inside the skipped range).
@@ -26,9 +27,8 @@ import (
 //
 //	skip-run               a skip-enabled run failed outright
 //	skip-ref               the NoCycleSkip reference run failed
-//	skip-vs-noskip         single-lane Stats diverged
 //	skip-counters          NoCycleSkip run still reported fast-forwards
-//	skip-batch-vs-noskip   some batched lane's Stats diverged
+//	skip-batch-vs-noskip   some lane's Stats diverged
 func (o *Oracle) CheckSkip(p *prog.Program) error {
 	fail := func(check, format string, args ...any) error {
 		return &Failure{Check: check, Msg: fmt.Sprintf(format, args...)}
@@ -68,44 +68,12 @@ func (o *Oracle) CheckSkip(p *prog.Program) error {
 		}
 	}
 
+	// Parked lanes (unequal cycle counts) are exactly where skipping
+	// inside a drain can go wrong, so the mix deliberately pairs fast
+	// and slow models.
 	size := 128 << (h % 3) // 128, 256 or 512 predictor entries
-	single := func(noSkip bool) (pipeline.Stats, pipeline.SkipStats, error) {
-		pipe, err := pipeline.New(pipeline.Config{
-			Model:       model,
-			Predictor:   predict.NewTwoBit(size),
-			SelfCheck:   true,
-			NoCycleSkip: noSkip,
-		})
-		if err != nil {
-			return pipeline.Stats{}, pipeline.SkipStats{}, err
-		}
-		st, err := pipe.Run(tr.NewReader())
-		return st, pipe.SkipStats(), err
-	}
-
-	got, sk, err := single(false)
-	if err != nil {
-		return fail("skip-run", "model=%+v: %v", (h>>11)%4, err)
-	}
-	want, off, err := single(true)
-	if err != nil {
-		return fail("skip-ref", "%v", err)
-	}
-	if off != (pipeline.SkipStats{}) {
-		return fail("skip-counters", "NoCycleSkip run fast-forwarded anyway: %+v", off)
-	}
-	if !reflect.DeepEqual(got, want) {
-		return fail("skip-vs-noskip",
-			"single-lane stats diverge (skipped %d cycles in %d jumps):\nskip:   %+v\nnoskip: %+v",
-			sk.SkippedCycles, sk.FastForwards, got, want)
-	}
-
-	// Batched: a small fingerprint-derived lane mix run both ways over
-	// fresh drains of the same trace. Parked lanes (unequal cycle
-	// counts) are exactly where batch-side skipping can go wrong, so
-	// lane configs deliberately mix fast and slow models.
 	lanes := 2 + int(h%2)
-	mix := func(noSkip bool) []pipeline.Config {
+	run := func(noSkip bool) ([]pipeline.Stats, pipeline.SkipStats, error) {
 		cfgs := make([]pipeline.Config, lanes)
 		tb := predict.NewTwoBitLanes(sizesFor(lanes, size))
 		for i := range cfgs {
@@ -117,28 +85,29 @@ func (o *Oracle) CheckSkip(p *prog.Program) error {
 				Model: m, Predictor: tb[i], SelfCheck: true, NoCycleSkip: noSkip,
 			}
 		}
-		return cfgs
-	}
-	run := func(noSkip bool) ([]pipeline.Stats, error) {
-		b, err := pipeline.NewBatch(mix(noSkip))
+		b, err := pipeline.NewBatch(cfgs)
 		if err != nil {
-			return nil, err
+			return nil, pipeline.SkipStats{}, err
 		}
-		return b.Run(tr.NewReader())
+		st, err := b.Run(tr.NewReader())
+		return st, b.SkipStats(), err
 	}
-	bgot, err := run(false)
+	got, sk, err := run(false)
 	if err != nil {
-		return fail("skip-run", "batched lanes=%d: %v", lanes, err)
+		return fail("skip-run", "lanes=%d model=%d: %v", lanes, (h>>11)%4, err)
 	}
-	bwant, err := run(true)
+	want, off, err := run(true)
 	if err != nil {
-		return fail("skip-ref", "batched lanes=%d: %v", lanes, err)
+		return fail("skip-ref", "lanes=%d: %v", lanes, err)
 	}
-	for i := range bgot {
-		if !reflect.DeepEqual(bgot[i], bwant[i]) {
+	if off != (pipeline.SkipStats{}) {
+		return fail("skip-counters", "NoCycleSkip run fast-forwarded anyway: %+v", off)
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
 			return fail("skip-batch-vs-noskip",
-				"lane %d of %d: batched stats diverge with skipping on:\nskip:   %+v\nnoskip: %+v",
-				i, lanes, bgot[i], bwant[i])
+				"lane %d of %d: stats diverge with skipping on (%d cycles skipped in %d jumps over all lanes):\nskip:   %+v\nnoskip: %+v",
+				i, lanes, sk.SkippedCycles, sk.FastForwards, got[i], want[i])
 		}
 	}
 	return nil

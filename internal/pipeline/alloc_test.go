@@ -1,7 +1,11 @@
 package pipeline
 
 import (
+	"context"
+	"runtime"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"specguard/internal/asm"
 	"specguard/internal/interp"
@@ -127,6 +131,98 @@ func TestReusedPipelineMatchesFreshRun(t *testing.T) {
 	if second.Cycles != freshSecond.Cycles || second.Committed != freshSecond.Committed {
 		t.Errorf("reused pipeline diverged: cycles %d vs %d, committed %d vs %d",
 			second.Cycles, freshSecond.Cycles, second.Committed, freshSecond.Committed)
+	}
+}
+
+// TestRunReusesReleasedWindow: once a run has released its decode
+// window, a fresh Pipeline's Run takes it from the free list instead of
+// allocating the window's ~190 KB of slots again.
+func TestRunReusesReleasedWindow(t *testing.T) {
+	events := recordTrace(t, allocKernel)
+	cfg := Config{Model: machine.R10000(), Predictor: predict.NewTwoBit(512)}
+	warm, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.Run(NewSliceSource(events)); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Predictor = predict.NewTwoBit(512)
+	fresh, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewSliceSource(events)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := fresh.Run(src); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	chunk, _ := geometry(fresh)
+	slots := uint64(2*chunk) * uint64(unsafe.Sizeof(winEvent{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= slots {
+		t.Errorf("fresh Pipeline's Run allocated %d bytes, want < %d (a new window's slots)", got, slots)
+	}
+}
+
+// TestFreeWindowsBounded: the free list keeps at most GOMAXPROCS
+// windows however many drains release one, Run's and RunDrains' alike,
+// and a GC does not empty it.
+func TestFreeWindowsBounded(t *testing.T) {
+	n := runtime.GOMAXPROCS(0)
+	freeWindows.Lock()
+	freeWindows.ws = nil
+	freeWindows.Unlock()
+	held := func() int {
+		freeWindows.Lock()
+		defer freeWindows.Unlock()
+		return len(freeWindows.ws)
+	}
+
+	ws := make([]*window, 2*n+1)
+	for i := range ws {
+		ws[i] = getWindow(NewSliceSource(nil), 512, 32)
+	}
+	for _, w := range ws {
+		putWindow(w)
+	}
+	if got := held(); got != n {
+		t.Fatalf("after releasing %d windows the free list holds %d, want GOMAXPROCS = %d", len(ws), got, n)
+	}
+	runtime.GC()
+	if got := held(); got != n {
+		t.Fatalf("a GC left %d windows on the free list, want %d", got, n)
+	}
+
+	src := kernelSource(300)
+	var wg sync.WaitGroup
+	for i := 0; i < 2*n+1; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pipe, err := New(Config{Model: machine.R10000(), Predictor: predict.NewTwoBit(512)})
+			if err == nil {
+				_, err = pipe.Run(src(t))
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	ds := make([]Drain, 2*n+1)
+	for i := range ds {
+		ds[i].Open = func() (*Batch, Source, error) {
+			b, err := NewBatch(batchCases(false))
+			return b, src(t), err
+		}
+	}
+	if err := RunDrains(context.Background(), ds, 2*n); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if got := held(); got > n {
+		t.Errorf("free list holds %d windows, want ≤ GOMAXPROCS = %d", got, n)
 	}
 }
 

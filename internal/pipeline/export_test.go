@@ -10,7 +10,7 @@ func WindowMemPeak(src Source, cfgs []Config) (peak, capacity int, chunk, horizo
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	chunk, horizon = b.geometry()
+	chunk, horizon = geometry(b.lanes...)
 	w := newWindow(src, chunk, horizon)
 	for !w.eof && w.err == nil {
 		w.refill()

@@ -164,7 +164,7 @@ func TestProducerFence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.beginRun()
+	attachEmpty(p)
 	e := p.rob.at(7) // slot addressing ignores frontSeq: plant directly
 	e.seq = 7
 	e.state = stDispatched
@@ -184,37 +184,4 @@ func TestProducerFence(t *testing.T) {
 	if _, ok := p.producer(noSeq); ok {
 		t.Fatal("noSeq must be inactive")
 	}
-}
-
-func TestFetchRingFIFO(t *testing.T) {
-	var fr fetchRing
-	fr.init(3)
-	for i := 0; i < 3; i++ {
-		fr.push(fetchItem{seq: int64(i)})
-	}
-	if fr.len() != 3 {
-		t.Fatalf("len = %d", fr.len())
-	}
-	if fr.front().seq != 0 {
-		t.Fatal("front wrong")
-	}
-	fr.popFront()
-	fr.push(fetchItem{seq: 3}) // wraps
-	want := int64(1)
-	for fr.len() > 0 {
-		if fr.front().seq != want {
-			t.Fatalf("got %d want %d", fr.front().seq, want)
-		}
-		fr.popFront()
-		want++
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("overflow must panic")
-		}
-	}()
-	var tiny fetchRing
-	tiny.init(1)
-	tiny.push(fetchItem{})
-	tiny.push(fetchItem{})
 }

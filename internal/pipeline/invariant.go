@@ -6,10 +6,11 @@ import (
 	"specguard/internal/isa"
 )
 
-// Self-checking mode: when Config.SelfCheck is set, Run audits the
+// Self-checking mode: when Config.SelfCheck is set, a lane audits the
 // event-driven machinery at the end of every cycle and after the run
-// completes. The checks restate the conservation laws the hot loop
-// relies on but never re-derives:
+// completes, and its decode window audits its disambiguation table
+// after every refill. The checks restate the conservation laws the hot
+// loop relies on but never re-derives:
 //
 //   - completion wheel: the pending counter equals the number of
 //     entries filed across all buckets, every filed entry is in the
@@ -18,11 +19,13 @@ import (
 //   - ready queues: every queued entry is dispatched with a zero
 //     producer counter, no in-flight entry's counter is negative, and
 //     the heap-order property holds;
-//   - memory-disambiguation table: the occupancy counter matches a
-//     recount of live slots, occupancy never exceeds the active list,
-//     no slot holds a stale (already committed) reference, every slot
-//     is reachable from its probe home, and every live slot still has
-//     an owner;
+//   - the window's disambiguation table (memLast): the occupancy
+//     counter matches a recount of live slots, no slot holds a
+//     reference the window has already pruned or not yet decoded,
+//     every slot is reachable from its probe home, and every live slot
+//     still has an owner;
+//   - lane isolation: the lane's cursor never outruns the window
+//     frontier and nothing it holds references an overwritten slot;
 //   - reorder buffer and free list: sequence numbers strictly increase
 //     front to back, recycled entries are fully scrubbed, and the
 //     rename-register pools balance against the entries holding them.
@@ -34,9 +37,8 @@ import (
 
 // checkInvariants audits the machinery at the end of one cycle. The
 // cycle-local bookkeeping counters (queue occupancy, rename pools) are
-// read from p.rs so the audit balances them against a recount; in
-// batched mode it additionally audits lane isolation against the
-// shared decode window.
+// read from p.rs so the audit balances them against a recount, and
+// lane isolation is audited against the decode window.
 func (p *Pipeline) checkInvariants(cycle int64) error {
 	queueUsed := &p.rs.queueUsed
 	intRenames, fpRenames := p.rs.intRenames, p.rs.fpRenames
@@ -182,42 +184,26 @@ func (p *Pipeline) checkInvariants(cycle int64) error {
 		}
 	}
 
-	// --- Memory-disambiguation table. ---
-	if err := p.checkMemTable(fail); err != nil {
-		return err
-	}
-
-	// --- Batched lockstep lane isolation. ---
-	if p.win != nil {
-		if err := p.checkBatchLane(fail); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkBatchLane audits a batch lane's view of the shared decode
-// window: the lane's cursor never outruns the frontier, its fetch
-// buffer holds exactly the consecutive indices behind the cursor, and
-// every in-flight instruction still references a window slot that a
-// refill cannot have overwritten (the slot-validity contract the
-// double-buffered window relies on).
-func (p *Pipeline) checkBatchLane(fail func(string, ...any) error) error {
+	// --- Lane isolation: the lane's cursor never outruns the frontier,
+	// its fetch buffer holds exactly the consecutive indices behind the
+	// cursor, and every in-flight instruction still references a window
+	// slot that a refill cannot have overwritten (the slot-validity
+	// contract the double-buffered window relies on). ---
 	w := p.win
 	if p.cur > w.frontier {
-		return fail("batch lane cursor %d beyond window frontier %d", p.cur, w.frontier)
+		return fail("lane cursor %d beyond window frontier %d", p.cur, w.frontier)
 	}
-	if n := p.bfbuf.len(); n > 0 {
-		if got, want := p.bfbuf.front()&^throttleIdxBit, p.cur-int64(n); got != want {
-			return fail("batch fetch buffer front index %d, want %d (cursor %d − occupancy %d)", got, want, p.cur, n)
+	if n := p.fbuf.len(); n > 0 {
+		if got, want := p.fbuf.front()&^throttleIdxBit, p.cur-int64(n); got != want {
+			return fail("fetch buffer front index %d, want %d (cursor %d − occupancy %d)", got, want, p.cur, n)
 		}
 	}
-	oldest := p.cur - int64(p.bfbuf.len())
+	oldest := p.cur - int64(p.fbuf.len())
 	if p.rob.len() > 0 {
 		oldest = p.rob.front().seq
 	}
 	if valid := w.frontier - int64(len(w.slots)); oldest < valid && w.frontier >= int64(len(w.slots)) {
-		return fail("batch lane references window index %d already overwritten (valid window starts at %d)", oldest, valid)
+		return fail("lane references window index %d already overwritten (valid window starts at %d)", oldest, valid)
 	}
 	return nil
 }
@@ -251,9 +237,16 @@ func (p *Pipeline) checkFastForward(from, to int64) error {
 	return nil
 }
 
-// checkMemTable audits the open-addressed disambiguation table.
-func (p *Pipeline) checkMemTable(fail func(string, ...any) error) error {
-	t := &p.mem
+// checkMemLast audits the window's disambiguation table after a
+// refill. Every live reference must name a memory access the window
+// has decoded and not yet pruned, i.e. a seq in [pruned, frontier):
+// pruneMem clears references below pruned and younger accesses
+// overwrite older ones, so anything outside that range is stale.
+func (w *window) checkMemLast() error {
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("pipeline: selfcheck refill to %d: %s", w.frontier, fmt.Sprintf(format, args...))
+	}
+	t := &w.memLast
 	live := 0
 	for i := range t.slots {
 		s := &t.slots[i]
@@ -262,15 +255,12 @@ func (p *Pipeline) checkMemTable(fail func(string, ...any) error) error {
 		}
 		live++
 		if s.store == noSeq && s.load == noSeq {
-			return fail("memdis slot %d (addr %#x) live with no owner", i, s.addr)
+			return fail("memLast slot %d (addr %#x) live with no owner", i, s.addr)
 		}
-		for _, seq := range []int64{s.store, s.load} {
-			// A live reference must name an in-flight instruction:
-			// prune removes it at commit, younger accesses overwrite
-			// it, so anything outside the ROB's seq range is stale.
-			if seq != noSeq && (seq < p.rob.frontSeq || seq >= p.rob.frontSeq+int64(p.rob.count)) {
-				return fail("memdis slot %d (addr %#x) holds stale ref seq=%d (ROB range [%d,%d))",
-					i, s.addr, seq, p.rob.frontSeq, p.rob.frontSeq+int64(p.rob.count))
+		for _, seq := range [2]int64{s.store, s.load} {
+			if seq != noSeq && (seq < w.pruned || seq >= w.frontier) {
+				return fail("memLast slot %d (addr %#x) holds stale ref seq=%d (live range [%d,%d))",
+					i, s.addr, seq, w.pruned, w.frontier)
 			}
 		}
 		// Probe-chain reachability: walking from the home slot must hit
@@ -280,18 +270,18 @@ func (p *Pipeline) checkMemTable(fail func(string, ...any) error) error {
 				break
 			}
 			if !t.slots[j].live {
-				return fail("memdis slot %d (addr %#x) unreachable: empty slot %d breaks its probe chain", i, s.addr, j)
+				return fail("memLast slot %d (addr %#x) unreachable: empty slot %d breaks its probe chain", i, s.addr, j)
 			}
 		}
 	}
 	if live != t.used {
-		return fail("memdis occupancy counter %d != live recount %d", t.used, live)
+		return fail("memLast occupancy counter %d != live recount %d", t.used, live)
 	}
-	if t.used > p.rob.len() {
-		return fail("memdis occupancy %d exceeds in-flight instructions %d", t.used, p.rob.len())
+	if int64(t.used) > w.frontier-w.pruned {
+		return fail("memLast occupancy %d exceeds the %d unpruned events", t.used, w.frontier-w.pruned)
 	}
 	if 4*t.used > 3*len(t.slots) {
-		return fail("memdis load factor exceeded: %d of %d", t.used, len(t.slots))
+		return fail("memLast load factor exceeded: %d of %d", t.used, len(t.slots))
 	}
 	return nil
 }
@@ -314,9 +304,6 @@ func (p *Pipeline) checkDrained(cycle int64) error {
 		if n := p.ready[u].len(); n != 0 {
 			return fail("ready[%v] holds %d entries", u, n)
 		}
-	}
-	if p.mem.used != 0 {
-		return fail("memdis still tracks %d addresses", p.mem.used)
 	}
 	for q := Queue(0); q < numQueues; q++ {
 		if queueUsed[q] != 0 {

@@ -61,6 +61,13 @@ func TestSelfCheckCleanRun(t *testing.T) {
 	}
 }
 
+// attachEmpty attaches p to an empty window, as Run does before its
+// first refill: full rename pools and zero queue occupancy in p.rs.
+func attachEmpty(p *Pipeline) {
+	chunk, horizon := geometry(p)
+	p.attach(newWindow(nil, chunk, horizon))
+}
+
 // newCheckedPipeline builds a pipeline with initialized machinery, ready
 // for direct state surgery.
 func newCheckedPipeline(t *testing.T) *Pipeline {
@@ -69,7 +76,7 @@ func newCheckedPipeline(t *testing.T) *Pipeline {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.beginRun() // installs full rename pools and zero queue occupancy in p.rs
+	attachEmpty(p)
 	return p
 }
 
@@ -83,7 +90,9 @@ func plant(p *Pipeline, state entryState) *entry {
 }
 
 // TestSelfCheckDetectsCorruption corrupts each audited structure in
-// turn and verifies the checker names the violation.
+// turn and verifies the checker names the violation: the lane's
+// per-cycle audit, or for the window's disambiguation table (memLast)
+// the audit every refill runs.
 func TestSelfCheckDetectsCorruption(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -154,29 +163,40 @@ func TestSelfCheckDetectsCorruption(t *testing.T) {
 		{
 			name: "memdis occupancy drift",
 			corrupt: func(p *Pipeline) {
-				e := plant(p, stDispatched)
-				p.mem.slot(0x40).store = e.seq
-				p.mem.used++ // counter drift
+				p.win.frontier = 1
+				p.win.memLast.slot(0x40).store = 0
+				p.win.memLast.used++ // counter drift
 			},
 			want: "occupancy counter",
 		},
 		{
 			name: "memdis stale reference",
 			corrupt: func(p *Pipeline) {
-				plant(p, stDispatched)
-				// seq 7 lies outside the ROB's [0,1) range: a reference
-				// left behind by a committed instruction.
-				p.mem.slot(0x40).store = 7
+				p.win.frontier, p.win.pruned = 9, 4
+				// seq 2 lies below the unpruned range [4,9): a reference
+				// pruneMem should have cleared.
+				p.win.memLast.slot(0x40).store = 2
 			},
 			want: "stale ref",
 		},
 		{
 			name: "memdis ownerless slot",
 			corrupt: func(p *Pipeline) {
-				plant(p, stDispatched)
-				p.mem.slot(0x40) // live slot, both refs noSeq
+				p.win.memLast.slot(0x40) // live slot, both refs noSeq
 			},
 			want: "no owner",
+		},
+		{
+			name: "memLast probe chain broken",
+			corrupt: func(p *Pipeline) {
+				// A live slot one past an empty home slot: lookups of its
+				// address stop at the hole and miss it.
+				t := &p.win.memLast
+				p.win.frontier = 1
+				t.slots[(t.home(0x40)+1)&t.mask] = memSlot{addr: 0x40, live: true, store: 0, load: noSeq}
+				t.used++
+			},
+			want: "unreachable",
 		},
 		{
 			name: "rename pool imbalance",
@@ -192,6 +212,9 @@ func TestSelfCheckDetectsCorruption(t *testing.T) {
 			p := newCheckedPipeline(t)
 			tc.corrupt(p)
 			err := p.checkInvariants(0)
+			if err == nil {
+				err = p.win.checkMemLast()
+			}
 			if err == nil {
 				t.Fatal("corruption not detected")
 			}

@@ -79,10 +79,10 @@ func TestPipelineLeakCounts(t *testing.T) {
 	}
 }
 
-// TestBatchLeakMatchesSingle pins exact leak-count equality between the
-// batched and single-lane paths: every lane of a mixed-predictor leak
-// batch must produce Stats (leak counters included) byte-identical to a
-// standalone Run of the same Config.
+// TestBatchLeakMatchesSingle pins exact leak-count equality between N
+// lanes and one: every lane of a mixed-predictor leak batch must
+// produce Stats (leak counters included) byte-identical to a one-lane
+// Run of the same Config.
 func TestBatchLeakMatchesSingle(t *testing.T) {
 	model := machine.R10000()
 	mk := func() []Config {

@@ -4,8 +4,8 @@ package pipeline
 // last-writers, disambiguation slots, fetch stalls).
 const noSeq = -1
 
-// memSlot tracks the youngest in-flight store and load to one address,
-// by sequence number (noSeq when absent). The references are fenced
+// memSlot tracks the youngest store and load to one address, by
+// sequence number (noSeq when absent). The references are fenced
 // the same way register producers are: a recorded seq still names an
 // in-flight instruction only while its ROB slot carries the same seq
 // in a not-completed state (Pipeline.producer), so slots overwritten
@@ -19,10 +19,10 @@ type memSlot struct {
 }
 
 // memTable is the memory-disambiguation table: an open-addressed,
-// linear-probed map from effective address to its youngest in-flight
-// store/load. Unlike the map[int64]*entry it replaces, slots are pruned
-// when their instruction commits, so the live set is bounded by the
-// active-list depth — the table never grows during a run and lookups
+// linear-probed map from effective address to its youngest store/load.
+// The decode window prunes an access once no lane can still depend on
+// it (window.pruneMem), so the live set is bounded by the window's
+// chunk + horizon — the table never grows during a run and lookups
 // touch one or two cache lines.
 type memTable struct {
 	slots []memSlot
@@ -30,12 +30,12 @@ type memTable struct {
 	used  int
 }
 
-// init sizes the table for an active list of depth rob and wipes it.
-// Capacity is the next power of two ≥ 4×rob (every live slot is owned
-// by an in-flight memory instruction, so load factor stays ≤ 25%).
-func (t *memTable) init(rob int) {
+// init sizes the table for at most n live addresses and wipes it.
+// Capacity is the next power of two ≥ 4×n, so the load factor stays
+// ≤ 25%.
+func (t *memTable) init(n int) {
 	size := 64
-	for size < 4*rob {
+	for size < 4*n {
 		size *= 2
 	}
 	if len(t.slots) < size {
@@ -87,10 +87,10 @@ func (t *memTable) find(addr int64) (uint64, bool) {
 	}
 }
 
-// prune drops seq's store/load references when the committing
-// instruction is still the youngest access to its address, deleting
-// the slot once both references are gone. References overwritten by
-// younger accesses fail the seq match and are left alone.
+// prune drops seq's store/load references when that access is still
+// the youngest to its address, deleting the slot once both references
+// are gone. References overwritten by younger accesses fail the seq
+// match and are left alone.
 func (t *memTable) prune(addr, seq int64) {
 	i, ok := t.find(addr)
 	if !ok {

@@ -12,19 +12,12 @@ import (
 	"specguard/internal/predict"
 )
 
-// Source supplies the committed dynamic instruction stream.
+// Source supplies the committed dynamic instruction stream. Only the
+// decode window reads it, straight into its reused event slots.
 type Source interface {
-	// Next returns the next committed instruction event, or ok=false
-	// at end of program.
-	Next() (interp.Event, bool, error)
-}
-
-// EventSource is the optional in-place fast path: a Source that also
-// implements it has NextInto called with a reused Event record, sparing
-// the 100+-byte by-value return per instruction. Run detects it with a
-// type assertion, so plain Sources keep working unchanged.
-type EventSource interface {
-	NextInto(ev *interp.Event) (bool, error)
+	// NextInto fills *ev with the next committed instruction event, or
+	// returns ok=false at end of program.
+	NextInto(ev *interp.Event) (ok bool, err error)
 }
 
 // InterpSource adapts a live interpreter into a Source, running the
@@ -36,21 +29,22 @@ type InterpSource struct {
 // NewInterpSource wraps m.
 func NewInterpSource(m *interp.Interp) *InterpSource { return &InterpSource{m: m} }
 
-// Next implements Source.
-func (s *InterpSource) Next() (interp.Event, bool, error) {
-	ev, err := s.m.Step()
+// NextInto implements Source.
+func (s *InterpSource) NextInto(ev *interp.Event) (bool, error) {
+	e, err := s.m.Step()
 	if err == interp.ErrHalted {
-		return interp.Event{}, false, nil
+		return false, nil
 	}
 	if err != nil {
-		return interp.Event{}, false, err
+		return false, err
 	}
-	return ev, true, nil
+	*ev = e
+	return true, nil
 }
 
 // MachineSource adapts a predecoded machine into a Source, running the
-// functional and timing models in lockstep; with the EventSource fast
-// path the whole front end is allocation-free.
+// functional and timing models in lockstep; the whole front end is
+// allocation-free.
 type MachineSource struct {
 	m *interp.Machine
 }
@@ -58,14 +52,7 @@ type MachineSource struct {
 // NewMachineSource wraps m.
 func NewMachineSource(m *interp.Machine) *MachineSource { return &MachineSource{m: m} }
 
-// Next implements Source.
-func (s *MachineSource) Next() (interp.Event, bool, error) {
-	var ev interp.Event
-	ok, err := s.NextInto(&ev)
-	return ev, ok, err
-}
-
-// NextInto implements EventSource.
+// NextInto implements Source.
 func (s *MachineSource) NextInto(ev *interp.Event) (bool, error) {
 	err := s.m.Step(ev)
 	if err == interp.ErrHalted {
@@ -77,14 +64,14 @@ func (s *MachineSource) NextInto(ev *interp.Event) (bool, error) {
 	return true, nil
 }
 
-// Code exposes the predecoded program: the batch window and the
-// single-lane dispatch stage read static operand metadata from it
-// instead of re-deriving uses/defs per dynamic instruction.
+// Code exposes the predecoded program: the decode window reads static
+// operand metadata from it instead of re-deriving uses/defs per
+// dynamic instruction.
 func (s *MachineSource) Code() *interp.Code { return s.m.Code() }
 
 // TaintSource adapts a taint-tracking machine into a Source: the event
 // stream a Config.TrackLeaks run consumes. It exposes the predecoded
-// Code so the batched decode window keeps its FlatInstr fast path.
+// Code so the decode window keeps its FlatInstr fast path.
 type TaintSource struct {
 	m *interp.TaintMachine
 }
@@ -92,14 +79,7 @@ type TaintSource struct {
 // NewTaintSource wraps m.
 func NewTaintSource(m *interp.TaintMachine) *TaintSource { return &TaintSource{m: m} }
 
-// Next implements Source.
-func (s *TaintSource) Next() (interp.Event, bool, error) {
-	var ev interp.Event
-	ok, err := s.NextInto(&ev)
-	return ev, ok, err
-}
-
-// NextInto implements EventSource.
+// NextInto implements Source.
 func (s *TaintSource) NextInto(ev *interp.Event) (bool, error) {
 	err := s.m.Step(ev)
 	if err == interp.ErrHalted {
@@ -111,7 +91,7 @@ func (s *TaintSource) NextInto(ev *interp.Event) (bool, error) {
 	return true, nil
 }
 
-// Code exposes the predecoded program for the batch window's static
+// Code exposes the predecoded program for the decode window's static
 // metadata fast path.
 func (s *TaintSource) Code() *interp.Code { return s.m.Code() }
 
@@ -124,14 +104,14 @@ type SliceSource struct {
 // NewSliceSource returns a Source over events.
 func NewSliceSource(events []interp.Event) *SliceSource { return &SliceSource{events: events} }
 
-// Next implements Source.
-func (s *SliceSource) Next() (interp.Event, bool, error) {
+// NextInto implements Source.
+func (s *SliceSource) NextInto(ev *interp.Event) (bool, error) {
 	if s.pos >= len(s.events) {
-		return interp.Event{}, false, nil
+		return false, nil
 	}
-	ev := s.events[s.pos]
+	*ev = s.events[s.pos]
 	s.pos++
-	return ev, true, nil
+	return true, nil
 }
 
 // Reset rewinds the source to the first event so one recorded trace can
@@ -206,10 +186,8 @@ const (
 //
 // An entry caches only the event fields the back-end stages consume
 // (opcode, fetch address, effective address and the derived flags)
-// instead of the full 100+-byte interp.Event: the batched path shares
-// one decoded event window across all lanes and must not copy events
-// per lane, and the slim entry halves the dispatch traffic on the
-// single-lane path too.
+// instead of the full 100+-byte interp.Event: the decode window is
+// shared by every lane of a drain and must not be copied per lane.
 type entry struct {
 	seq   int64
 	queue Queue
@@ -244,22 +222,11 @@ type entry struct {
 	depsOver []int64
 }
 
-// fetchItem is a decoded instruction waiting to dispatch (single-lane
-// path; the batched path queues window indices instead).
-type fetchItem struct {
-	ev  interp.Event
-	seq int64
-
-	mispredicted bool // fetched with a wrong direction prediction
-	indirect     bool // stalled fetch until resolution (non-BTB class)
-	throttle     bool // predicted-taken cond branch (variable fetch-rate trigger)
-}
-
-// runState is the per-run cycle-local bookkeeping, hoisted from Run's
-// stack onto the Pipeline so the cycle stages can be shared between the
-// single-lane Run loop and the batched lockstep loop (which parks a
-// lane mid-fetch whenever it reaches the decode-window frontier and
-// resumes it exactly there on a later call).
+// runState is the per-run cycle-local bookkeeping. It lives on the
+// Pipeline rather than on a loop's stack because a lane's run is split
+// into calls of advance: the lane parks mid-fetch whenever it reaches
+// the decode-window frontier and resumes exactly there after the next
+// refill.
 type runState struct {
 	queueCap   [numQueues]int
 	unitCap    [isa.NumUnitClasses]int
@@ -267,20 +234,19 @@ type runState struct {
 	intRenames int
 	fpRenames  int
 
-	seq            int64
 	traceDone      bool
 	fetchStalledOn int64 // seq of the branch fetch waits on, -1 when none
 	fetchResumeAt  int64 // cycle fetch may resume (icache/mispredict)
 	lastCommit     int64
 	cycle          int64
 
-	fetched int  // instructions fetched so far this cycle (batch resume point)
+	fetched int  // instructions fetched so far this cycle (resume point)
 	inFetch bool // lane is parked mid-fetch waiting for the window to refill
 
 	// unconfirmed counts predicted-taken conditional branches in flight
 	// (fetched, not yet resolved). When Model.ThrottledFetchWidth is
 	// positive and this is non-zero, fetch runs at the throttled width —
-	// the variable fetch-rate front end. The count moves only at decode
+	// the variable fetch-rate front end. The count moves only at fetch
 	// (+1) and branch completion (−1), both outside the mid-fetch park
 	// window, so a parked lane resumes with the width it started the
 	// group with.
@@ -297,11 +263,13 @@ type runState struct {
 	done <-chan struct{} // Config.Context cancellation, nil when unset
 }
 
-// Pipeline is one configured simulator instance. The hot-loop
-// machinery (ROB ring, fetch ring, completion wheel, ready queues,
-// entry free list, memory-disambiguation table) lives on the struct and
-// is recycled across Run calls, so a warmed Pipeline simulates in
-// steady state without allocating.
+// Pipeline is one configured simulator instance: one lane of a decode
+// window (window.go). Run drains a Source with the pipeline as the
+// window's only lane; a Batch attaches several pipelines to one window.
+// The hot-loop machinery (ROB ring, fetch buffer, completion wheel,
+// ready queues) lives on the struct and is recycled across Run calls,
+// and Run takes its window from a shared free list, so a warmed
+// Pipeline simulates in steady state without allocating.
 type Pipeline struct {
 	cfg    Config
 	model  *machine.Model
@@ -314,27 +282,16 @@ type Pipeline struct {
 	rs    runState
 	skip  SkipStats // fast-forward counters, reset per run (not part of Stats)
 
-	// code, when the single-lane source exposes its predecoded program,
-	// lets dispatch read static operand metadata (uses/defs/rename
-	// class) from FlatInstr instead of re-deriving it per instruction —
-	// the same fast path the batched window's prepare uses.
-	code *interp.Code
+	rob     *ring
+	fbuf    idxRing // fetch buffer: window indices awaiting dispatch
+	wheel   wheel
+	ready   [isa.NumUnitClasses]readyQ
+	latTab  [256]int16 // raw m.Latency per opcode; clamped at issue after miss penalties
+	leakWin int32      // model.SpecWindow(), precomputed for the leak counters
 
-	rob        *ring
-	fbuf       fetchRing
-	wheel      wheel
-	ready      [isa.NumUnitClasses]readyQ
-	mem        memTable
-	lastWriter [128]int64 // seq of each register's youngest in-flight writer, noSeq when none
-	regBuf     []isa.Reg
-	latTab     [256]int16 // raw m.Latency per opcode; clamped at issue after miss penalties
-	leakWin    int32      // model.SpecWindow(), precomputed for the leak counters
-
-	// Batched lockstep state (nil/zero on the single-lane path).
-	win      *window
-	cur      int64 // next window index this lane will fetch
-	icShared bool  // consume window.ic bits instead of the private icache
-	bfbuf    idxRing
+	win      *window // the drain's decode window, nil between runs
+	cur      int64   // next window index this lane will fetch
+	icShared bool    // consume window.ic bits instead of the private icache
 }
 
 // New validates cfg and returns a simulator.
@@ -379,9 +336,10 @@ func maxLatency(m *machine.Model) int {
 	return lat + m.CacheMissPenalty
 }
 
-// beginRun resets the machinery, statistics and cycle-local bookkeeping
-// for a fresh simulation.
-func (p *Pipeline) beginRun() {
+// attach resets the machinery, statistics and cycle-local bookkeeping
+// for a fresh simulation and makes the pipeline a lane of w, fetching
+// from its first event. Caches and predictor state persist across runs.
+func (p *Pipeline) attach(w *window) {
 	m := p.model
 	p.rs = runState{
 		intRenames:     m.RenameRegs,
@@ -400,18 +358,6 @@ func (p *Pipeline) beginRun() {
 	if p.cfg.Context != nil {
 		p.rs.done = p.cfg.Context.Done()
 	}
-	p.win = nil
-	p.cur = 0
-	p.icShared = false
-	p.code = nil
-	p.resetMachinery()
-	p.stats = Stats{}
-	p.skip = SkipStats{}
-}
-
-// resetMachinery prepares the reusable hot-loop state for a run.
-func (p *Pipeline) resetMachinery() {
-	m := p.model
 	if p.rob == nil || p.rob.cap != m.ActiveList {
 		p.rob = newRing(m.ActiveList)
 	} else {
@@ -422,12 +368,13 @@ func (p *Pipeline) resetMachinery() {
 	for u := range p.ready {
 		p.ready[u].init(m.ActiveList)
 	}
-	p.mem.init(m.ActiveList)
-	for i := range p.lastWriter {
-		p.lastWriter[i] = noSeq
-	}
-	if p.regBuf == nil {
-		p.regBuf = make([]isa.Reg, 0, 4)
+	p.stats = Stats{}
+	p.skip = SkipStats{}
+	p.win = w
+	p.cur = 0
+	p.icShared = false
+	if p.cfg.SelfCheck {
+		w.selfCheck = true
 	}
 }
 
@@ -469,6 +416,11 @@ func (p *Pipeline) depend(c *entry, prodSeq int64) {
 }
 
 // Run simulates the entire stream from src and returns the statistics.
+// It is a one-lane drain: the pipeline takes a decode window from the
+// free list, attaches as its only lane, and alternates window refills
+// with its lane loop until the trace ends. A fresh Pipeline's Stats are
+// byte-identical to those of the same Config's lane in any Batch over
+// the same stream.
 //
 // The loop is event-driven: instead of scanning the whole active list
 // twice per cycle, completion drains one timing-wheel bucket and issue
@@ -476,96 +428,109 @@ func (p *Pipeline) depend(c *entry, prodSeq int64) {
 // orderings reproduce the original oldest-first scans exactly, so Stats
 // are bit-identical to the scanning implementation (pinned by the
 // golden-stats test in internal/bench).
-//
-// The cycle stages (complete, commit, issue, end-of-cycle accounting)
-// are methods shared verbatim with the batched lockstep loop in
-// batch.go, so the two paths cannot drift apart stage by stage; only
-// dispatch and fetch differ (the batch path reads pre-decoded events
-// and pre-computed dependence edges from the shared window instead of
-// decoding per lane).
 func (p *Pipeline) Run(src Source) (Stats, error) {
+	chunk, horizon := geometry(p)
+	w := getWindow(src, chunk, horizon)
+	p.attach(w)
+	var err error
+	for done := false; !done && err == nil; {
+		w.refill()
+		if err = w.err; err == nil {
+			done, err = p.advance()
+		}
+	}
+	p.win = nil
+	putWindow(w)
+	return p.stats, err
+}
+
+// advance runs the lane until it finishes, fails, or needs an event
+// beyond the window frontier — at which point it parks mid-fetch
+// (rs.inFetch) and resumes exactly there on the next call, after the
+// window has refilled.
+func (p *Pipeline) advance() (bool, error) {
 	m := p.model
-	p.beginRun()
 	rs := &p.rs
 	s := &p.stats
-	fast, _ := src.(EventSource)
-	if cs, ok := src.(interface{ Code() *interp.Code }); ok {
-		p.code = cs.Code()
-	}
-
+	w := p.win
 	for {
-		// ---- Cooperative cancellation (see Config.Context). ----
-		if rs.done != nil && rs.cycle&cancelCheckMask == 0 {
-			select {
-			case <-rs.done:
-				return *s, fmt.Errorf("pipeline: run cancelled at cycle %d: %w", rs.cycle, p.cfg.Context.Err())
-			default:
+		if !rs.inFetch {
+			// ---- Cooperative cancellation (see Config.Context). ----
+			if rs.done != nil && rs.cycle&cancelCheckMask == 0 {
+				select {
+				case <-rs.done:
+					return false, fmt.Errorf("pipeline: run cancelled at cycle %d: %w", rs.cycle, p.cfg.Context.Err())
+				default:
+				}
 			}
+			p.stageComplete()
+			p.stageCommit()
+			p.stageIssue()
+			p.batchDispatch()
+			rs.fetched = 0
 		}
+		rs.inFetch = false
 
-		p.stageComplete()
-		p.stageCommit()
-		p.stageIssue()
-		p.stageDispatch()
-
-		// ---- Fetch: up to IssueWidth, stopping at predicted-taken
-		// branches, stalls and I-cache misses. ----
+		// ---- Fetch from the window: up to the fetch width, stopping at
+		// predicted-taken branches, stalls and I-cache misses. ----
 		if !rs.traceDone && rs.fetchStalledOn < 0 && rs.cycle >= rs.fetchResumeAt {
 			width := p.fetchWidth()
-			for fetched := 0; fetched < width && p.fbuf.len() < p.cfg.FetchBufferSize; fetched++ {
-				// Decode straight into the ring slot; unpush if the
-				// trace turns out to be exhausted.
-				it := p.fbuf.pushSlot()
-				var ok bool
-				var err error
-				if fast != nil {
-					ok, err = fast.NextInto(&it.ev)
-				} else {
-					it.ev, ok, err = src.Next()
-				}
-				if err != nil {
-					return *s, err
-				}
-				if !ok {
-					p.fbuf.unpush()
+			for ; rs.fetched < width && p.fbuf.len() < p.cfg.FetchBufferSize; rs.fetched++ {
+				if p.cur == w.frontier {
+					if !w.eof {
+						// Park mid-fetch until the window refills.
+						rs.inFetch = true
+						return false, nil
+					}
 					rs.traceDone = true
 					break
 				}
-				if p.icache != nil && !p.icache.Access(it.ev.Addr) {
+				idx := p.cur
+				slot := &w.slots[idx&int64(len(w.slots)-1)]
+				p.cur++
+				if p.cfg.TrackLeaks && slot.ev.AddrSecret {
+					// Committed secret-indexed access, counted once per
+					// fetched event.
+					s.SecretAccesses++
+				}
+				var icMiss bool
+				if p.icShared {
+					icMiss = slot.icMiss
+				} else if p.icache != nil {
+					icMiss = !p.icache.Access(slot.ev.Addr)
+				}
+				if slot.ctl != predict.ClassNone && p.batchPredict(slot, idx) {
+					idx |= throttleIdxBit
+				}
+				p.fbuf.push(idx)
+				if icMiss {
+					// The missing instruction still enters the buffer (its
+					// line is now resident); fetch pauses after it.
 					s.ICacheMisses++
 					rs.fetchResumeAt = rs.cycle + int64(m.CacheMissPenalty)
-					// The missing instruction still enters the buffer
-					// (its line is now resident); fetch pauses after it.
-					p.decodeFetch(it)
 					break
 				}
-				p.decodeFetch(it)
 				if rs.fetchStalledOn >= 0 {
 					break // fetch waits for this control transfer
 				}
-				if it.ev.Branch && it.ev.Taken {
-					break // taken-branch fetch break (redirect next cycle)
-				}
-				if it.ev.Instr.Op == isa.J {
-					break
+				if slot.fetchBreak {
+					break // taken-branch/jump fetch break (redirect next cycle)
 				}
 			}
 		} else if !rs.traceDone && (rs.fetchStalledOn >= 0 || rs.cycle < rs.fetchResumeAt) {
 			s.FetchStallCycles++
 		}
 
-		done, err := p.stageEndOfCycle(p.fbuf.len())
+		done, err := p.stageEndOfCycle()
 		if err != nil {
-			return *s, err
+			return false, err
 		}
 		if done {
-			break
+			s.Cycles = rs.cycle
+			s.Predictor = p.pred.Stats()
+			return true, nil
 		}
 	}
-
-	s.Cycles = rs.cycle
-	s.Predictor = p.pred.Stats()
-	return *s, nil
 }
 
 // fetchWidth returns this cycle's fetch bound: the throttled width
@@ -581,6 +546,48 @@ func (p *Pipeline) fetchWidth() int {
 		return t
 	}
 	return p.model.IssueWidth
+}
+
+// batchPredict is the fetch stage's prediction step for a control
+// transfer in window slot idx: it consults the lane's predictor and
+// records stalls and mispredicts. The sequence number is the window
+// index, so lanes agree on instruction identity by construction. It
+// reports whether the slot is a predicted-taken conditional branch (the
+// caller tags the queued index with throttleIdxBit so dispatch can hand
+// the flag to the entry).
+func (p *Pipeline) batchPredict(slot *winEvent, idx int64) (throttle bool) {
+	var out predict.Outcome
+	if tb := p.predTB; tb != nil {
+		out = tb.PredictClass(slot.ctl, slot.ev.Addr, slot.ev.Taken)
+	} else {
+		out = p.pred.Predict(slot.ev.Addr, slot.op, slot.ev.Taken)
+	}
+	if !out.Stall && out.PredictTaken && slot.isCond {
+		// Predicted-taken conditional branch: under the variable
+		// fetch-rate front end, fetch narrows until it resolves. The
+		// count is kept even at full width so enabling the throttle is
+		// purely a fetch-bound change.
+		throttle = true
+		p.rs.unconfirmed++
+	}
+	switch {
+	case out.Stall:
+		p.stats.IndirectOps++
+		p.rs.fetchStalledOn = idx
+	case slot.isCond && out.PredictTaken != slot.ev.Taken:
+		p.stats.Mispredicts++
+		if p.cfg.TrackBranchSites && slot.ev.BranchSite != "" {
+			if p.stats.SiteMispredicts == nil {
+				p.stats.SiteMispredicts = make(map[string]int64)
+			}
+			p.stats.SiteMispredicts[slot.ev.BranchSite]++
+		}
+		if p.cfg.TrackLeaks {
+			p.countWrongPathLeaks(slot.ev.WrongPath)
+		}
+		p.rs.fetchStalledOn = idx
+	}
+	return throttle
 }
 
 // stageComplete finishes execution and resolves branches: it drains
@@ -681,12 +688,6 @@ func (p *Pipeline) stageCommit() {
 				rs.intRenames++
 			}
 		}
-		if e.memAccess && p.mem.used != 0 {
-			// The used check short-circuits batched lanes: their
-			// disambiguation lives in the shared window pre-pass, so the
-			// private table stays empty for the whole run.
-			p.mem.prune(e.memAddr, e.seq)
-		}
 	}
 }
 
@@ -746,112 +747,78 @@ func (p *Pipeline) stageIssue() {
 	}
 }
 
-// stageDispatch moves decoded instructions from the fetch buffer into
-// the ROB and dispatch queues, in order (single-lane path; the batched
-// equivalent is batchDispatch).
-func (p *Pipeline) stageDispatch() {
+// batchDispatch moves fetched instructions from the fetch buffer into
+// the ROB and dispatch queues, in order. The per-event decode
+// (unit/queue/rename metadata) and the dependence discovery (last
+// writer per register, disambiguation table) were done once in the
+// window; the lane only replays the recorded edges against its own ROB
+// through the producer-liveness fence (the window's producer seqs
+// mostly reference long-committed instructions, which the stale-slot
+// check rejects in one indexed load).
+func (p *Pipeline) batchDispatch() {
 	rs := &p.rs
+	w := p.win
 	dispatched := 0
 	for p.fbuf.len() > 0 && dispatched < p.model.IssueWidth {
-		item := p.fbuf.front()
+		idx := p.fbuf.front()
+		throttle := idx&throttleIdxBit != 0
+		idx &^= throttleIdxBit
 		if p.rob.full() {
 			break
 		}
-		in := item.ev.Instr
-		op := in.Op
-		mt := &opMetaTab[op]
-		u := mt.unit
-		q := mt.queue
+		slot := &w.slots[idx&int64(len(w.slots)-1)]
+		q := slot.queue
 		if rs.queueUsed[q] >= rs.queueCap[q] {
 			break
 		}
-		// Fast path: the predecoded Code carries the static operand
-		// metadata (uses/defs/rename class), sparing the per-dispatch
-		// AppendUses/AppendDefs/destRename re-derivation — same contract
-		// as the batched window's prepare: the Instr pointer compare
-		// proves ev.Flat names this exact instruction, and the NUses
-		// overflow sentinel falls through to the recompute path.
-		var f *interp.FlatInstr
-		if c := p.code; c != nil {
-			if fi := item.ev.Flat; fi >= 0 && int(fi) < c.Len() {
-				if ff := c.Flat(fi); ff.Instr == in && int(ff.NUses) <= len(ff.Uses) {
-					f = ff
-				}
-			}
-		}
-		var needsRename, fp bool
-		if f != nil {
-			needsRename, fp = f.NeedsRename, f.FPRename
-		} else {
-			needsRename, fp = destRename(in)
-		}
-		if needsRename {
-			if fp && rs.fpRenames == 0 || !fp && rs.intRenames == 0 {
+		if slot.needsRename {
+			if slot.fpRename && rs.fpRenames == 0 || !slot.fpRename && rs.intRenames == 0 {
 				break
 			}
 		}
 		e := p.rob.alloc()
-		e.seq = item.seq
+		e.seq = idx
 		e.queue = q
-		e.unit = u
+		e.unit = slot.unit
 		e.state = stDispatched
 		e.inQueue = true
-		e.renamed = needsRename
-		e.fpDest = fp
-		e.op = op
-		e.isCond = mt.isCond
-		e.throttle = item.throttle
-		e.taken = item.ev.Taken
-		e.annulled = item.ev.Annulled
-		e.memAccess = item.ev.IsMem && !item.ev.Annulled
-		e.addr = item.ev.Addr
-		e.memAddr = item.ev.MemAddr
+		e.renamed = slot.needsRename
+		e.fpDest = slot.fpRename
+		e.op = slot.op
+		e.isCond = slot.isCond
+		e.throttle = throttle
+		e.taken = slot.ev.Taken
+		e.annulled = slot.ev.Annulled
+		e.memAccess = slot.memAccess
+		e.addr = slot.ev.Addr
+		e.memAddr = slot.ev.MemAddr
 		e.qEnter = rs.cycle
 		e.pending = 0
 		e.ndeps = 0
 		if len(e.depsOver) > 0 { // avoid the slice-header store (and its write barrier) on the hot path
 			e.depsOver = e.depsOver[:0]
 		}
-		// Record register producers. A producer appearing twice
-		// (both operands from one register) is counted twice and
+		// Sequence numbers are consecutive and the ROB holds at most
+		// ActiveList live entries ending at idx, so any producer at or
+		// below idx-ActiveList is provably retired — reject it here
+		// without the depend call's ROB probe. (depend itself still
+		// fences in-range-but-completed producers.) A producer recorded
+		// twice (both operands from one register) is counted twice and
 		// wakes twice — the net pending count is still correct.
-		if f != nil {
-			for i := 0; i < int(f.NUses); i++ {
-				p.depend(e, p.lastWriter[f.Uses[i]])
-			}
-		} else {
-			p.regBuf = in.AppendUses(p.regBuf[:0])
-			for _, r := range p.regBuf {
-				p.depend(e, p.lastWriter[r])
+		minLive := idx - int64(p.model.ActiveList)
+		for i := 0; i < int(slot.nreg); i++ {
+			if d := slot.regDep[i]; d > minLive {
+				p.depend(e, d)
 			}
 		}
-		// Memory ordering: exact disambiguation via trace addresses.
-		if e.memAccess {
-			slot := p.mem.slot(e.memAddr)
-			p.depend(e, slot.store)
-			if op.IsLoad() {
-				slot.load = e.seq
-			} else {
-				p.depend(e, slot.load)
-				slot.store = e.seq
-			}
+		if slot.depStore > minLive {
+			p.depend(e, slot.depStore)
 		}
-		// An annulled instruction's destination write is squashed,
-		// so it must not become a producer.
-		if !e.annulled {
-			if f != nil {
-				if f.HasDef {
-					p.lastWriter[f.Def] = e.seq
-				}
-			} else {
-				p.regBuf = in.AppendDefs(p.regBuf[:0])
-				for _, r := range p.regBuf {
-					p.lastWriter[r] = e.seq
-				}
-			}
+		if slot.depLoad > minLive {
+			p.depend(e, slot.depLoad)
 		}
-		if needsRename {
-			if fp {
+		if e.renamed {
+			if e.fpDest {
 				rs.fpRenames--
 			} else {
 				rs.intRenames--
@@ -861,8 +828,8 @@ func (p *Pipeline) stageDispatch() {
 		p.fbuf.popFront()
 		dispatched++
 		if e.pending == 0 {
-			p.ready[u].pushOrdered(e.seq)
-			rs.readyMask |= 1 << u
+			p.ready[e.unit].pushOrdered(e.seq)
+			rs.readyMask |= 1 << e.unit
 		}
 	}
 }
@@ -870,7 +837,7 @@ func (p *Pipeline) stageDispatch() {
 // stageEndOfCycle accumulates queue statistics, runs the optional
 // self-check, advances the cycle counter and decides termination. It
 // returns done=true when the simulation has drained.
-func (p *Pipeline) stageEndOfCycle(fbufLen int) (bool, error) {
+func (p *Pipeline) stageEndOfCycle() (bool, error) {
 	rs := &p.rs
 	s := &p.stats
 	// QueueOccupancy is settled per entry on queue-slot release (issue
@@ -894,7 +861,7 @@ func (p *Pipeline) stageEndOfCycle(fbufLen int) (bool, error) {
 	}
 
 	rs.cycle++
-	if rs.traceDone && p.rob.len() == 0 && fbufLen == 0 {
+	if rs.traceDone && p.rob.len() == 0 && p.fbuf.len() == 0 {
 		if p.cfg.SelfCheck {
 			if err := p.checkDrained(rs.cycle); err != nil {
 				return false, err
@@ -903,77 +870,18 @@ func (p *Pipeline) stageEndOfCycle(fbufLen int) (bool, error) {
 		return true, nil
 	}
 	if rs.cycle-rs.lastCommit > p.cfg.Watchdog {
-		return false, p.watchdogErr(fbufLen)
+		return false, p.watchdogErr()
 	}
 	// Quiescence fast-forward (skip.go): when nothing can happen before
 	// the next wheel event, jump there instead of grinding empty cycles.
 	// readyMask is the cheap pre-filter — every ready entry sets its
 	// unit bit, so a non-zero mask means issue may have work next cycle.
 	if !p.cfg.NoCycleSkip && rs.readyMask == 0 {
-		if err := p.fastForward(fbufLen); err != nil {
+		if err := p.fastForward(); err != nil {
 			return false, err
 		}
 	}
 	return false, nil
-}
-
-// decodeFetch classifies a fetched event against the predictor and
-// assigns its sequence number, in place in the fetch-ring slot. It sets
-// rs.fetchStalledOn when fetch must wait for this instruction to
-// resolve.
-func (p *Pipeline) decodeFetch(it *fetchItem) {
-	rs := &p.rs
-	it.seq = rs.seq
-	rs.seq++
-	it.mispredicted = false
-	it.indirect = false
-	it.throttle = false
-	ev := &it.ev
-	op := ev.Instr.Op
-	if p.cfg.TrackLeaks && ev.AddrSecret {
-		// Committed secret-indexed access; counted at fetch so the
-		// single-lane and batched paths (which counts at its window
-		// cursor) see each event exactly once, on both the icache-hit
-		// and icache-miss fetch paths.
-		p.stats.SecretAccesses++
-	}
-	cls := opMetaTab[op].ctl // == predict.Classify(op), one indexed load
-	if cls == predict.ClassNone {
-		return
-	}
-	var out predict.Outcome
-	if tb := p.predTB; tb != nil {
-		out = tb.PredictClass(cls, ev.Addr, ev.Taken)
-	} else {
-		out = p.pred.Predict(ev.Addr, op, ev.Taken)
-	}
-	if !out.Stall && out.PredictTaken && opMetaTab[op].isCond {
-		// Predicted-taken conditional branch: under the variable
-		// fetch-rate front end, fetch narrows until it resolves. The
-		// count is kept even at full width so enabling the throttle is
-		// purely a fetch-bound change.
-		it.throttle = true
-		rs.unconfirmed++
-	}
-	switch {
-	case out.Stall:
-		it.indirect = true
-		p.stats.IndirectOps++
-		rs.fetchStalledOn = it.seq
-	case op.IsCondBranch() && out.PredictTaken != ev.Taken:
-		it.mispredicted = true
-		p.stats.Mispredicts++
-		if p.cfg.TrackBranchSites && ev.BranchSite != "" {
-			if p.stats.SiteMispredicts == nil {
-				p.stats.SiteMispredicts = make(map[string]int64)
-			}
-			p.stats.SiteMispredicts[ev.BranchSite]++
-		}
-		if p.cfg.TrackLeaks {
-			p.countWrongPathLeaks(ev.WrongPath)
-		}
-		rs.fetchStalledOn = it.seq
-	}
 }
 
 // countWrongPathLeaks tallies the wrong-path secret accesses of a
@@ -981,7 +889,7 @@ func (p *Pipeline) decodeFetch(it *fetchItem) {
 // wrong-path fetch runs until the branch resolves, so accesses within
 // Model.SpecWindow() instructions issue speculatively before the squash.
 // The summary is precomputed by the taint source and deterministic, so
-// single-lane and batched lanes with equal configs count identically.
+// lanes with equal configs count identically.
 func (p *Pipeline) countWrongPathLeaks(wp []interp.WrongPathAccess) {
 	for _, a := range wp {
 		if a.Dist <= p.leakWin {

@@ -107,15 +107,11 @@ func (r *ring) scrub() {
 	}
 }
 
-// fetchRing is the fetch/dispatch decoupling buffer: a fixed-capacity
-// FIFO of decoded instructions. The previous implementation resliced
-// `fetchBuf = fetchBuf[1:]` on every dispatch, which kept the backing
-// array's head alive and forced append to re-grow the slice over and
-// over; a circular buffer reuses the same FetchBufferSize items for the
-// whole run.
-type fetchRing struct {
-	buf   []fetchItem
-	mask  int
+// idxRing is the fetch buffer: a fixed-capacity FIFO of window
+// indices. The decoded instruction lives in the shared window, so lanes
+// queue bare indices instead of copied events.
+type idxRing struct {
+	buf   []int64
 	cap   int
 	head  int
 	count int
@@ -123,39 +119,27 @@ type fetchRing struct {
 
 // init sizes the buffer to capacity and empties it, retaining the
 // backing array when it is already large enough.
-func (r *fetchRing) init(capacity int) {
+func (r *idxRing) init(capacity int) {
 	if size := pow2(capacity); len(r.buf) < size {
-		r.buf = make([]fetchItem, size)
+		r.buf = make([]int64, size)
 	}
-	r.mask = len(r.buf) - 1
 	r.cap = capacity
 	r.head, r.count = 0, 0
 }
 
-func (r *fetchRing) len() int { return r.count }
+func (r *idxRing) len() int { return r.count }
 
-func (r *fetchRing) push(it fetchItem) {
-	*r.pushSlot() = it
-}
-
-// pushSlot reserves the next slot and returns it for in-place decode,
-// sparing the 100+-byte fetchItem copy per fetched instruction. The
-// caller either fills the slot or calls unpush (end of trace).
-func (r *fetchRing) pushSlot() *fetchItem {
+func (r *idxRing) push(idx int64) {
 	if r.count == r.cap {
 		panic("pipeline: fetch buffer overflow")
 	}
-	it := &r.buf[(r.head+r.count)&r.mask]
+	r.buf[(r.head+r.count)&(len(r.buf)-1)] = idx
 	r.count++
-	return it
 }
 
-// unpush releases the slot most recently reserved by pushSlot.
-func (r *fetchRing) unpush() { r.count-- }
+func (r *idxRing) front() int64 { return r.buf[r.head&(len(r.buf)-1)] }
 
-func (r *fetchRing) front() *fetchItem { return &r.buf[r.head] }
-
-func (r *fetchRing) popFront() {
-	r.head = (r.head + 1) & r.mask
+func (r *idxRing) popFront() {
+	r.head++
 	r.count--
 }

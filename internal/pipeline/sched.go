@@ -249,7 +249,7 @@ func (s *scheduler) runLane(id int, r laneRef) {
 	d := r.d
 	p := d.b.lanes[r.lane]
 	s.mu.Unlock()
-	fin, err := p.runBatch()
+	fin, err := p.advance()
 	s.mu.Lock()
 	if s.err != nil {
 		return
@@ -286,6 +286,7 @@ func (s *scheduler) endRound(d *liveDrain) {
 	}
 	d.live = d.live[:n]
 	if n == 0 {
+		putWindow(d.w)
 		if d.spec.Done != nil {
 			d.spec.Done(d.b, d.out)
 		}

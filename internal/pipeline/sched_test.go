@@ -205,12 +205,12 @@ type errSource struct {
 	n int
 }
 
-func (s *errSource) Next() (interp.Event, bool, error) {
+func (s *errSource) NextInto(ev *interp.Event) (bool, error) {
 	if s.n == 0 {
-		return interp.Event{}, false, errors.New("source broke")
+		return false, errors.New("source broke")
 	}
 	s.n--
-	return s.Source.Next()
+	return s.Source.NextInto(ev)
 }
 
 // TestRunDrainsSourceError: a source failure mid-drain surfaces as the

@@ -7,7 +7,7 @@ import "fmt"
 // in any issue queue, no commit-eligible ROB head, no dispatchable
 // fetch-buffer slot, fetch stalled on an unresolved control transfer or
 // an exhausted window. Grinding stageComplete/stageCommit/stageIssue/
-// stageDispatch through those cycles costs the full per-cycle stage
+// batchDispatch through those cycles costs the full per-cycle stage
 // overhead for zero state change. When stageEndOfCycle detects the
 // condition it jumps rs.cycle straight to the next cycle at which
 // anything can happen — the wheel's next completion, fetch's resume
@@ -61,10 +61,10 @@ func (p *Pipeline) SkipStats() SkipStats { return p.skip }
 // (the caller's cheap pre-filter: every ready entry sets its unit bit,
 // so a non-zero mask means issue may have work). It decides whether the
 // coming cycles are provably dead and, if so, jumps rs.cycle to the
-// next event horizon. fbufLen is the current fetch-buffer occupancy,
-// exactly as passed to stageEndOfCycle.
-func (p *Pipeline) fastForward(fbufLen int) error {
+// next event horizon.
+func (p *Pipeline) fastForward() error {
 	rs := &p.rs
+	fbufLen := p.fbuf.len()
 
 	// A commit-eligible head makes progress next cycle.
 	if p.rob.len() > 0 && p.rob.front().state == stCompleted {
@@ -73,11 +73,10 @@ func (p *Pipeline) fastForward(fbufLen int) error {
 
 	// Fetch: inert only when the trace is done, fetch is stalled on an
 	// unresolved control transfer (cleared by a wheel completion), the
-	// resume cycle is still in the future, or the buffer is full. In the
-	// batched path a lane at the window frontier with fetch otherwise
-	// eligible must not skip: the next fetch stage parks it (rs.inFetch)
-	// so the shared window can refill — the lane-local analogue of the
-	// single-lane loop pulling the next event.
+	// resume cycle is still in the future, or the buffer is full. A lane
+	// at the window frontier with fetch otherwise eligible must not skip
+	// either: the next fetch stage parks it (rs.inFetch) so the window
+	// can refill.
 	fetchStalled := false
 	fetchHorizon := int64(-1)
 	if !rs.traceDone {
@@ -133,7 +132,7 @@ func (p *Pipeline) fastForward(fbufLen int) error {
 	}
 	p.skipCycles(delta, fetchStalled)
 	if deadlocked {
-		return p.watchdogErr(fbufLen)
+		return p.watchdogErr()
 	}
 	return nil
 }
@@ -142,30 +141,19 @@ func (p *Pipeline) fastForward(fbufLen int) error {
 // next cycle: the front fetch-buffer item is head-blocked on a
 // structural resource — ROB slot, dispatch-queue slot or rename
 // register — whose release requires a completion-wheel event. It
-// mirrors the break conditions of stageDispatch/batchDispatch exactly.
+// mirrors the break conditions of batchDispatch exactly.
 func (p *Pipeline) dispatchBlocked() bool {
 	rs := &p.rs
 	if p.rob.full() {
 		return true
 	}
-	var q Queue
-	var needsRename, fp bool
-	if w := p.win; w != nil {
-		idx := p.bfbuf.front() &^ throttleIdxBit
-		slot := &w.slots[idx&int64(len(w.slots)-1)]
-		q, needsRename, fp = slot.queue, slot.needsRename, slot.fpRename
-	} else {
-		it := p.fbuf.front()
-		q = opMetaTab[it.ev.Instr.Op].queue
-		needsRename, fp = destRename(it.ev.Instr)
-	}
-	if rs.queueUsed[q] >= rs.queueCap[q] {
+	w := p.win
+	slot := &w.slots[(p.fbuf.front()&^throttleIdxBit)&int64(len(w.slots)-1)]
+	if rs.queueUsed[slot.queue] >= rs.queueCap[slot.queue] {
 		return true
 	}
-	if needsRename && (fp && rs.fpRenames == 0 || !fp && rs.intRenames == 0) {
-		return true
-	}
-	return false
+	fp := slot.fpRename
+	return slot.needsRename && (fp && rs.fpRenames == 0 || !fp && rs.intRenames == 0)
 }
 
 // skipCycles advances the cycle counter by delta dead cycles, settling
@@ -192,7 +180,7 @@ func (p *Pipeline) skipCycles(delta int64, fetchStalled bool) {
 
 // watchdogErr is the no-commit deadlock failure; one formatting site so
 // the fast-forwarded and cycle-by-cycle paths fail byte-identically.
-func (p *Pipeline) watchdogErr(fbufLen int) error {
+func (p *Pipeline) watchdogErr() error {
 	return fmt.Errorf("pipeline: no commit for %d cycles (simulator deadlock at cycle %d, rob=%d fetchBuf=%d)",
-		p.cfg.Watchdog, p.rs.cycle, p.rob.len(), fbufLen)
+		p.cfg.Watchdog, p.rs.cycle, p.rob.len(), p.fbuf.len())
 }

@@ -162,12 +162,12 @@ func TestSkipWatchdogDeadlockIdentical(t *testing.T) {
 	// by default.
 }
 
-// TestSkipBatchMatchesNoSkip runs the mixed-config lockstep batch both
-// ways over a latency-bound trace: every lane's Stats must be
-// byte-identical, parked-lane fast-forwarding must engage, and the
-// per-lane skip counters must match the single-lane runs of the same
-// configs (the in-lane jump is the same code path, so the counters —
-// not just the Stats — agree across drivers).
+// TestSkipBatchMatchesNoSkip runs a mixed-config batch both ways over a
+// latency-bound trace: every lane's Stats must be byte-identical,
+// parked-lane fast-forwarding must engage, and the per-lane skip
+// counters must match one-lane Runs of the same configs (the in-lane
+// jump is the same code path, so the counters — not just the Stats —
+// agree across drivers).
 func TestSkipBatchMatchesNoSkip(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("func main:\nB0:\n\tli r1, 0\nloop:\n")

@@ -39,8 +39,8 @@ exit:
 // (functional + timing) run of a ~175k-instruction kernel per
 // iteration. The program is parsed and predecoded once — per-process
 // work, like the bench workload cache — so each iteration measures the
-// simulation itself: machine reset, lockstep execution through the
-// EventSource fast path, and the pipeline hot loop.
+// simulation itself: machine reset, lockstep execution decoded straight
+// into the window's event slots, and the pipeline hot loop.
 func BenchmarkPipe(b *testing.B) {
 	code, err := interp.Predecode(asm.MustParse(speedKernel), nil)
 	if err != nil {
@@ -61,11 +61,11 @@ func BenchmarkPipe(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchPipe measures the batched lockstep path at N ∈
+// BenchmarkBatchPipe measures batched drains at N ∈
 // {1, 4, 8, 24} lanes over one packed-trace replay of the same kernel
 // as BenchmarkPipe. The reported Minstr/s metric is aggregate lane
-// throughput (events × lanes / wall), so the lockstep win shows up as
-// the multiple over the single-lane figure: the decode and dependence
+// throughput (events × lanes / wall), so the batching win shows up as
+// the multiple over the one-lane figure: the decode and dependence
 // pre-pass is paid once per drain regardless of N.
 func BenchmarkBatchPipe(b *testing.B) {
 	code, err := interp.Predecode(asm.MustParse(speedKernel), nil)

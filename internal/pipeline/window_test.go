@@ -42,8 +42,9 @@ func TestWindowMemLastBounded(t *testing.T) {
 
 	addrs := map[int64]bool{}
 	rd := tr.NewReader()
+	var ev interp.Event
 	for {
-		ev, ok, err := rd.Next()
+		ok, err := rd.NextInto(&ev)
 		if err != nil {
 			t.Fatal(err)
 		}

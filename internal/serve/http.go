@@ -190,35 +190,36 @@ func (s *Service) streamRun(w http.ResponseWriter, r *http.Request, req RunReque
 }
 
 // handleSweep streams the paper's full table — every workload under
-// every scheme — as NDJSON, one result line per simulation. By default
-// the sweep is batched: every cell not answered by the store or an
-// in-flight twin joins ONE pool job whose lockstep simulation drains
-// each distinct (workload, program) trace once for all of its cells
-// (?batch=0 restores the per-cell fan-out, one drain per simulated
-// cell). Either way all cells go through the same store → coalesce →
-// pool path, so a repeated sweep is served from disk and a concurrent
-// one coalesces. Backpressure sheds are retried until the client gives
-// up (the sweep holds no queue slots while backing off).
+// every scheme — as NDJSON, one result line per simulation. Every cell
+// not answered by the store or an in-flight twin joins ONE pool job
+// whose batched simulation drains each distinct (workload, program)
+// trace once for all of its cells; all cells go through the same store
+// → coalesce → pool path, so a repeated sweep is served from disk and a
+// concurrent one coalesces. Backpressure sheds are retried until the
+// client gives up (the sweep holds no queue slots while backing off).
+// An invalid entries value is a 400 before any line is written.
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	entries := 0
+	var entries int
+	var err error
 	if v := r.URL.Query().Get("entries"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad entries: %v", err)
-			return
+		if entries, err = strconv.Atoi(v); err != nil {
+			err = &ErrBadRequest{fmt.Errorf("bad entries: %w", err)}
+		} else {
+			err = CheckEntries(entries)
 		}
-		entries = n
+	}
+	if err != nil {
+		s.metrics.Requests.Add(1)
+		s.metrics.BadRequests.Add(1)
+		writeErr(w, err)
+		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 
-	type cell struct {
-		res *RunResponse
-		err error
-	}
 	var reqs []RunRequest
 	for _, wl := range bench.All() {
 		for _, scheme := range []bench.Scheme{bench.SchemeTwoBit, bench.SchemeProposed, bench.SchemePerfect} {
@@ -226,56 +227,26 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if r.URL.Query().Get("batch") != "0" {
-		for {
-			cells, err := s.DoSweep(r.Context(), reqs)
-			var over *ErrOverloaded
-			if errors.As(err, &over) {
-				select {
-				case <-time.After(200 * time.Millisecond):
-					continue
-				case <-r.Context().Done():
-					ndjson(w, streamEvent{Event: "error", Error: r.Context().Err().Error()})
-					return
-				}
-			}
-			for _, c := range cells {
-				if c.Err != nil {
-					ndjson(w, streamEvent{Event: "error", Error: c.Err.Error()})
-					continue
-				}
-				ndjson(w, streamEvent{Event: StageResult, Result: c.Res})
-			}
-			return
-		}
-	}
-
-	out := make(chan cell, len(reqs))
-	for _, req := range reqs {
-		go func(req RunRequest) {
-			for {
-				res, err := s.Do(r.Context(), req, nil)
-				var over *ErrOverloaded
-				if errors.As(err, &over) {
-					select {
-					case <-time.After(200 * time.Millisecond):
-						continue
-					case <-r.Context().Done():
-						err = r.Context().Err()
-					}
-				}
-				out <- cell{res, err}
+	for {
+		cells, err := s.DoSweep(r.Context(), reqs)
+		var over *ErrOverloaded
+		if errors.As(err, &over) {
+			select {
+			case <-time.After(200 * time.Millisecond):
+				continue
+			case <-r.Context().Done():
+				ndjson(w, streamEvent{Event: "error", Error: r.Context().Err().Error()})
 				return
 			}
-		}(req)
-	}
-	for range reqs {
-		c := <-out
-		if c.err != nil {
-			ndjson(w, streamEvent{Event: "error", Error: c.err.Error()})
-			continue
 		}
-		ndjson(w, streamEvent{Event: StageResult, Result: c.res})
+		for _, c := range cells {
+			if c.Err != nil {
+				ndjson(w, streamEvent{Event: "error", Error: c.Err.Error()})
+				continue
+			}
+			ndjson(w, streamEvent{Event: StageResult, Result: c.Res})
+		}
+		return
 	}
 }
 

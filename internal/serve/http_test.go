@@ -232,36 +232,51 @@ func TestHTTPSweep(t *testing.T) {
 	}
 }
 
-// TestHTTPSweepUnbatched: ?batch=0 restores the per-cell fan-out — the
-// results match, but every simulated cell costs its own trace drain.
-func TestHTTPSweepUnbatched(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep in -short mode")
-	}
+// TestHTTPSweepEntriesValidation: /v1/sweep bounds entries exactly as
+// /v1/run does, answering 400 before any simulation or NDJSON line;
+// entries=0 (the model's size) and a valid size stream all 12 cells.
+func TestHTTPSweepEntriesValidation(t *testing.T) {
 	s, ts := newTestServer(t, nil)
-	resp, err := http.Get(ts.URL + "/v1/sweep?batch=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	lines := 0
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ev streamEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad sweep line: %v", err)
+	for _, v := range []string{"-1", "16777217", "99999999999"} {
+		resp, err := http.Get(ts.URL + "/v1/sweep?entries=" + v)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ev.Event != StageResult {
-			t.Fatalf("sweep cell failed: %+v", ev)
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var e map[string]string
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(data, &e) != nil || !strings.Contains(e["error"], "predictor_entries") {
+			t.Errorf("GET /v1/sweep?entries=%s = %d %s, want 400 naming predictor_entries", v, resp.StatusCode, data)
 		}
-		lines++
 	}
-	if lines != 12 {
-		t.Fatalf("sweep returned %d lines, want 12", lines)
+	if runs, drains := s.runner.ArchRuns(), s.runner.TraceDrains(); runs != 0 || drains != 0 {
+		t.Errorf("rejected sweeps ran %d captures and %d drains, want none", runs, drains)
 	}
-	if drains, lanes := s.runner.TraceDrains(), s.runner.SimLanes(); drains != lanes {
-		t.Errorf("unbatched sweep: drains %d != lanes %d", drains, lanes)
+	if got := s.metrics.BadRequests.Load(); got != 3 {
+		t.Errorf("bad_requests = %d, want 3", got)
+	}
+	if testing.Short() {
+		t.Skip("full sweeps in -short mode")
+	}
+	for _, v := range []string{"0", "256"} {
+		resp, err := http.Get(ts.URL + "/v1/sweep?entries=" + v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := 0
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		for sc.Scan() {
+			var ev streamEvent
+			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil || ev.Event != StageResult {
+				t.Fatalf("entries=%s: sweep line %q is not a result", v, sc.Bytes())
+			}
+			lines++
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || lines != 12 {
+			t.Errorf("entries=%s: status %d with %d results, want 200 with 12", v, resp.StatusCode, lines)
+		}
 	}
 }
 

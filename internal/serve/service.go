@@ -335,11 +335,8 @@ func NormalizeRequest(req *RunRequest, base *machine.Model) (bench.Spec, string,
 	if err != nil {
 		return bench.Spec{}, "", &ErrBadRequest{err}
 	}
-	if req.PredictorEntries < 0 {
-		return bench.Spec{}, "", &ErrBadRequest{fmt.Errorf("predictor_entries must be ≥ 0, got %d", req.PredictorEntries)}
-	}
-	if req.PredictorEntries > machine.MaxPredictorEntries {
-		return bench.Spec{}, "", &ErrBadRequest{fmt.Errorf("predictor_entries %d exceeds the maximum %d (1<<24)", req.PredictorEntries, machine.MaxPredictorEntries)}
+	if err := CheckEntries(req.PredictorEntries); err != nil {
+		return bench.Spec{}, "", err
 	}
 	if req.Opt != nil && scheme != bench.SchemeProposed {
 		return bench.Spec{}, "", &ErrBadRequest{fmt.Errorf("optimizer options apply only to the Proposed scheme, not %s", scheme)}
@@ -381,6 +378,20 @@ func NormalizeRequest(req *RunRequest, base *machine.Model) (bench.Spec, string,
 		key += "|m=" + model.Key()
 	}
 	return spec, key, nil
+}
+
+// CheckEntries bounds a requested predictor table size (0 selects the
+// model's own). NormalizeRequest and both services' /v1/sweep share it,
+// so every endpoint accepts and rejects the same values with the same
+// message.
+func CheckEntries(n int) error {
+	if n < 0 {
+		return &ErrBadRequest{fmt.Errorf("predictor_entries must be ≥ 0, got %d", n)}
+	}
+	if n > machine.MaxPredictorEntries {
+		return &ErrBadRequest{fmt.Errorf("predictor_entries %d exceeds the maximum %d (1<<24)", n, machine.MaxPredictorEntries)}
+	}
+	return nil
 }
 
 // deriveModel builds the per-request machine model from the Machine

@@ -136,9 +136,8 @@ func (t *Trace) SizeBytes() int {
 }
 
 // Reader replays a Trace as the exact committed-event stream of the
-// captured run. It implements pipeline.Source (Next) and the in-place
-// fast path (NextInto). Readers are cheap; create one per simulation
-// or Reset between runs.
+// captured run. It implements pipeline.Source (NextInto). Readers are
+// cheap; create one per simulation or Reset between runs.
 type Reader struct {
 	t       *Trace
 	pc      int32
@@ -160,8 +159,8 @@ func (t *Trace) NewReader() *Reader {
 }
 
 // Code returns the predecoded program the reader replays over, letting
-// consumers (the batched decode window) reuse its static per-instruction
-// metadata.
+// consumers (the pipeline's decode window) reuse its static
+// per-instruction metadata.
 func (r *Reader) Code() *interp.Code { return r.t.code }
 
 // Reset rewinds the reader to the first event.
@@ -270,12 +269,4 @@ func (r *Reader) NextInto(ev *interp.Event) (bool, error) {
 	}
 	r.emitted++
 	return true, nil
-}
-
-// Next implements pipeline.Source for consumers without the in-place
-// fast path.
-func (r *Reader) Next() (interp.Event, bool, error) {
-	var ev interp.Event
-	ok, err := r.NextInto(&ev)
-	return ev, ok, err
 }
