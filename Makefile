@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check fmt vet sgvet lint build test test-race bench-smoke fuzz-smoke serve-smoke explore-smoke leak-smoke cluster-smoke
+.PHONY: check fmt vet sgvet lint build test test-race benchmark-check bench-smoke fuzz-smoke serve-smoke explore-smoke leak-smoke cluster-smoke
 
 # The full gate: what CI (and every PR) must pass.
-check: fmt vet sgvet build test test-race lint bench-smoke fuzz-smoke serve-smoke explore-smoke leak-smoke cluster-smoke
+check: fmt vet sgvet build test test-race benchmark-check lint bench-smoke fuzz-smoke serve-smoke explore-smoke leak-smoke cluster-smoke
 
 # Every committed Go file must be gofmt-clean.
 fmt:
@@ -44,6 +44,13 @@ test-race:
 	$(GO) test -race -run 'TestBatchMatchesSingle|TestGoldenStatsBatched|TestRunDrains|TestWindowMemLastBounded|TestFreeWindowsBounded' ./internal/pipeline ./internal/bench
 	$(GO) test -race -run 'TestFuzzSmoke' ./internal/fuzz
 	$(GO) test -race -run 'TestRunIndependentOfParallelism' ./internal/explore
+
+# The benchmark (benchmark/, run by benchmark/run.sh) is its own Go
+# module whose go.mod replaces this repository, so the root vet, build
+# and test skip it: vet and test it here, so a change to an API it calls
+# fails the gate instead of the next benchmark run.
+benchmark-check:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # One iteration of each performance benchmark — catches benchmark rot
 # without paying for a full measurement run — plus a fixed-seed sweep of

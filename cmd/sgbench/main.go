@@ -103,9 +103,12 @@ func run(table int, figure, summary, ablation, leaks bool, entries, par int,
 	if table == 2 || !only {
 		fmt.Println(bench.FormatTable2(table2Model(newRunner)))
 	}
+	// One Runner serves every table, so each workload is profiled once
+	// and an ablation row that rebuilds an already simulated program
+	// reuses its Stats.
+	r := newRunner()
 	needRuns := !only || table == 1 || table == 3 || table == 4 || summary
 	if needRuns {
-		r := newRunner()
 		fmt.Fprintln(os.Stderr, "running 4 workloads x 3 schemes...")
 		results, err := r.RunAll()
 		if err != nil {
@@ -125,12 +128,11 @@ func run(table int, figure, summary, ablation, leaks bool, entries, par int,
 		}
 	}
 	if ablation || !only {
-		if err := printAblation(newRunner); err != nil {
+		if err := printAblation(r); err != nil {
 			return err
 		}
 	}
 	if leaks || !only {
-		r := newRunner()
 		fmt.Fprintln(os.Stderr, "running leak ablation: 2 victims x 3 schemes...")
 		results, err := r.RunLeakAll()
 		if err != nil {
@@ -159,8 +161,8 @@ func table2Model(newRunner func() *bench.Runner) *machine.Model {
 
 // printAblation disables one optimizer arm at a time — the paper
 // title's "individual/combined effects". The four workloads of each
-// configuration run in parallel.
-func printAblation(newRunner func() *bench.Runner) error {
+// configuration run in parallel on r.
+func printAblation(r *bench.Runner) error {
 	configs := []struct {
 		name string
 		opts core.Options
@@ -180,7 +182,6 @@ func printAblation(newRunner func() *bench.Runner) error {
 	}
 	fmt.Println()
 	for _, cfg := range configs {
-		r := newRunner()
 		results, err := r.RunProposedOptsAll(cfg.opts)
 		if err != nil {
 			return err

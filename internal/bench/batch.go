@@ -48,6 +48,7 @@ type batchLane struct {
 	model    *machine.Model // nil = Runner's model
 	pred     predict.Predictor
 	specIdxs []int
+	cache    *statsKey // where Done stores the lane's Stats; nil: not cached
 }
 
 // batchGroup is one trace drain: all lanes replaying the same
@@ -55,6 +56,7 @@ type batchLane struct {
 type batchGroup struct {
 	w     Workload
 	p     *prog.Program // nil: w's base program (see Runner.traceFor)
+	fp    uint64        // p's fingerprint (w's base program's when p is nil)
 	work  int64         // estimated events × lanes, for admission order
 	lanes []*batchLane
 	byKey map[laneKey]*batchLane
@@ -106,7 +108,10 @@ func (r *Runner) addSkip(sk pipeline.SkipStats) {
 // trace into one lockstep pipeline.Batch. Results are returned in spec
 // order and are byte-identical to calling RunSpec per cell; only the
 // cost model changes — one trace decode and one dependence pre-pass
-// per (workload, program) group, amortized over all of its lanes.
+// per (workload, program) group, amortized over all of its lanes. It
+// shares RunSpec's Stats cache: a cell already simulated on the
+// Runner's own configuration adds no lane, and each completed lane of
+// that configuration is stored.
 func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 	out := make([]Result, len(specs))
 	if len(specs) == 0 {
@@ -177,9 +182,14 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 		}
 
 		gk := groupKey{traceKey{w.Name, fp}, m.ICacheBytes, m.CacheLineBytes}
+		sk := r.statsKey(spec, gk.traceKey, entries)
+		if stats, ok := r.cachedStats(sk); ok {
+			out[i].Stats = stats
+			continue
+		}
 		g := groups[gk]
 		if g == nil {
-			g = &batchGroup{w: w, p: p, byKey: map[laneKey]*batchLane{}}
+			g = &batchGroup{w: w, p: p, fp: fp, byKey: map[laneKey]*batchLane{}}
 			groups[gk] = g
 			order = append(order, g)
 		}
@@ -192,11 +202,11 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 			if len(g.lanes) == MaxBatchLanes {
 				// Subgroup full: open a fresh drain for further lanes of
 				// this key, bounding the lane state one drain holds.
-				g = &batchGroup{w: w, p: p, byKey: map[laneKey]*batchLane{}}
+				g = &batchGroup{w: w, p: p, fp: fp, byKey: map[laneKey]*batchLane{}}
 				groups[gk] = g
 				order = append(order, g)
 			}
-			ln = &batchLane{key: lk, model: spec.Model}
+			ln = &batchLane{key: lk, model: spec.Model, cache: sk}
 			g.byKey[lk] = ln
 			g.lanes = append(g.lanes, ln)
 			// The profiled run counts the base program's events; an
@@ -221,6 +231,7 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 				r.simLanes.Add(int64(len(g.lanes)))
 				r.addSkip(b.SkipStats())
 				for j, ln := range g.lanes {
+					r.storeStats(ln.cache, stats[j])
 					for _, i := range ln.specIdxs {
 						out[i].Stats = stats[j]
 					}
@@ -248,7 +259,7 @@ func (r *Runner) openGroup(ctx context.Context, g *batchGroup) (*pipeline.Batch,
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	tr, err := r.traceFor(g.p, g.w)
+	tr, err := r.traceFor(g.w, g.p, g.fp)
 	if err != nil {
 		return nil, nil, err
 	}

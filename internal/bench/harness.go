@@ -55,15 +55,20 @@ type Result struct {
 	Report *core.Report
 }
 
-// Runner caches the architectural side of the experiment so the timing
-// side can be re-run cheaply. Two caches cooperate:
+// Runner caches the experiment so repeated work runs once. Three caches
+// cooperate:
 //
 //   - profiles, keyed by workload name: the feedback run (the paper's
 //     instrumented profiling pass), one per workload;
 //   - traces, keyed by (workload, program fingerprint): the packed
 //     committed-event trace of one architectural execution, captured
 //     once per distinct program and replayed into every timing
-//     simulation of that program.
+//     simulation of that program;
+//   - stats, keyed by trace, predictor shape and Model.Key: the Stats
+//     of each timing simulation on the Runner's own model and predictor
+//     size, so a cell whose optimizer rewrite reproduces an already
+//     simulated program (an ablation row that leaves a kernel as the
+//     table's Proposed cell has it) costs no timing run.
 //
 // The 2-bitBP and PerfectBP schemes simulate the original program, so
 // they share one trace — which is captured during the profiling run
@@ -75,7 +80,7 @@ type Result struct {
 // and benchmark reports.
 //
 // A Runner is safe for concurrent Run calls: cache entries are
-// per-key sync.Onces resolved behind a mutex, and every simulation
+// per-key sync.Onces or map slots behind a mutex, and every simulation
 // builds its own predictor, pipeline and trace reader.
 type Runner struct {
 	Model *machine.Model
@@ -90,6 +95,7 @@ type Runner struct {
 	mu       sync.Mutex
 	profiles map[string]*profileEntry
 	traces   map[traceKey]*traceEntry
+	stats    map[statsKey]pipeline.Stats
 	archRuns atomic.Int64
 	// traceDrains counts timing-side decodes of a packed trace;
 	// simLanes counts the simulations those drains fed. RunSpec
@@ -122,12 +128,22 @@ type traceEntry struct {
 	err  error
 }
 
+// statsKey identifies one timing simulation on the Runner's own model:
+// the trace it replays and its lane configuration, whose model field
+// holds Model.Key() so an in-place edit of Runner.Model misses instead
+// of hitting a stale entry.
+type statsKey struct {
+	traceKey
+	laneKey
+}
+
 // NewRunner returns a Runner on the R10000 model.
 func NewRunner() *Runner {
 	return &Runner{
 		Model:    machine.R10000(),
 		profiles: map[string]*profileEntry{},
 		traces:   map[traceKey]*traceEntry{},
+		stats:    map[statsKey]pipeline.Stats{},
 	}
 }
 
@@ -205,16 +221,11 @@ func (r *Runner) collectProfile(w Workload) (*profile.Profile, error) {
 	return prof, nil
 }
 
-// traceFor returns (capturing if needed) the packed trace of p under
-// w's input image. A nil p names w's unmodified base program, keyed by
-// its cached fingerprint and built only if the trace must be captured.
-func (r *Runner) traceFor(p *prog.Program, w Workload) (*trace.Trace, error) {
-	var fp uint64
-	if p != nil {
-		fp = p.Fingerprint()
-	} else {
-		fp = w.Fingerprint()
-	}
+// traceFor returns (capturing if needed) the packed trace of p, whose
+// fingerprint the caller has already computed as fp, under w's input
+// image. A nil p names w's unmodified base program, built only if the
+// trace must be captured.
+func (r *Runner) traceFor(w Workload, p *prog.Program, fp uint64) (*trace.Trace, error) {
 	te := r.traceEntry(traceKey{w.Name, fp})
 	te.once.Do(func() {
 		if p == nil {
@@ -260,60 +271,23 @@ func (r *Runner) Run(w Workload, s Scheme) (Result, error) {
 	return r.RunContext(context.Background(), w, s)
 }
 
-// RunContext is Run with cancellation: ctx is checked between the
-// architectural and timing phases and polled cooperatively inside the
-// pipeline's cycle loop, so a timed-out or abandoned request stops
-// within microseconds of simulated work. Cache entries are never
-// poisoned by cancellation — a cancelled call leaves the profile and
-// trace caches exactly as a never-started one would, except that an
-// entry whose capture already began runs to completion (architectural
-// runs are not abandoned halfway, so concurrent waiters still get it).
+// RunContext is Run with cancellation: RunSpec of the (w, s) cell on
+// the Runner's own model and predictor size.
 func (r *Runner) RunContext(ctx context.Context, w Workload, s Scheme) (Result, error) {
-	res := Result{Workload: w.Name, Scheme: s}
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	prof, err := r.ProfileOf(w)
-	if err != nil {
-		return res, err
-	}
-	res.Profile = prof
-
-	var p *prog.Program // nil: the base program (see traceFor)
-	var pred predict.Predictor
-	switch s {
-	case SchemeTwoBit:
-		pred = predict.NewTwoBit(r.entries())
-	case SchemePerfect:
-		pred = predict.NewPerfect()
-	case SchemeProposed:
-		pred = predict.NewTwoBit(r.entries())
-		p = w.Build()
-		rep, err := core.Optimize(p, prof, r.Model, w.Opt)
-		if err != nil {
-			return res, fmt.Errorf("bench: optimizing %s: %w", w.Name, err)
-		}
-		res.Report = rep
-	}
-
-	stats, err := r.simulate(ctx, p, w, r.Model, pred)
-	if err != nil {
-		return res, err
-	}
-	res.Stats = stats
-	return res, nil
+	return r.RunSpec(ctx, Spec{Workload: w, Scheme: s})
 }
 
-// simulate runs one timing simulation of p (nil: w's base program) by
-// replaying its cached packed trace — bit-identical to feeding the
-// pipeline from a live interpreter, but with the architectural work
-// amortized across every simulation of the same program. ctx cancels
-// the timing loop cooperatively (pipeline.Config.Context).
-func (r *Runner) simulate(ctx context.Context, p *prog.Program, w Workload, m *machine.Model, pred predict.Predictor) (pipeline.Stats, error) {
+// simulate runs one timing simulation of p (nil: w's base program),
+// whose fingerprint is fp, by replaying its cached packed trace —
+// bit-identical to feeding the pipeline from a live interpreter, but
+// with the architectural work amortized across every simulation of the
+// same program. ctx cancels the timing loop cooperatively
+// (pipeline.Config.Context).
+func (r *Runner) simulate(ctx context.Context, w Workload, p *prog.Program, fp uint64, m *machine.Model, pred predict.Predictor) (pipeline.Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return pipeline.Stats{}, err
 	}
-	tr, err := r.traceFor(p, w)
+	tr, err := r.traceFor(w, p, fp)
 	if err != nil {
 		return pipeline.Stats{}, err
 	}
@@ -338,38 +312,19 @@ func (r *Runner) RunProposedOpts(w Workload, opts core.Options) (Result, error) 
 	return r.RunProposedOptsContext(context.Background(), w, opts)
 }
 
-// RunProposedOptsContext is RunProposedOpts with cancellation (see
-// RunContext for the guarantees).
+// RunProposedOptsContext is RunProposedOpts with cancellation: RunSpec
+// of the Proposed cell with opts.
 func (r *Runner) RunProposedOptsContext(ctx context.Context, w Workload, opts core.Options) (Result, error) {
-	res := Result{Workload: w.Name, Scheme: SchemeProposed}
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	prof, err := r.ProfileOf(w)
-	if err != nil {
-		return res, err
-	}
-	res.Profile = prof
-	p := w.Build()
-	rep, err := core.Optimize(p, prof, r.Model, opts)
-	if err != nil {
-		return res, fmt.Errorf("bench: optimizing %s: %w", w.Name, err)
-	}
-	res.Report = rep
-	stats, err := r.simulate(ctx, p, w, r.Model, predict.NewTwoBit(r.entries()))
-	if err != nil {
-		return res, err
-	}
-	res.Stats = stats
-	return res, nil
+	return r.RunSpec(ctx, Spec{Workload: w, Scheme: SchemeProposed, Opt: &opts})
 }
 
 // Spec fully describes one simulation: the (workload, scheme) pair
-// plus per-call timing and optimizer configuration. It exists for
-// callers that serve heterogeneous requests from one shared Runner
-// (internal/serve): unlike the PredictorEntries field, a Spec does not
-// mutate Runner state, so concurrent Specs with different predictor
-// sizes still share the profile and trace caches.
+// plus per-call timing and optimizer configuration. Every single-cell
+// entry point runs one (Run and RunProposedOpts leave the per-call
+// fields unset), and callers that serve heterogeneous requests from one
+// shared Runner (internal/serve) set them: unlike the PredictorEntries
+// field, a Spec does not mutate Runner state, so concurrent Specs with
+// different predictor sizes still share the profile and trace caches.
 type Spec struct {
 	Workload Workload
 	Scheme   Scheme
@@ -427,9 +382,60 @@ func buildPredictor(m *machine.Model, s Scheme, entries int) predict.Predictor {
 	return predict.NewTwoBit(entries)
 }
 
-// RunSpec simulates one Spec with cancellation (see RunContext for the
-// guarantees). Timing-only variations (Entries) hit the trace cache
-// and perform no new architectural runs.
+// statsKey returns the Stats-cache key of a cell replaying tk with
+// predictor size entries, or nil for a cell the cache never holds: one
+// on a per-spec model, or a predicted (not perfect) cell at a size
+// other than the Runner's. Only the Runner's own configuration is
+// stored, so the cache holds at most two Stats (predicted and perfect)
+// per trace for a given Model and size, however many models or sizes a
+// sweep explores.
+func (r *Runner) statsKey(spec Spec, tk traceKey, entries int) *statsKey {
+	perfect := spec.Scheme == SchemePerfect
+	if spec.Model != nil || !perfect && entries != r.entries() {
+		return nil
+	}
+	k := &statsKey{tk, laneKey{perfect: perfect, model: r.Model.Key()}}
+	if !perfect {
+		k.entries = entries
+	}
+	return k
+}
+
+// cachedStats looks k up in the Stats cache; a nil k always misses.
+func (r *Runner) cachedStats(k *statsKey) (pipeline.Stats, bool) {
+	if k == nil {
+		return pipeline.Stats{}, false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s, ok := r.stats[*k]
+	return s, ok
+}
+
+// storeStats records the Stats of a completed simulation under k; a
+// nil k stores nothing. Callers store only after a successful run, so
+// a cancelled or failed simulation never leaves an entry.
+func (r *Runner) storeStats(k *statsKey, s pipeline.Stats) {
+	if k != nil {
+		r.mu.Lock()
+		r.stats[*k] = s
+		r.mu.Unlock()
+	}
+}
+
+// RunSpec simulates one Spec with cancellation: ctx is checked between
+// the architectural and timing phases and polled cooperatively inside
+// the pipeline's cycle loop, so a timed-out or abandoned request stops
+// within microseconds of simulated work. Cache entries are never
+// poisoned by cancellation — a cancelled call leaves the caches exactly
+// as a never-started one would, except that an entry whose capture
+// already began runs to completion (architectural runs are not
+// abandoned halfway, so concurrent waiters still get it).
+// Timing-only variations (Entries) hit the trace cache and perform no
+// new architectural runs; a cell on the Runner's own configuration
+// whose program was already simulated hits the Stats cache and
+// performs no timing run either. The optimizer still runs, because its
+// output's fingerprint is part of the key.
 func (r *Runner) RunSpec(ctx context.Context, spec Spec) (Result, error) {
 	w := spec.Workload
 	res := Result{Workload: w.Name, Scheme: spec.Scheme}
@@ -445,8 +451,10 @@ func (r *Runner) RunSpec(ctx context.Context, spec Spec) (Result, error) {
 	res.Profile = prof
 
 	var p *prog.Program // nil: the base program (see traceFor)
+	var fp uint64
 	switch spec.Scheme {
 	case SchemeTwoBit, SchemePerfect:
+		fp = w.Fingerprint()
 	case SchemeProposed:
 		opts := w.Opt
 		if spec.Opt != nil {
@@ -458,14 +466,21 @@ func (r *Runner) RunSpec(ctx context.Context, spec Spec) (Result, error) {
 			return res, fmt.Errorf("bench: optimizing %s: %w", w.Name, err)
 		}
 		res.Report = rep
+		fp = p.Fingerprint()
 	default:
 		return res, fmt.Errorf("bench: unknown scheme %d", spec.Scheme)
 	}
 
-	stats, err := r.simulate(ctx, p, w, m, buildPredictor(m, spec.Scheme, entries))
+	sk := r.statsKey(spec, traceKey{w.Name, fp}, entries)
+	if stats, ok := r.cachedStats(sk); ok {
+		res.Stats = stats
+		return res, nil
+	}
+	stats, err := r.simulate(ctx, w, p, fp, m, buildPredictor(m, spec.Scheme, entries))
 	if err != nil {
 		return res, err
 	}
+	r.storeStats(sk, stats)
 	res.Stats = stats
 	return res, nil
 }

@@ -84,7 +84,7 @@ func TestTraceCacheSingleCaptureUnderContention(t *testing.T) {
 			if i%2 == 1 {
 				p = opt
 			}
-			tr, err := r.traceFor(p, w)
+			tr, err := r.traceFor(w, p, p.Fingerprint())
 			if err != nil {
 				t.Error(err)
 				return
