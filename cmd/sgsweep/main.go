@@ -204,9 +204,11 @@ func run(axesFlag, predictors, workloadsFlag, schemeFlag string, maxPoints, par 
 		out := jsonReport{
 			Comment: "Design-space sweep: IPC (harmonic mean over the listed workloads) vs. a " +
 				"hardware-cost proxy (queue+ROB entries, 2x rename registers, 2 bits per predictor " +
-				"counter plus history bits; the perfect oracle carries no storage). frontier indexes " +
-				"the Pareto-optimal points ascending by cost. trace_drains < cells proves the " +
-				"geometry-grouped batching. Regenerate with the sgsweep invocation in README.md.",
+				"counter plus gshare's history bits; the perfect oracle carries no storage). frontier " +
+				"indexes the Pareto-optimal points ascending by cost. trace_drains < cells proves the " +
+				"geometry-grouped batching; sim_lanes < cells counts the cells that shared a lane " +
+				"because a workload cannot tell their machines apart. Regenerate with the sgsweep " +
+				"invocation in README.md.",
 			GOMAXPROCS:    runtime.GOMAXPROCS(0),
 			Axes:          axes,
 			Scheme:        rep.Scheme,

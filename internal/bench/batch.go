@@ -20,10 +20,10 @@ import (
 // precomputed icache bits are only sound for lanes whose cache shape
 // matches (pipeline.Batch falls back to private caches otherwise, which
 // is correct but forfeits the sharing); models may differ per lane in
-// every other axis. Within a group, cells with identical timing
-// configuration share a lane outright. Lane Stats are byte-identical to
-// the single-lane RunSpec path (pinned by TestGoldenStatsBatched and
-// the drain-accounting test).
+// every other axis. Within a group, cells whose machines the program
+// cannot tell apart share a lane outright (laneModel). Lane Stats are
+// byte-identical to the single-lane RunSpec path (pinned by
+// TestGoldenStatsBatched and TestRunSpecsCanonicalLanes).
 
 // MaxBatchLanes caps the lanes folded into one drain. Lanes, not
 // drains, are the unit of parallel work (pipeline.RunDrains), so the
@@ -32,20 +32,11 @@ import (
 // drain.
 const MaxBatchLanes = 32
 
-// laneKey identifies a timing configuration within one trace group:
-// predictor shape plus the full machine configuration (empty model key
-// = the Runner's model).
-type laneKey struct {
-	perfect bool
-	entries int    // 0 for perfect lanes
-	model   string // machine.Model.Key() for per-spec models
-}
-
-// batchLane is one timing simulation shared by every spec index that
-// maps to the same laneKey within a subgroup.
+// batchLane is one timing simulation shared by every spec index whose
+// cell has the same canonical machine (laneModel) within a subgroup.
+// Its key in batchGroup.byKey is that model's Key.
 type batchLane struct {
-	key      laneKey
-	model    *machine.Model // nil = Runner's model
+	model    *machine.Model // canonical: the predictor as the program sees it
 	pred     predict.Predictor
 	specIdxs []int
 	cache    *statsKey // where Done stores the lane's Stats; nil: not cached
@@ -59,7 +50,7 @@ type batchGroup struct {
 	fp    uint64        // p's fingerprint (w's base program's when p is nil)
 	work  int64         // estimated events × lanes, for admission order
 	lanes []*batchLane
-	byKey map[laneKey]*batchLane
+	byKey map[string]*batchLane
 }
 
 // groupKey folds the trace identity with the icache geometry (see the
@@ -68,6 +59,30 @@ type groupKey struct {
 	traceKey
 	icBytes   int
 	lineBytes int
+}
+
+// laneModel returns the canonical machine of a cell on model m with
+// predictor size entries, replaying a program whose conditional
+// branches sit below pc/4 = bound: a Clone of m whose predictor fields
+// keep only what the program can observe. The perfect scheme is the
+// perfect family, which reads no table or history; a 2-bit table reads
+// no history; table sizes become predict.CanonicalEntries. Cells whose
+// lane models have equal Keys are one machine to the program, so they
+// share a lane, and the lane simulates on the canonical model.
+func laneModel(m *machine.Model, s Scheme, entries, bound int) *machine.Model {
+	c := m.Clone()
+	if s == SchemePerfect {
+		c.Predictor = machine.PredPerfect
+	}
+	switch c.Predictor {
+	case machine.PredPerfect:
+		c.PredictorEntries, c.HistoryBits = 0, 0
+	case machine.PredGShare:
+		c.PredictorEntries = predict.CanonicalEntries(entries, bound, true, uint(c.HistoryBits))
+	default:
+		c.PredictorEntries, c.HistoryBits = predict.CanonicalEntries(entries, bound, false, 0), 0
+	}
+	return c
 }
 
 // TraceDrains returns how many times a packed trace has been decoded
@@ -93,9 +108,18 @@ func (r *Runner) SkippedCycles() int64 { return r.skippedCycles.Load() }
 // came from.
 func (r *Runner) FastForwards() int64 { return r.fastForwards.Load() }
 
-// addSkip folds one simulation's fast-forward counters into the
-// Runner's totals.
-func (r *Runner) addSkip(sk pipeline.SkipStats) {
+// SimCycles returns the simulated cycles (Stats.Cycles) of those same
+// simulations: one count per lane that ran, however many cells it
+// served, so SkippedCycles/SimCycles is the share of simulated time
+// the fast-forward elided.
+func (r *Runner) SimCycles() int64 { return r.simCycles.Load() }
+
+// addSkip folds the fast-forward counters of one drain and the cycles
+// of its lanes' Stats into the Runner's totals.
+func (r *Runner) addSkip(sk pipeline.SkipStats, lanes ...pipeline.Stats) {
+	for _, st := range lanes {
+		r.simCycles.Add(st.Cycles)
+	}
 	if sk.SkippedCycles != 0 {
 		r.skippedCycles.Add(sk.SkippedCycles)
 	}
@@ -108,10 +132,13 @@ func (r *Runner) addSkip(sk pipeline.SkipStats) {
 // trace into one lockstep pipeline.Batch. Results are returned in spec
 // order and are byte-identical to calling RunSpec per cell; only the
 // cost model changes — one trace decode and one dependence pre-pass
-// per (workload, program) group, amortized over all of its lanes. It
-// shares RunSpec's Stats cache: a cell already simulated on the
-// Runner's own configuration adds no lane, and each completed lane of
-// that configuration is stored.
+// per (workload, program) group, amortized over all of its lanes, and
+// one lane per machine the program can tell apart: cells differing
+// only in predictor settings it never reads (a perfect cell's table,
+// a 2-bit table's history, sizes past its branch-index span) share
+// one. It shares RunSpec's Stats cache: a cell already simulated on
+// the Runner's own configuration adds no lane, and a completed lane
+// with such a cell among its members is stored.
 func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 	out := make([]Result, len(specs))
 	if len(specs) == 0 {
@@ -136,6 +163,7 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 		rep *core.Report
 	}
 	optCache := map[optKey]optVal{}
+	bounds := map[traceKey]int{} // predict.IndexBound of each program
 	groups := map[groupKey]*batchGroup{}
 	var order []*batchGroup
 
@@ -187,32 +215,37 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 			out[i].Stats = stats
 			continue
 		}
+		bound, ok := bounds[gk.traceKey]
+		if !ok {
+			laid := p
+			if laid == nil {
+				laid = w.Build()
+			}
+			bound = predict.IndexBound(laid)
+			bounds[gk.traceKey] = bound
+		}
+		lm := laneModel(m, spec.Scheme, entries, bound)
+		lk := lm.Key()
 		g := groups[gk]
-		if g == nil {
-			g = &batchGroup{w: w, p: p, fp: fp, byKey: map[laneKey]*batchLane{}}
+		if g == nil || g.byKey[lk] == nil && len(g.lanes) == MaxBatchLanes {
+			// A new group, or a new lane for a full subgroup: open a
+			// fresh drain, bounding the lane state one drain holds.
+			g = &batchGroup{w: w, p: p, fp: fp, byKey: map[string]*batchLane{}}
 			groups[gk] = g
 			order = append(order, g)
 		}
-		lk := laneKey{perfect: spec.Scheme == SchemePerfect, model: modelKey}
-		if !lk.perfect {
-			lk.entries = entries
-		}
 		ln := g.byKey[lk]
 		if ln == nil {
-			if len(g.lanes) == MaxBatchLanes {
-				// Subgroup full: open a fresh drain for further lanes of
-				// this key, bounding the lane state one drain holds.
-				g = &batchGroup{w: w, p: p, fp: fp, byKey: map[laneKey]*batchLane{}}
-				groups[gk] = g
-				order = append(order, g)
-			}
-			ln = &batchLane{key: lk, model: spec.Model, cache: sk}
+			ln = &batchLane{model: lm}
 			g.byKey[lk] = ln
 			g.lanes = append(g.lanes, ln)
 			// The profiled run counts the base program's events; an
 			// optimized program's differ a little, which only the
 			// admission order sees.
 			g.work += prof.DynInstrs
+		}
+		if ln.cache == nil {
+			ln.cache = sk // any member on the Runner's own configuration
 		}
 		ln.specIdxs = append(ln.specIdxs, i)
 	}
@@ -229,7 +262,7 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 			Done: func(b *pipeline.Batch, stats []pipeline.Stats) {
 				r.traceDrains.Add(1)
 				r.simLanes.Add(int64(len(g.lanes)))
-				r.addSkip(b.SkipStats())
+				r.addSkip(b.SkipStats(), stats...)
 				for j, ln := range g.lanes {
 					r.storeStats(ln.cache, stats[j])
 					for _, i := range ln.specIdxs {
@@ -253,8 +286,9 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 // their counter tables carved out of a single contiguous backing array,
 // in lane order, so the batch's predictor state stays dense; gshare and
 // oracle lanes build their own predictors. Each lane simulates on its
-// own model (pipeline.Batch supports heterogeneous lane models; the
-// shared icache bits apply because the group key pinned the geometry).
+// canonical model (pipeline.Batch supports heterogeneous lane models;
+// the shared icache bits apply because the group key pinned the
+// geometry).
 func (r *Runner) openGroup(ctx context.Context, g *batchGroup) (*pipeline.Batch, pipeline.Source, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -264,17 +298,11 @@ func (r *Runner) openGroup(ctx context.Context, g *batchGroup) (*pipeline.Batch,
 		return nil, nil, err
 	}
 
-	laneModel := func(ln *batchLane) *machine.Model {
-		if ln.model != nil {
-			return ln.model
-		}
-		return r.Model
-	}
 	var sizes []int
 	var twoBitLanes []*batchLane
 	for _, ln := range g.lanes {
-		if !ln.key.perfect && laneModel(ln).Predictor == machine.PredTwoBit {
-			sizes = append(sizes, ln.key.entries)
+		if ln.model.Predictor == machine.PredTwoBit {
+			sizes = append(sizes, ln.model.PredictorEntries)
 			twoBitLanes = append(twoBitLanes, ln)
 		}
 	}
@@ -284,25 +312,16 @@ func (r *Runner) openGroup(ctx context.Context, g *batchGroup) (*pipeline.Batch,
 	}
 	cfgs := make([]pipeline.Config, len(g.lanes))
 	for i, ln := range g.lanes {
-		m := laneModel(ln)
 		if ln.pred == nil {
-			ln.pred = buildPredictor(m, schemeForLane(ln), ln.key.entries)
+			// The canonical model's family decides: laneModel made the
+			// perfect scheme the perfect family.
+			ln.pred = buildPredictor(ln.model, SchemeTwoBit, ln.model.PredictorEntries)
 		}
-		cfgs[i] = pipeline.Config{Model: m, Predictor: ln.pred, Context: ctx}
+		cfgs[i] = pipeline.Config{Model: ln.model, Predictor: ln.pred, Context: ctx}
 	}
 	batch, err := pipeline.NewBatch(cfgs)
 	if err != nil {
 		return nil, nil, err
 	}
 	return batch, tr.NewReader(), nil
-}
-
-// schemeForLane maps a lane back to the scheme facet buildPredictor
-// cares about: a perfect lane forces the oracle, anything else defers
-// to the lane model's predictor family.
-func schemeForLane(ln *batchLane) Scheme {
-	if ln.key.perfect {
-		return SchemePerfect
-	}
-	return SchemeTwoBit
 }

@@ -84,8 +84,9 @@ func sweepSpecs24() []Spec {
 
 // TestRunSpecsDrainAccounting pins the batching economics of the
 // 24-cell sweep: two trace drains per workload (original program +
-// optimized program), Perfect lanes deduplicated across table sizes,
-// and no extra architectural runs beyond the 8 captures.
+// optimized program), lanes deduplicated across table sizes the
+// program cannot tell apart, and no extra architectural runs beyond
+// the 8 captures.
 func TestRunSpecsDrainAccounting(t *testing.T) {
 	r := NewRunner()
 	ctx := context.Background()
@@ -101,10 +102,12 @@ func TestRunSpecsDrainAccounting(t *testing.T) {
 	if got := r.TraceDrains(); got != 8 {
 		t.Errorf("TraceDrains = %d, want 8", got)
 	}
-	// Per workload: TwoBit@512, TwoBit@1024, Proposed@512,
-	// Proposed@1024, Perfect (table size irrelevant, one shared lane).
-	if got := r.SimLanes(); got != 20 {
-		t.Errorf("SimLanes = %d, want 20", got)
+	// Per workload: TwoBit, Proposed and Perfect, one lane each. Every
+	// conditional branch of every kernel, original or optimized, sits
+	// below pc/4 = 64, so 512 and 1024 entries are one machine to it
+	// (predict.CanonicalEntries), and Perfect reads no table at all.
+	if got := r.SimLanes(); got != 12 {
+		t.Errorf("SimLanes = %d, want 12", got)
 	}
 	if got := r.ArchRuns(); got != 8 {
 		t.Errorf("ArchRuns = %d, want 8", got)
@@ -145,8 +148,8 @@ func TestRunSpecsDrainAccounting(t *testing.T) {
 	if got := r.TraceDrains(); got != 9 {
 		t.Errorf("TraceDrains after RunSpec = %d, want 9", got)
 	}
-	if got := r.SimLanes(); got != 21 {
-		t.Errorf("SimLanes after RunSpec = %d, want 21", got)
+	if got := r.SimLanes(); got != 13 {
+		t.Errorf("SimLanes after RunSpec = %d, want 13", got)
 	}
 }
 
@@ -359,5 +362,102 @@ func TestRunSpecsUnknownScheme(t *testing.T) {
 	_, err := NewRunner().RunSpecs(context.Background(), []Spec{{Workload: All()[0], Scheme: Scheme(99)}})
 	if err == nil {
 		t.Fatal("want error for unknown scheme")
+	}
+}
+
+// TestRunSpecsCanonicalLanes: cells whose machines grep cannot tell
+// apart share a lane, and every cell still equals its own single-lane
+// RunSpec. grep's conditional branches sit below pc/4 = 23, so a 2-bit
+// table spans 32 entries, gshare with no history 32 and gshare with 8
+// history bits 256. Per machine variant the 14 cells fold into 10
+// lanes: 2-bit {8, 16, 32←23,32,128}, gshare/0 {16, 32←32,128},
+// gshare/8 {16, 64, 128, 256←256,1024} and one perfect lane. Four
+// variants make 40 lanes, more than one drain holds; the cells are
+// ordered so that no lane's key recurs after its subgroup is full,
+// which makes SimLanes the number of distinct canonical machines.
+func TestRunSpecsCanonicalLanes(t *testing.T) {
+	if raceDetectorOn {
+		t.Skip("56 single-lane reference runs; lane isolation is race-pinned by TestBatchMatchesSingle")
+	}
+	w := Grep()
+	runnerCell := Spec{Workload: w, Scheme: SchemeTwoBit}
+	entriesCell := Spec{Workload: w, Scheme: SchemeTwoBit, Entries: 1024}
+	var specs []Spec
+	for vi, activeList := range []int{32, 16, 48, 64} {
+		base := machine.R10000()
+		base.ActiveList = activeList
+		cell := func(s Scheme, family machine.PredKind, hist, entries int) Spec {
+			m := base.Clone()
+			m.Predictor, m.HistoryBits, m.PredictorEntries = family, hist, entries
+			if err := m.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			return Spec{Workload: w, Scheme: s, Model: m}
+		}
+		for _, n := range []int{8, 16, 23, 32, 128} {
+			specs = append(specs, cell(SchemeTwoBit, machine.PredTwoBit, 8, n))
+		}
+		for _, n := range []int{16, 32, 128} {
+			specs = append(specs, cell(SchemeTwoBit, machine.PredGShare, 0, n))
+		}
+		for _, n := range []int{16, 64, 128, 256, 1024} {
+			specs = append(specs, cell(SchemeTwoBit, machine.PredGShare, 8, n))
+		}
+		specs = append(specs, cell(SchemePerfect, machine.PredGShare, 8, 64))
+		if vi == 0 {
+			// The first variant is the Runner's own model: these two join
+			// the 2-bit lane its Model cells opened.
+			specs = append(specs, entriesCell, runnerCell)
+		}
+	}
+
+	r := NewRunner()
+	ctx := context.Background()
+	results, err := r.RunSpecs(ctx, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.SimLanes(); got != 40 {
+		t.Errorf("SimLanes = %d, want 40 canonical machines", got)
+	}
+	if got := r.TraceDrains(); got != 2 {
+		t.Errorf("TraceDrains = %d, want 2 (40 lanes split at %d)", got, MaxBatchLanes)
+	}
+	fresh := NewRunner()
+	for i, spec := range specs {
+		single, err := fresh.RunSpec(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(results[i].Stats, single.Stats) {
+			t.Errorf("cell %d (model %v, entries %d, scheme %s): batched Stats diverged from RunSpec",
+				i, spec.Model != nil, spec.Entries, spec.Scheme)
+		}
+	}
+
+	// The Runner-model cell's lane is stored in the Stats cache, whichever
+	// member spec opened it: a Model cell above, the Entries cell or the
+	// Runner cell itself below. A stored cell costs RunSpec no drain.
+	stored := func(r *Runner) bool {
+		drains := r.TraceDrains()
+		if _, err := r.RunSpec(ctx, runnerCell); err != nil {
+			t.Fatal(err)
+		}
+		return r.TraceDrains() == drains
+	}
+	if !stored(r) {
+		t.Error("Runner-model cell not in the Stats cache after a Model cell opened its lane")
+	}
+	for _, order := range [][]Spec{{entriesCell, runnerCell}, {runnerCell, entriesCell}} {
+		r := NewRunner()
+		if _, err := r.RunSpecs(ctx, order); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.SimLanes(); got != 1 {
+			t.Errorf("SimLanes = %d, want 1 (512 and 1024 entries are one machine to grep)", got)
+		}
+		if !stored(r) {
+			t.Errorf("Runner-model cell not in the Stats cache when the cell with Entries=%d came first", order[0].Entries)
+		}
 	}
 }

@@ -104,9 +104,11 @@ type Runner struct {
 	simLanes    atomic.Int64
 	// skippedCycles/fastForwards aggregate the quiescence fast-forward
 	// counters (pipeline.SkipStats) of every simulation this Runner has
-	// fed — single-lane and batched alike.
+	// fed — single-lane and batched alike — and simCycles the simulated
+	// cycles (Stats.Cycles) they were skipped from.
 	skippedCycles atomic.Int64
 	fastForwards  atomic.Int64
+	simCycles     atomic.Int64
 }
 
 type profileEntry struct {
@@ -129,12 +131,14 @@ type traceEntry struct {
 }
 
 // statsKey identifies one timing simulation on the Runner's own model:
-// the trace it replays and its lane configuration, whose model field
-// holds Model.Key() so an in-place edit of Runner.Model misses instead
-// of hitting a stale entry.
+// the trace it replays, its predictor shape (perfect, or the raw table
+// size, not a lane's canonical one) and the model's Key, so an in-place
+// edit of Runner.Model misses instead of hitting a stale entry.
 type statsKey struct {
 	traceKey
-	laneKey
+	perfect bool
+	entries int // 0 for perfect cells
+	model   string
 }
 
 // NewRunner returns a Runner on the R10000 model.
@@ -301,7 +305,7 @@ func (r *Runner) simulate(ctx context.Context, w Workload, p *prog.Program, fp u
 	}
 	r.traceDrains.Add(1)
 	r.simLanes.Add(1)
-	r.addSkip(pipe.SkipStats())
+	r.addSkip(pipe.SkipStats(), stats)
 	return stats, nil
 }
 
@@ -394,7 +398,7 @@ func (r *Runner) statsKey(spec Spec, tk traceKey, entries int) *statsKey {
 	if spec.Model != nil || !perfect && entries != r.entries() {
 		return nil
 	}
-	k := &statsKey{tk, laneKey{perfect: perfect, model: r.Model.Key()}}
+	k := &statsKey{traceKey: tk, perfect: perfect, model: r.Model.Key()}
 	if !perfect {
 		k.entries = entries
 	}

@@ -77,9 +77,10 @@ type Report struct {
 	Frontier []int `json:"frontier"`
 
 	// Batching economics of this sweep (deltas on the runner's
-	// counters): Cells = len(Points)×len(Workloads) timing simulations
-	// served by TraceDrains trace decodes. LanesPerDrain ≥ 1 is the
-	// amortization the geometry-grouped batching buys.
+	// counters): Cells = len(Points)×len(Workloads) cells served by
+	// SimLanes timing simulations on TraceDrains trace decodes. Cells
+	// whose machines a program cannot tell apart (bench.RunSpecs) share
+	// a lane. LanesPerDrain ≥ 1 is the amortization batching buys.
 	Cells         int     `json:"cells"`
 	TraceDrains   int64   `json:"trace_drains"`
 	SimLanes      int64   `json:"sim_lanes"`
@@ -88,10 +89,11 @@ type Report struct {
 
 	// Quiescence fast-forward engagement across the sweep (deltas on
 	// the runner's counters): SkippedCycles simulated cycles were elided
-	// in FastForwards jumps, and SkipRate is their share of the sweep's
-	// total simulated cycles. Stats stay byte-identical either way;
-	// these only report how much dead time the sweep did not grind
-	// through cycle by cycle.
+	// in FastForwards jumps, and SkipRate is their share of the cycles
+	// of the SimLanes simulations that ran (bench.Runner.SimCycles), not
+	// of every cell's: a cell served by a shared lane simulated nothing.
+	// Stats stay byte-identical either way; these only report how much
+	// dead time the sweep did not grind through cycle by cycle.
 	SkippedCycles int64   `json:"skipped_cycles"`
 	FastForwards  int64   `json:"fast_forwards"`
 	SkipRate      float64 `json:"skip_rate"`
@@ -100,16 +102,20 @@ type Report struct {
 // Cost is the hardware-cost proxy a point is judged against: total
 // dispatch-queue entries (including the branch stack), reorder-buffer
 // depth, rename registers in both files, and predictor storage bits
-// (two bits per counter for the table families plus the history
-// register; the perfect oracle carries no storage). It is a relative
-// area stand-in, not a gate count — the frontier only needs an
-// ordering that grows with the structures the axes vary.
+// (two bits per counter for the table families, plus gshare's history
+// register; a 2-bit table has no history register and the perfect
+// oracle carries no storage). It is a relative area stand-in, not a
+// gate count — the frontier only needs an ordering that grows with the
+// structures the axes vary.
 func Cost(m *machine.Model) int64 {
 	cost := m.IntQueue + m.AddrQueue + m.FPQueue + m.BranchStack
 	cost += m.ActiveList
 	cost += 2 * m.RenameRegs // integer + FP rename files
 	if m.Predictor != machine.PredPerfect {
-		cost += 2*m.PredictorEntries + m.HistoryBits
+		cost += 2 * m.PredictorEntries
+	}
+	if m.Predictor == machine.PredGShare {
+		cost += m.HistoryBits
 	}
 	return int64(cost)
 }
@@ -169,7 +175,7 @@ func Run(ctx context.Context, r *bench.Runner, req Request) (*Report, error) {
 	}
 
 	drains0, lanes0, arch0 := r.TraceDrains(), r.SimLanes(), r.ArchRuns()
-	skipped0, jumps0 := r.SkippedCycles(), r.FastForwards()
+	skipped0, jumps0, cycles0 := r.SkippedCycles(), r.FastForwards(), r.SimCycles()
 	results, err := r.RunSpecs(ctx, specs)
 	if err != nil {
 		return nil, err
@@ -212,14 +218,8 @@ func Run(ctx context.Context, r *bench.Runner, req Request) (*Report, error) {
 	}
 	rep.SkippedCycles = r.SkippedCycles() - skipped0
 	rep.FastForwards = r.FastForwards() - jumps0
-	var total int64
-	for i := range rep.Points {
-		for j := range rep.Points[i].Cells {
-			total += rep.Points[i].Cells[j].Stats.Cycles
-		}
-	}
-	if total > 0 {
-		rep.SkipRate = float64(rep.SkippedCycles) / float64(total)
+	if simulated := r.SimCycles() - cycles0; simulated > 0 {
+		rep.SkipRate = float64(rep.SkippedCycles) / float64(simulated)
 	}
 	return rep, nil
 }

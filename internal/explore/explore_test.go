@@ -24,6 +24,12 @@ func TestCostProxy(t *testing.T) {
 	if got := Cost(g); got != want+8 {
 		t.Errorf("Cost(gshare+8) = %d, want %d", got, want+8)
 	}
+	// A 2-bit table has no history register to pay for.
+	h := m.Clone()
+	h.HistoryBits = 8
+	if got := Cost(h); got != want {
+		t.Errorf("Cost(2-bit, history_bits=8) = %d, want %d", got, want)
+	}
 	p := m.Clone()
 	p.Predictor = machine.PredPerfect
 	if got := Cost(p); got != want-1024 {
@@ -68,7 +74,9 @@ func TestHarmonicMean(t *testing.T) {
 
 // TestRunSmallGrid drives a 2×2 grid over one workload end to end:
 // points reduced, frontier non-empty and well-formed, and the cells
-// batched onto fewer drains than simulations.
+// batched onto fewer drains than simulations. compress's conditional
+// branches all sit below pc/4 = 51, so its 64- and 512-entry tables are
+// one machine and share a lane per fetch width.
 func TestRunSmallGrid(t *testing.T) {
 	r := bench.NewRunner()
 	rep, err := Run(context.Background(), r, Request{
@@ -90,8 +98,8 @@ func TestRunSmallGrid(t *testing.T) {
 	if rep.TraceDrains >= int64(rep.Cells) {
 		t.Errorf("TraceDrains = %d, want < %d cells (geometry batching)", rep.TraceDrains, rep.Cells)
 	}
-	if rep.SimLanes != int64(rep.Cells) {
-		t.Errorf("SimLanes = %d, want %d", rep.SimLanes, rep.Cells)
+	if rep.SimLanes != 2 {
+		t.Errorf("SimLanes = %d, want 2", rep.SimLanes)
 	}
 	if rep.LanesPerDrain < 1 {
 		t.Errorf("LanesPerDrain = %g, want ≥ 1", rep.LanesPerDrain)
@@ -126,6 +134,36 @@ func TestRunSmallGrid(t *testing.T) {
 	table := FormatReport(rep)
 	if !strings.Contains(table, "Pareto frontier") || !strings.Contains(table, "fetch_width=") {
 		t.Errorf("report table malformed:\n%s", table)
+	}
+}
+
+// TestSkipRateCountsSimulatedCycles: SkipRate is the skipped share of
+// the cycles that were simulated. Adding a table size grep cannot tell
+// from 128 entries doubles the cells but adds no lane, so the rate must
+// not move.
+func TestSkipRateCountsSimulatedCycles(t *testing.T) {
+	sweep := func(entries ...int) *Report {
+		rep, err := Run(context.Background(), bench.NewRunner(), Request{
+			Axes: []machine.Axis{
+				{Name: "fetch_width", Values: []int{2, 4}},
+				{Name: "entries", Values: entries},
+			},
+			Workloads: []bench.Workload{bench.Grep()},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	one, two := sweep(128), sweep(128, 1024)
+	if one.SimLanes != 2 || two.SimLanes != 2 || two.Cells != 4 {
+		t.Fatalf("lanes %d and %d for %d and %d cells, want 2 lanes each", one.SimLanes, two.SimLanes, one.Cells, two.Cells)
+	}
+	if one.SkippedCycles == 0 {
+		t.Fatal("no cycles skipped: the test needs a sweep the fast-forward engages on")
+	}
+	if one.SkipRate != two.SkipRate {
+		t.Errorf("SkipRate %g with entries {128}, %g with {128, 1024}", one.SkipRate, two.SkipRate)
 	}
 }
 

@@ -299,6 +299,12 @@ func (o *Oracle) Check(p *prog.Program) error {
 		return err
 	}
 
+	// 3d. Predictor span: table sizes predict.CanonicalEntries calls one
+	// machine must give identical Stats (see CheckSpan).
+	if err := o.CheckSpan(p); err != nil {
+		return err
+	}
+
 	// 4. Every transform variant must preserve the architectural
 	// outcome, and its own pipeline run must stay self-consistent.
 	for _, v := range o.Variants {

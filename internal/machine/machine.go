@@ -96,7 +96,8 @@ type Model struct {
 
 	// Predictor selects the branch-predictor family the table implements
 	// (the zero value is the paper's 2-bit scheme). HistoryBits is the
-	// gshare global-history length; ignored by the other families.
+	// gshare global-history length; the other families have no history
+	// register, so they ignore it and cost nothing for it.
 	Predictor   PredKind
 	HistoryBits int
 

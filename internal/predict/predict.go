@@ -12,7 +12,11 @@
 package predict
 
 import (
+	"math/bits"
+
+	"specguard/internal/interp"
 	"specguard/internal/isa"
+	"specguard/internal/prog"
 )
 
 // Class partitions control-transfer instructions by how fetch handles
@@ -134,6 +138,51 @@ func (p *TwoBit) index(pc uint64) int {
 		return int(pc/4) & p.mask
 	}
 	return int(pc/4) % p.entries
+}
+
+// CanonicalEntries returns the one table size standing for every size
+// a program cannot tell apart from entries. bound is one past the
+// largest pc/4 of its conditional branches (ClassCond, the only class
+// that indexes a table; see IndexBound). Mirroring the index functions:
+// TwoBit indexes pc/4 itself in any table of at least bound entries,
+// by mask or by modulo; GShare's pc/4 XOR history is below
+// 2^max(bits.Len(bound-1), historyBits), which no larger power-of-two
+// mask cuts. All such tables train the same counters in the same order
+// and map to that power of two, the span; smaller tables alias and map
+// to themselves. Without conditional branches (bound 0) every size
+// maps to 1.
+func CanonicalEntries(entries, bound int, gshare bool, historyBits uint) int {
+	if bound == 0 {
+		return 1
+	}
+	n := bits.Len(uint(bound - 1))
+	if gshare {
+		n = max(n, int(historyBits))
+	}
+	span := 1 << n
+	if entries >= span || !gshare && entries >= bound {
+		return span
+	}
+	return entries
+}
+
+// IndexBound returns one past the largest pc/4 of a conditional branch
+// (ClassCond) in p's code layout, or 0 when p has none. The layout is
+// interp.NewLayout's, so these are the addresses the pipeline hands the
+// predictor when it replays p.
+func IndexBound(p *prog.Program) int {
+	l := interp.NewLayout(p)
+	bound := 0
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if Classify(in.Op) == ClassCond {
+					bound = max(bound, int(l.Addr(in)/4)+1)
+				}
+			}
+		}
+	}
+	return bound
 }
 
 // PredictClass is Predict for callers that already classified the

@@ -5,7 +5,8 @@
 #   1. /v1/explore — the grid streams back as NDJSON (8 point lines +
 #      1 report line), the Pareto frontier is non-empty, and the
 #      drain accounting shows geometry-grouped batching
-#      (trace_drains < cells, lanes_per_drain ≥ 1);
+#      (trace_drains < cells, lanes_per_drain ≥ 1) and lane sharing
+#      (256 and 512 entries are one machine to grep: 4 lanes);
 #   2. sgsweep — the same grid through the CLI prints a frontier
 #      table and writes a JSON report with the same invariants;
 #   3. per-request machine models on /v1/run — a derived model gets
@@ -65,15 +66,19 @@ grep -q '"frontier":\[\]' "$TMP/explore.ndjson" && fail "empty Pareto frontier"
 grep -q '"frontier":\[' "$TMP/explore.ndjson" || fail "no frontier in report line"
 
 # Drain accounting from the report line: 8 cells on one (workload,
-# program, geometry) group → 1 drain feeding 8 lanes.
+# program, geometry) group → 1 drain. grep's conditional branches sit
+# below pc/4 = 23, so its 256- and 512-entry tables are one machine:
+# the 8 cells share 4 lanes, one per (fetch_width, active_list).
 report=$(grep '"event":"report"' "$TMP/explore.ndjson")
 cells=$(echo "$report" | sed -n 's/.*"cells":\([0-9]*\).*/\1/p')
 drains=$(echo "$report" | sed -n 's/.*"trace_drains":\([0-9]*\).*/\1/p')
+lanes=$(echo "$report" | sed -n 's/.*"sim_lanes":\([0-9]*\).*/\1/p')
 lpd=$(echo "$report" | sed -n 's/.*"lanes_per_drain":\([0-9.]*\).*/\1/p')
 [ "$cells" = 8 ] || fail "report cells=$cells, want 8"
 [ "$drains" -lt "$cells" ] || fail "trace_drains=$drains not < cells=$cells (batching broken)"
+[ "$lanes" = 4 ] || fail "report sim_lanes=$lanes, want 4 (lane sharing broken)"
 awk -v x="$lpd" 'BEGIN { exit !(x >= 1) }' || fail "lanes_per_drain=$lpd, want >= 1"
-echo "explore-smoke: /v1/explore ok ($points points, $drains drains for $cells cells, $lpd lanes/drain)"
+echo "explore-smoke: /v1/explore ok ($points points, $drains drains, $lanes lanes for $cells cells, $lpd lanes/drain)"
 
 # A malformed grid is a 400, not a wedged worker.
 code=$(curl -sS -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/explore" \
@@ -104,7 +109,9 @@ grep -q "fetch_width=" "$TMP/table.txt" || fail "no coordinate labels in table"
 grep -q '"pareto": true' "$TMP/sweep.json" || fail "no Pareto point in JSON report"
 jd=$(sed -n 's/.*"trace_drains": \([0-9][0-9]*\).*/\1/p' "$TMP/sweep.json" | head -1)
 jc=$(sed -n 's/.*"cells": \([0-9][0-9]*\).*/\1/p' "$TMP/sweep.json" | head -1)
+jl=$(sed -n 's/.*"sim_lanes": \([0-9][0-9]*\).*/\1/p' "$TMP/sweep.json" | head -1)
 [ "$jc" = 8 ] || fail "CLI cells=$jc, want 8"
 [ "$jd" -lt "$jc" ] || fail "CLI trace_drains=$jd not < cells=$jc"
-echo "explore-smoke: sgsweep ok ($jd drains for $jc cells)"
+[ "$jl" = 4 ] || fail "CLI sim_lanes=$jl, want 4 (lane sharing broken)"
+echo "explore-smoke: sgsweep ok ($jd drains, $jl lanes for $jc cells)"
 echo "explore-smoke: OK"
