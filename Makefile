@@ -41,7 +41,7 @@ test:
 # single-core machines headroom past the 600s default.
 test-race:
 	$(GO) test -race -timeout 900s ./internal/serve/... ./internal/bench/... ./internal/cluster/... ./internal/load/...
-	$(GO) test -race -run 'TestBatchMatchesSingle|TestGoldenStatsBatched|TestRunDrains|TestWindowMemLastBounded|TestFreeWindowsBounded' ./internal/pipeline ./internal/bench
+	$(GO) test -race -run 'TestBatchMatchesSingle|TestGoldenStatsBatched|TestRunDrains|TestWindowMemLastBounded|TestFreeWindowsBounded|TestOneLaneBatchPrivateICache' ./internal/pipeline ./internal/bench
 	$(GO) test -race -run 'TestFuzzSmoke' ./internal/fuzz
 	$(GO) test -race -run 'TestRunIndependentOfParallelism' ./internal/explore
 
@@ -70,13 +70,16 @@ bench-smoke:
 # seed must pass the interp/pipeline/xform agreement oracle (which now
 # includes the batch lane-isolation and leak-soundness stages),
 # plus focused sweeps of the batch and leak oracles alone on disjoint
-# seed ranges. Seconds, not minutes; `sgfuzz -seeds 500` (or more) is
-# the deep version.
+# seed ranges, and ten seconds of native fuzzing of the service's
+# request normalization (bounded inputs, typed rejections, stable
+# keys). Seconds, not minutes; `sgfuzz -seeds 500` (or more) is the
+# deep version.
 fuzz-smoke:
 	$(GO) run ./cmd/sgfuzz -seeds 50
 	$(GO) run ./cmd/sgfuzz -batch -start 1000 -seeds 50
 	$(GO) run ./cmd/sgfuzz -leak -start 3000 -seeds 100
 	$(GO) run ./cmd/sgfuzz -skip -start 5000 -seeds 50
+	$(GO) test -run '^$$' -fuzz '^FuzzNormalizeRequest$$' -fuzztime 10s ./internal/serve
 
 # End-to-end smoke of the experiment daemon: coalescing, graceful
 # drain under SIGTERM, and post-restart store-hit replay, all asserted

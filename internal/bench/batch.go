@@ -11,19 +11,20 @@ import (
 	"specguard/internal/prog"
 )
 
-// Batched sweep execution: RunSpecs groups heterogeneous Specs by the
-// trace they replay and their I-cache geometry — the (workload, program
-// fingerprint, icache bytes, line bytes) tuple — and runs each group as
-// one pipeline.Batch, so a whole sweep costs one trace drain per
-// distinct architectural execution and geometry instead of one per
-// cell. Geometry is part of the key because the batch's shared
-// precomputed icache bits are only sound for lanes whose cache shape
-// matches (pipeline.Batch falls back to private caches otherwise, which
-// is correct but forfeits the sharing); models may differ per lane in
-// every other axis. Within a group, cells whose machines the program
-// cannot tell apart share a lane outright (laneModel). Lane Stats are
-// byte-identical to the single-lane RunSpec path (pinned by
-// TestGoldenStatsBatched and TestRunSpecsCanonicalLanes).
+// Batched execution: RunSpecs is the Runner's one timing path. It groups
+// heterogeneous Specs by the trace they replay and their I-cache
+// geometry — the (workload, program fingerprint, icache bytes, line
+// bytes) tuple — and runs each group as one pipeline.Batch, so a whole
+// sweep costs one trace drain per distinct architectural execution and
+// geometry instead of one per cell. Geometry is part of the key because
+// the batch's shared precomputed icache bits are only sound for lanes
+// whose cache shape matches (pipeline.Batch falls back to private
+// caches otherwise, which is correct but forfeits the sharing); models
+// may differ per lane in every other axis. Within a group, cells whose
+// machines the program cannot tell apart share a lane outright
+// (laneModel). A lane's Stats are byte-identical to its cell's alone in
+// a one-cell call (pinned by TestGoldenStatsBatched and
+// TestRunSpecsCanonicalLanes).
 
 // MaxBatchLanes caps the lanes folded into one drain. Lanes, not
 // drains, are the unit of parallel work (pipeline.RunDrains), so the
@@ -86,8 +87,8 @@ func laneModel(m *machine.Model, s Scheme, entries, bound int) *machine.Model {
 }
 
 // TraceDrains returns how many times a packed trace has been decoded
-// into timing simulations (each RunSpec costs one drain; a batched
-// group of N lanes costs one drain total). Together with SimLanes it
+// into timing simulations (a group of N lanes costs one drain, a
+// one-cell call one drain of one lane). Together with SimLanes it
 // makes batching efficiency observable: lanes/drain is the
 // amortization factor.
 func (r *Runner) TraceDrains() int64 { return r.traceDrains.Load() }
@@ -130,15 +131,26 @@ func (r *Runner) addSkip(sk pipeline.SkipStats, lanes ...pipeline.Stats) {
 
 // RunSpecs simulates every Spec, batching cells that replay the same
 // trace into one lockstep pipeline.Batch. Results are returned in spec
-// order and are byte-identical to calling RunSpec per cell; only the
-// cost model changes — one trace decode and one dependence pre-pass
-// per (workload, program) group, amortized over all of its lanes, and
-// one lane per machine the program can tell apart: cells differing
-// only in predictor settings it never reads (a perfect cell's table,
-// a 2-bit table's history, sizes past its branch-index span) share
-// one. It shares RunSpec's Stats cache: a cell already simulated on
-// the Runner's own configuration adds no lane, and a completed lane
-// with such a cell among its members is stored.
+// order, and each is byte-identical to its cell's in a one-cell call;
+// only the cost model changes — one trace decode and one dependence
+// pre-pass per (workload, program) group, amortized over all of its
+// lanes, and one lane per machine the program can tell apart: cells
+// differing only in predictor settings it never reads (a perfect
+// cell's table, a 2-bit table's history, sizes past its branch-index
+// span) share one.
+//
+// ctx is checked before any work and polled inside every lane's cycle
+// loop, so a timed-out or abandoned call stops within microseconds of
+// simulated work. Cache entries are never poisoned by cancellation: a
+// cancelled call leaves the caches as a never-started one would, except
+// that a capture already begun runs to completion (architectural runs
+// are not abandoned halfway, so concurrent waiters still get it).
+// Timing-only variations (Entries, Model) hit the trace cache and
+// perform no new architectural run; a cell on the Runner's own
+// configuration whose program was already simulated hits the Stats
+// cache and adds no lane, and a completed lane with such a cell among
+// its members is stored. The optimizer still runs for Proposed cells,
+// because its output's fingerprint is part of the key.
 func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 	out := make([]Result, len(specs))
 	if len(specs) == 0 {
@@ -147,6 +159,7 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	r.prefetchProfiles(specs)
 
 	// Phase 1 (serial, cheap next to the timing loops): resolve each
 	// spec to its exact program, profile and — for Proposed cells — the
@@ -163,19 +176,15 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 		rep *core.Report
 	}
 	optCache := map[optKey]optVal{}
-	bounds := map[traceKey]int{} // predict.IndexBound of each program
 	groups := map[groupKey]*batchGroup{}
 	var order []*batchGroup
+	lanes := 0
 
 	for i, spec := range specs {
 		w := spec.Workload
 		out[i] = Result{Workload: w.Name, Scheme: spec.Scheme}
 		m := r.specModel(spec)
 		entries := r.specEntries(spec, m)
-		var modelKey string
-		if spec.Model != nil {
-			modelKey = spec.Model.Key()
-		}
 		prof, err := r.ProfileOf(w)
 		if err != nil {
 			return nil, err
@@ -192,7 +201,10 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 			if spec.Opt != nil {
 				opts = *spec.Opt
 			}
-			ok := optKey{w.Name, modelKey, opts}
+			ok := optKey{w.Name, "", opts}
+			if spec.Model != nil {
+				ok.model = spec.Model.Key()
+			}
 			ov, hit := optCache[ok]
 			if !hit {
 				ov.p = w.Build()
@@ -215,16 +227,7 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 			out[i].Stats = stats
 			continue
 		}
-		bound, ok := bounds[gk.traceKey]
-		if !ok {
-			laid := p
-			if laid == nil {
-				laid = w.Build()
-			}
-			bound = predict.IndexBound(laid)
-			bounds[gk.traceKey] = bound
-		}
-		lm := laneModel(m, spec.Scheme, entries, bound)
+		lm := laneModel(m, spec.Scheme, entries, r.boundOf(gk.traceKey, w, p))
 		lk := lm.Key()
 		g := groups[gk]
 		if g == nil || g.byKey[lk] == nil && len(g.lanes) == MaxBatchLanes {
@@ -239,6 +242,7 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 			ln = &batchLane{model: lm}
 			g.byKey[lk] = ln
 			g.lanes = append(g.lanes, ln)
+			lanes++
 			// The profiled run counts the base program's events; an
 			// optimized program's differ a little, which only the
 			// admission order sees.
@@ -249,10 +253,14 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 		}
 		ln.specIdxs = append(ln.specIdxs, i)
 	}
+	if len(order) == 0 {
+		return out, nil // every cell came from the Stats cache
+	}
 
 	// Phase 2: every group is one drain, and one lane-level scheduler
-	// runs them all, so even a single hot drain spreads over every
-	// worker (bounded like every other fan-out helper).
+	// runs them all on at most one worker per lane, so even a single hot
+	// drain spreads over every core and a one-lane call stays on the
+	// calling goroutine.
 	drains := make([]pipeline.Drain, len(order))
 	for i, g := range order {
 		drains[i] = pipeline.Drain{
@@ -272,7 +280,7 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 			},
 		}
 	}
-	err := pipeline.RunDrains(ctx, drains, r.Parallelism)
+	err := pipeline.RunDrains(ctx, drains, r.workers(lanes))
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
 	}
@@ -280,6 +288,26 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// indexBound is predict.IndexBound, a variable so tests can count its
+// calls.
+var indexBound = predict.IndexBound
+
+// boundOf returns the branch-index span (predict.IndexBound) of the
+// program tk names — p, or w's base program when p is nil — computing
+// it once per trace entry: the base program must be built and laid out
+// for it, which would otherwise cost every one-cell call as much as its
+// lane setup.
+func (r *Runner) boundOf(tk traceKey, w Workload, p *prog.Program) int {
+	te := r.traceEntry(tk)
+	te.boundOnce.Do(func() {
+		if p == nil {
+			p = w.Build()
+		}
+		te.bound = indexBound(p)
+	})
+	return te.bound
 }
 
 // openGroup builds one group's lanes over its trace. TwoBit lanes get

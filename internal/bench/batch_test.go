@@ -9,7 +9,10 @@ import (
 	"reflect"
 	"testing"
 
+	"specguard/internal/core"
 	"specguard/internal/machine"
+	"specguard/internal/pipeline"
+	"specguard/internal/prog"
 )
 
 // goldenSpecs is the 12-cell matrix in golden_stats.json order
@@ -24,11 +27,10 @@ func goldenSpecs() []Spec {
 	return specs
 }
 
-// TestGoldenStatsBatched pins the batched sweep path to the same
-// golden file as the single-lane path: every lane of every
-// pipeline.Batch that RunSpecs schedules must produce Stats
-// byte-identical to the per-cell RunSpec runs that recorded
-// testdata/golden_stats.json.
+// TestGoldenStatsBatched pins one RunSpecs call of the 12 table cells,
+// each workload's 2-bitBP and PerfectBP lanes sharing a drain, to
+// testdata/golden_stats.json, which per-cell single-lane runs recorded;
+// TestParallelRunAllMatchesSerial ties one-cell calls to the same Stats.
 func TestGoldenStatsBatched(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "golden_stats.json"))
 	if err != nil {
@@ -365,9 +367,50 @@ func TestRunSpecsUnknownScheme(t *testing.T) {
 	}
 }
 
+// rawStats is the reference a canonical lane must match: spec's cell
+// simulated alone on its own model, predictor family and table size —
+// not on the canonical lane machine RunSpecs builds (laneModel) — by
+// one Pipeline replaying r's trace of the cell's program.
+func rawStats(t *testing.T, r *Runner, spec Spec) pipeline.Stats {
+	t.Helper()
+	w := spec.Workload
+	m := r.specModel(spec)
+	var p *prog.Program // nil: the base program
+	fp := w.Fingerprint()
+	if spec.Scheme == SchemeProposed {
+		prof, err := r.ProfileOf(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := w.Opt
+		if spec.Opt != nil {
+			opts = *spec.Opt
+		}
+		p = w.Build()
+		if _, err := core.Optimize(p, prof, m, opts); err != nil {
+			t.Fatal(err)
+		}
+		fp = p.Fingerprint()
+	}
+	tr, err := r.traceFor(w, p, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := pipeline.New(pipeline.Config{Model: m, Predictor: buildPredictor(m, spec.Scheme, r.specEntries(spec, m))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := pipe.Run(tr.NewReader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestRunSpecsCanonicalLanes: cells whose machines grep cannot tell
-// apart share a lane, and every cell still equals its own single-lane
-// RunSpec. grep's conditional branches sit below pc/4 = 23, so a 2-bit
+// apart share a lane, and every cell still equals its cell simulated
+// alone on its own, uncanonicalized machine (rawStats). grep's
+// conditional branches sit below pc/4 = 23, so a 2-bit
 // table spans 32 entries, gshare with no history 32 and gshare with 8
 // history bits 256. Per machine variant the 14 cells fold into 10
 // lanes: 2-bit {8, 16, 32←23,32,128}, gshare/0 {16, 32←32,128},
@@ -377,7 +420,7 @@ func TestRunSpecsUnknownScheme(t *testing.T) {
 // which makes SimLanes the number of distinct canonical machines.
 func TestRunSpecsCanonicalLanes(t *testing.T) {
 	if raceDetectorOn {
-		t.Skip("56 single-lane reference runs; lane isolation is race-pinned by TestBatchMatchesSingle")
+		t.Skip("58 single-lane reference runs; lane isolation is race-pinned by TestBatchMatchesSingle")
 	}
 	w := Grep()
 	runnerCell := Spec{Workload: w, Scheme: SchemeTwoBit}
@@ -425,12 +468,8 @@ func TestRunSpecsCanonicalLanes(t *testing.T) {
 	}
 	fresh := NewRunner()
 	for i, spec := range specs {
-		single, err := fresh.RunSpec(ctx, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(results[i].Stats, single.Stats) {
-			t.Errorf("cell %d (model %v, entries %d, scheme %s): batched Stats diverged from RunSpec",
+		if !reflect.DeepEqual(results[i].Stats, rawStats(t, fresh, spec)) {
+			t.Errorf("cell %d (model %v, entries %d, scheme %s): lane Stats diverged from the cell's own machine",
 				i, spec.Model != nil, spec.Entries, spec.Scheme)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -70,6 +71,10 @@ type Result struct {
 //     simulated program (an ablation row that leaves a kernel as the
 //     table's Proposed cell has it) costs no timing run.
 //
+// Each trace entry also keeps its program's predict.IndexBound, the
+// branch-index span that canonical lanes are sized by (laneModel), so a
+// repeated one-cell call does not rebuild and lay out the program.
+//
 // The 2-bitBP and PerfectBP schemes simulate the original program, so
 // they share one trace — which is captured during the profiling run
 // itself (one execution fills both caches). The Proposed scheme's
@@ -79,17 +84,23 @@ type Result struct {
 // architectural runs at all; ArchRuns counts the captures for tests
 // and benchmark reports.
 //
-// A Runner is safe for concurrent Run calls: cache entries are
-// per-key sync.Onces or map slots behind a mutex, and every simulation
-// builds its own predictor, pipeline and trace reader.
+// Every timing simulation goes through RunSpecs: the single-cell entry
+// points (Run, RunProposedOpts, RunSpec) are one-cell calls and the
+// table helpers (RunAll, RunProposedOptsAll) one call each, so a
+// table's 2-bitBP and PerfectBP cells of one workload share a drain.
+//
+// A Runner is safe for concurrent calls: cache entries are per-key
+// sync.Onces or map slots behind a mutex, and every simulation builds
+// its own predictor, pipeline and trace reader.
 type Runner struct {
 	Model *machine.Model
 	// PredictorEntries overrides the 2-bit table size (ablations);
 	// 0 uses the model's.
 	PredictorEntries int
-	// Parallelism caps concurrent simulations in RunAll and the other
-	// fan-out helpers, and the lane-scheduler workers of RunSpecs; 0
-	// means runtime.GOMAXPROCS(0), 1 forces the serial path.
+	// Parallelism caps the lane-scheduler workers of RunSpecs — and so
+	// of every entry point — and its profile prefetch; 0 means
+	// runtime.GOMAXPROCS(0), 1 forces the serial path. A call never
+	// starts more workers than it has lanes.
 	Parallelism int
 
 	mu       sync.Mutex
@@ -98,14 +109,14 @@ type Runner struct {
 	stats    map[statsKey]pipeline.Stats
 	archRuns atomic.Int64
 	// traceDrains counts timing-side decodes of a packed trace;
-	// simLanes counts the simulations those drains fed. RunSpec
-	// contributes (1, 1) per cell, a batched group (1, numLanes).
+	// simLanes counts the simulations those drains fed: (1, numLanes)
+	// per drain.
 	traceDrains atomic.Int64
 	simLanes    atomic.Int64
 	// skippedCycles/fastForwards aggregate the quiescence fast-forward
 	// counters (pipeline.SkipStats) of every simulation this Runner has
-	// fed — single-lane and batched alike — and simCycles the simulated
-	// cycles (Stats.Cycles) they were skipped from.
+	// fed, and simCycles the simulated cycles (Stats.Cycles) they were
+	// skipped from.
 	skippedCycles atomic.Int64
 	fastForwards  atomic.Int64
 	simCycles     atomic.Int64
@@ -128,6 +139,9 @@ type traceEntry struct {
 	once sync.Once
 	tr   *trace.Trace
 	err  error
+
+	boundOnce sync.Once
+	bound     int // the program's predict.IndexBound (Runner.boundOf)
 }
 
 // statsKey identifies one timing simulation on the Runner's own model:
@@ -252,22 +266,35 @@ func wrapInit(w Workload) func(interp.Memory) error {
 	return w.Init
 }
 
-// prefetchProfiles builds the feedback profile of every workload, in
-// parallel, so subsequent fan-out stages hit the cache.
-func (r *Runner) prefetchProfiles(ctx context.Context, ws []Workload) error {
-	errs := make([]error, len(ws))
-	r.parallelFor(ctx, len(ws), func(i int) {
-		_, errs[i] = r.ProfileOf(ws[i])
-	})
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+// prefetchProfiles builds the feedback profile of every distinct
+// workload among specs on up to Parallelism goroutines, so a call
+// spanning several workloads profiles them in parallel before RunSpecs
+// resolves its cells one by one. Errors stay in the profile cache,
+// where that resolution finds them. With one workload or one worker
+// there is nothing to overlap.
+func (r *Runner) prefetchProfiles(specs []Spec) {
+	var ws []Workload
+	for _, spec := range specs {
+		if !slices.ContainsFunc(ws, func(w Workload) bool { return w.Name == spec.Workload.Name }) {
+			ws = append(ws, spec.Workload)
 		}
 	}
-	return nil
+	workers := r.workers(len(ws))
+	if workers < 2 {
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(ws); i = int(next.Add(1)) - 1 {
+				r.ProfileOf(ws[i])
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Run simulates one workload under one scheme.
@@ -279,34 +306,6 @@ func (r *Runner) Run(w Workload, s Scheme) (Result, error) {
 // the Runner's own model and predictor size.
 func (r *Runner) RunContext(ctx context.Context, w Workload, s Scheme) (Result, error) {
 	return r.RunSpec(ctx, Spec{Workload: w, Scheme: s})
-}
-
-// simulate runs one timing simulation of p (nil: w's base program),
-// whose fingerprint is fp, by replaying its cached packed trace —
-// bit-identical to feeding the pipeline from a live interpreter, but
-// with the architectural work amortized across every simulation of the
-// same program. ctx cancels the timing loop cooperatively
-// (pipeline.Config.Context).
-func (r *Runner) simulate(ctx context.Context, w Workload, p *prog.Program, fp uint64, m *machine.Model, pred predict.Predictor) (pipeline.Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return pipeline.Stats{}, err
-	}
-	tr, err := r.traceFor(w, p, fp)
-	if err != nil {
-		return pipeline.Stats{}, err
-	}
-	pipe, err := pipeline.New(pipeline.Config{Model: m, Predictor: pred, Context: ctx})
-	if err != nil {
-		return pipeline.Stats{}, err
-	}
-	stats, err := pipe.Run(tr.NewReader())
-	if err != nil {
-		return pipeline.Stats{}, fmt.Errorf("bench: simulating %s: %w", w.Name, err)
-	}
-	r.traceDrains.Add(1)
-	r.simLanes.Add(1)
-	r.addSkip(pipe.SkipStats(), stats)
-	return stats, nil
 }
 
 // RunProposedOpts simulates the proposed scheme with explicit optimizer
@@ -427,74 +426,21 @@ func (r *Runner) storeStats(k *statsKey, s pipeline.Stats) {
 	}
 }
 
-// RunSpec simulates one Spec with cancellation: ctx is checked between
-// the architectural and timing phases and polled cooperatively inside
-// the pipeline's cycle loop, so a timed-out or abandoned request stops
-// within microseconds of simulated work. Cache entries are never
-// poisoned by cancellation — a cancelled call leaves the caches exactly
-// as a never-started one would, except that an entry whose capture
-// already began runs to completion (architectural runs are not
-// abandoned halfway, so concurrent waiters still get it).
-// Timing-only variations (Entries) hit the trace cache and perform no
-// new architectural runs; a cell on the Runner's own configuration
-// whose program was already simulated hits the Stats cache and
-// performs no timing run either. The optimizer still runs, because its
-// output's fingerprint is part of the key.
+// RunSpec simulates one Spec with cancellation: a one-cell RunSpecs
+// call, so it shares every cache and the one timing path.
 func (r *Runner) RunSpec(ctx context.Context, spec Spec) (Result, error) {
-	w := spec.Workload
-	res := Result{Workload: w.Name, Scheme: spec.Scheme}
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	m := r.specModel(spec)
-	entries := r.specEntries(spec, m)
-	prof, err := r.ProfileOf(w)
+	res, err := r.RunSpecs(ctx, []Spec{spec})
 	if err != nil {
-		return res, err
+		return Result{}, err
 	}
-	res.Profile = prof
-
-	var p *prog.Program // nil: the base program (see traceFor)
-	var fp uint64
-	switch spec.Scheme {
-	case SchemeTwoBit, SchemePerfect:
-		fp = w.Fingerprint()
-	case SchemeProposed:
-		opts := w.Opt
-		if spec.Opt != nil {
-			opts = *spec.Opt
-		}
-		p = w.Build()
-		rep, err := core.Optimize(p, prof, m, opts)
-		if err != nil {
-			return res, fmt.Errorf("bench: optimizing %s: %w", w.Name, err)
-		}
-		res.Report = rep
-		fp = p.Fingerprint()
-	default:
-		return res, fmt.Errorf("bench: unknown scheme %d", spec.Scheme)
-	}
-
-	sk := r.statsKey(spec, traceKey{w.Name, fp}, entries)
-	if stats, ok := r.cachedStats(sk); ok {
-		res.Stats = stats
-		return res, nil
-	}
-	stats, err := r.simulate(ctx, w, p, fp, m, buildPredictor(m, spec.Scheme, entries))
-	if err != nil {
-		return res, err
-	}
-	r.storeStats(sk, stats)
-	res.Stats = stats
-	return res, nil
+	return res[0], nil
 }
 
 // RunAll simulates every workload under every scheme and returns the
-// results in table order. Independent (workload, scheme) simulations
-// fan out across goroutines — bounded by Parallelism or GOMAXPROCS —
-// after the per-workload feedback profiles are built; ordering and
-// Stats are identical to RunAllSerial because no mutable state is
-// shared between simulations.
+// results in table order: one RunSpecs call, so each workload's
+// 2-bitBP and PerfectBP cells share one drain and the lanes of every
+// drain spread over Parallelism workers. Stats are identical to
+// RunAllSerial's.
 func (r *Runner) RunAll() ([]Result, error) {
 	return r.RunAllContext(context.Background())
 }
@@ -504,34 +450,13 @@ func (r *Runner) RunAll() ([]Result, error) {
 // error wins (a cancelled sweep reports ctx.Err(), not a partial
 // table).
 func (r *Runner) RunAllContext(ctx context.Context) ([]Result, error) {
-	type job struct {
-		w Workload
-		s Scheme
-	}
-	ws := All()
-	if err := r.prefetchProfiles(ctx, ws); err != nil {
-		return nil, err
-	}
-	var jobs []job
-	for _, w := range ws {
+	var specs []Spec
+	for _, w := range All() {
 		for _, s := range []Scheme{SchemeTwoBit, SchemeProposed, SchemePerfect} {
-			jobs = append(jobs, job{w, s})
+			specs = append(specs, Spec{Workload: w, Scheme: s})
 		}
 	}
-	out := make([]Result, len(jobs))
-	errs := make([]error, len(jobs))
-	r.parallelFor(ctx, len(jobs), func(i int) {
-		out[i], errs[i] = r.RunContext(ctx, jobs[i].w, jobs[i].s)
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return r.RunSpecs(ctx, specs)
 }
 
 // RunAllSerial is the single-goroutine reference path for RunAll; the
@@ -550,8 +475,8 @@ func (r *Runner) RunAllSerial() ([]Result, error) {
 	return out, nil
 }
 
-// RunProposedOptsAll runs RunProposedOpts for every workload in
-// parallel, in registry order — one ablation row.
+// RunProposedOptsAll runs RunProposedOpts for every workload, in
+// registry order, as one RunSpecs call — one ablation row.
 func (r *Runner) RunProposedOptsAll(opts core.Options) ([]Result, error) {
 	return r.RunProposedOptsAllContext(context.Background(), opts)
 }
@@ -559,62 +484,19 @@ func (r *Runner) RunProposedOptsAll(opts core.Options) ([]Result, error) {
 // RunProposedOptsAllContext is RunProposedOptsAll with cancellation
 // (see RunAllContext).
 func (r *Runner) RunProposedOptsAllContext(ctx context.Context, opts core.Options) ([]Result, error) {
-	ws := All()
-	if err := r.prefetchProfiles(ctx, ws); err != nil {
-		return nil, err
+	var specs []Spec
+	for _, w := range All() {
+		specs = append(specs, Spec{Workload: w, Scheme: SchemeProposed, Opt: &opts})
 	}
-	out := make([]Result, len(ws))
-	errs := make([]error, len(ws))
-	r.parallelFor(ctx, len(ws), func(i int) {
-		out[i], errs[i] = r.RunProposedOptsContext(ctx, ws[i], opts)
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return r.RunSpecs(ctx, specs)
 }
 
-// parallelFor runs f(0..n-1) across min(workers, n) goroutines with an
-// atomic work counter. With one worker it degenerates to a plain loop
-// on the calling goroutine. Once ctx is done no further iteration
-// starts; iterations already running finish on their own (they observe
-// the same ctx through the Runner's context-aware entry points).
-func (r *Runner) parallelFor(ctx context.Context, n int, f func(int)) {
-	workers := r.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// workers returns how many goroutines n independent jobs get:
+// Parallelism (GOMAXPROCS when 0), but never more than n.
+func (r *Runner) workers(n int) int {
+	w := r.Parallelism
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
+	return min(w, n)
 }

@@ -13,6 +13,7 @@ import (
 
 	"specguard/internal/core"
 	"specguard/internal/machine"
+	"specguard/internal/prog"
 )
 
 // ablationRows are the seven optimizer configurations of sgbench's
@@ -51,18 +52,6 @@ func goldenCell(t *testing.T, workload string, s Scheme) []byte {
 	return nil
 }
 
-// runSpecsOne runs one cell through RunSpecs, the batched path.
-func runSpecsOne(r *Runner, ctx context.Context, spec Spec) (Result, error) {
-	res, err := r.RunSpecs(ctx, []Spec{spec})
-	if err != nil {
-		return Result{}, err
-	}
-	return res[0], nil
-}
-
-// cellPath runs one cell on a Runner: (*Runner).RunSpec or runSpecsOne.
-type cellPath func(*Runner, context.Context, Spec) (Result, error)
-
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -72,10 +61,11 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
-// TestRunMatchesRunSpecOnGShare: Run and RunProposedOpts are RunSpec
-// cells, so they take the predictor family from the Runner's model like
-// every other path. Each side runs on its own Runner, so the Stats
-// cache cannot make them agree.
+// TestRunMatchesRunSpecOnGShare: Run and RunProposedOpts take the
+// predictor family from the Runner's model like every other entry
+// point, so on a gshare model each equals its cell simulated alone on
+// that model's gshare predictor (rawStats). The reference runs on its
+// own Runner, so the Stats cache cannot make them agree.
 func TestRunMatchesRunSpecOnGShare(t *testing.T) {
 	gshare := func() *Runner {
 		r := NewRunner()
@@ -84,42 +74,34 @@ func TestRunMatchesRunSpecOnGShare(t *testing.T) {
 		return r
 	}
 	w := Grep()
-	ctx := context.Background()
 	run, err := gshare().Run(w, SchemeTwoBit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := gshare().RunSpec(ctx, Spec{Workload: w, Scheme: SchemeTwoBit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(run.Stats, spec.Stats) {
-		t.Errorf("Run = %d cycles, RunSpec = %d cycles on a gshare model", run.Stats.Cycles, spec.Stats.Cycles)
+	if want := rawStats(t, gshare(), Spec{Workload: w, Scheme: SchemeTwoBit}); !reflect.DeepEqual(run.Stats, want) {
+		t.Errorf("Run = %d cycles, the cell alone on gshare = %d cycles", run.Stats.Cycles, want.Cycles)
 	}
 	opt, err := gshare().RunProposedOpts(w, w.Opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err = gshare().RunSpec(ctx, Spec{Workload: w, Scheme: SchemeProposed, Opt: &w.Opt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(opt.Stats, spec.Stats) {
-		t.Errorf("RunProposedOpts = %d cycles, RunSpec = %d cycles on a gshare model", opt.Stats.Cycles, spec.Stats.Cycles)
+	if want := rawStats(t, gshare(), Spec{Workload: w, Scheme: SchemeProposed, Opt: &w.Opt}); !reflect.DeepEqual(opt.Stats, want) {
+		t.Errorf("RunProposedOpts = %d cycles, the cell alone on gshare = %d cycles", opt.Stats.Cycles, want.Cycles)
 	}
 }
 
 // TestStatsCacheDedup: one Runner evaluates what sgbench prints — the
 // 12 table cells, then the seven ablation rows — and simulates each
-// distinct (trace, timing configuration) once: 40 cells cost 22 timing
-// runs over 18 captures, and every cell's Stats equal the same cell on
-// a fresh Runner.
+// distinct (trace, timing configuration) once: 40 cells cost 22 lanes
+// over 18 captures, and every cell's Stats equal the same cell on a
+// fresh Runner. The table is one RunSpecs call, so each workload's
+// 2-bitBP and PerfectBP lanes share a drain: 18 drains, not 22.
 func TestStatsCacheDedup(t *testing.T) {
-	rows, wantDrains, wantRuns := ablationRows, int64(22), int64(18)
+	rows, wantDrains, wantLanes, wantRuns := ablationRows, int64(18), int64(22), int64(18)
 	if raceDetectorOn {
 		// Keep the "combined" row: it rebuilds the table's Proposed
 		// programs, so all four of its cells come from the cache.
-		rows, wantDrains, wantRuns = ablationRows[:1], 12, 8
+		rows, wantDrains, wantLanes, wantRuns = ablationRows[:1], 8, 12, 8
 	}
 	r := NewRunner()
 	table, err := r.RunAll()
@@ -148,6 +130,9 @@ func TestStatsCacheDedup(t *testing.T) {
 	}
 	if got := r.TraceDrains(); got != wantDrains {
 		t.Errorf("TraceDrains = %d, want %d", got, wantDrains)
+	}
+	if got := r.SimLanes(); got != wantLanes {
+		t.Errorf("SimLanes = %d, want %d", got, wantLanes)
 	}
 	if got := r.ArchRuns(); got != wantRuns {
 		t.Errorf("ArchRuns = %d, want %d", got, wantRuns)
@@ -227,28 +212,31 @@ func (c *cancelInRun) Err() error {
 
 // TestStatsCacheCancellation: a cell cancelled inside its timing run
 // stores nothing, so the next call drains again and matches the golden
-// Stats — through RunSpec and RunSpecs.
+// Stats — in a one-cell call, whose drain is one Pipeline.Run, and in a
+// two-cell call, whose drain the lane scheduler runs.
 func TestStatsCacheCancellation(t *testing.T) {
 	w := Grep()
-	spec := Spec{Workload: w, Scheme: SchemeTwoBit}
 	want := goldenCell(t, w.Name, SchemeTwoBit)
-	for name, run := range map[string]cellPath{"RunSpec": (*Runner).RunSpec, "RunSpecs": runSpecsOne} {
+	for name, specs := range map[string][]Spec{
+		"one cell":  {{Workload: w, Scheme: SchemeTwoBit}},
+		"two cells": {{Workload: w, Scheme: SchemeTwoBit}, {Workload: w, Scheme: SchemePerfect}},
+	} {
 		r := NewRunner()
 		ctx := &cancelInRun{Context: context.Background()}
-		if _, err := run(r, ctx, spec); !errors.Is(err, context.Canceled) || !ctx.started.Load() {
+		if _, err := r.RunSpecs(ctx, specs); !errors.Is(err, context.Canceled) || !ctx.started.Load() {
 			t.Fatalf("%s: cancelled run = %v (timing run started: %v), want context.Canceled from inside the run", name, err, ctx.started.Load())
 		}
 		if len(r.stats) != 0 || r.TraceDrains() != 0 {
 			t.Fatalf("%s: cancelled run left %d Stats and %d drains", name, len(r.stats), r.TraceDrains())
 		}
-		res, err := run(r, context.Background(), spec)
+		res, err := r.RunSpecs(context.Background(), specs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.TraceDrains() != 1 {
 			t.Errorf("%s: the call after a cancelled one cost %d drains, want 1", name, r.TraceDrains())
 		}
-		if got := mustJSON(t, res.Stats); !bytes.Equal(got, want) {
+		if got := mustJSON(t, res[0].Stats); !bytes.Equal(got, want) {
 			t.Errorf("%s: Stats after a cancelled run differ from golden\n got: %s\nwant: %s", name, got, want)
 		}
 	}
@@ -283,34 +271,80 @@ func TestStatsCacheFollowsModelEdits(t *testing.T) {
 	}
 }
 
-// TestStatsCacheSharedAcrossPaths: RunSpec and RunSpecs share one
-// cache, so a default cell simulated by either is served to the other
-// without a drain.
+// TestStatsCacheSharedAcrossPaths: every entry point is a RunSpecs
+// call, and a cell one call stores is served to the next whatever the
+// calls' shapes: a two-cell call's drain stores both of its lanes for
+// later one-cell RunSpec calls, and a one-cell call's lane spares a
+// later two-cell call that lane.
 func TestStatsCacheSharedAcrossPaths(t *testing.T) {
-	r := NewRunner()
 	ctx := context.Background()
 	w := Grep()
-	for i, c := range []struct {
-		s             Scheme
-		first, second cellPath
-	}{
-		{SchemeTwoBit, (*Runner).RunSpec, runSpecsOne},
-		{SchemePerfect, runSpecsOne, (*Runner).RunSpec},
-	} {
-		spec := Spec{Workload: w, Scheme: c.s}
-		first, err := c.first(r, ctx, spec)
+	pair := []Spec{{Workload: w, Scheme: SchemeTwoBit}, {Workload: w, Scheme: SchemePerfect}}
+
+	r := NewRunner()
+	both, err := r.RunSpecs(ctx, pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, spec := range pair {
+		one, err := r.RunSpec(ctx, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := c.second(r, ctx, spec)
-		if err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(one.Stats, both[i].Stats) {
+			t.Errorf("%s: cached Stats differ from the simulated ones", spec.Scheme)
 		}
-		if got := r.TraceDrains(); got != int64(i+1) {
-			t.Errorf("%s: TraceDrains = %d, want %d (the second path must hit the cache)", c.s, got, i+1)
+	}
+	if d, l := r.TraceDrains(), r.SimLanes(); d != 1 || l != 2 {
+		t.Errorf("two-cell call then two one-cell calls: %d drains, %d lanes; want 1 and 2 (both lanes stored)", d, l)
+	}
+
+	r = NewRunner()
+	first, err := r.RunSpec(ctx, pair[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := r.RunSpecs(ctx, pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again[1].Stats, first.Stats) || !reflect.DeepEqual(again[0].Stats, both[0].Stats) {
+		t.Error("the two-cell call's Stats differ from the one-cell and the fresh ones")
+	}
+	if d, l := r.TraceDrains(), r.SimLanes(); d != 2 || l != 2 {
+		t.Errorf("one-cell call then a two-cell call: %d drains, %d lanes; want 2 and 2 (the stored lane not re-run)", d, l)
+	}
+}
+
+// TestIndexBoundOncePerTrace: the branch-index span a lane is sized by
+// is computed once per trace and Runner, however many one-cell calls
+// need it. Each call needs it before its timing run, so the calls cancel
+// their runs as they start (cancelInRun): no Stats are stored, and every
+// call builds a lane.
+func TestIndexBoundOncePerTrace(t *testing.T) {
+	orig := indexBound
+	defer func() { indexBound = orig }()
+	calls := map[uint64]int{}
+	indexBound = func(p *prog.Program) int {
+		calls[p.Fingerprint()]++
+		return orig(p)
+	}
+	r := NewRunner()
+	w := Grep()
+	for i := 0; i < 2; i++ {
+		for _, s := range []Scheme{SchemeTwoBit, SchemeProposed, SchemePerfect} {
+			ctx := &cancelInRun{Context: context.Background()}
+			if _, err := r.RunSpec(ctx, Spec{Workload: w, Scheme: s}); !errors.Is(err, context.Canceled) || !ctx.started.Load() {
+				t.Fatalf("%s call %d = %v (timing run started: %v), want context.Canceled from inside the run", s, i, err, ctx.started.Load())
+			}
 		}
-		if !reflect.DeepEqual(first.Stats, second.Stats) {
-			t.Errorf("%s: cached Stats differ from the simulated ones", c.s)
+	}
+	if len(calls) != 2 {
+		t.Errorf("IndexBound ran on %d programs, want 2 (the base and the Proposed rewrite)", len(calls))
+	}
+	for fp, n := range calls {
+		if n != 1 {
+			t.Errorf("IndexBound ran %d times on program %016x, want once", n, fp)
 		}
 	}
 }

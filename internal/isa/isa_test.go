@@ -116,6 +116,22 @@ func TestOpMnemonicsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpOutOfRange: an opcode past the table is named "op<N>" and
+// classified as nothing, and classifying it allocates nothing — a
+// pipeline classifies all 256 opcode values per lane it builds.
+func TestOpOutOfRange(t *testing.T) {
+	o := Op(250)
+	if got := o.String(); got != "op250" {
+		t.Errorf("String = %q, want op250", got)
+	}
+	if o.Unit() != UnitNone || o.IsCondBranch() || o.IsMem() {
+		t.Errorf("out-of-range opcode classified: unit %v, branch %v, mem %v", o.Unit(), o.IsCondBranch(), o.IsMem())
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = o.Unit() }); n != 0 {
+		t.Errorf("Unit allocates %v times per call, want 0", n)
+	}
+}
+
 func TestOpClassification(t *testing.T) {
 	// Every op must have a unit assignment.
 	for o := Op(1); o < numOps; o++ {

@@ -193,15 +193,24 @@ var opTable = [numOps]opInfo{
 	PNot:   {name: "pnot", unit: UnitALU, format: fmtP2},
 }
 
+// info returns o's table entry. An opcode past the table gets the zero
+// entry (no unit, no flags) without a name: the classifiers run for
+// every opcode value (pipeline.New fills its latency table for all
+// 256), so only String pays for formatting one.
 func (o Op) info() opInfo {
 	if o >= numOps {
-		return opInfo{name: fmt.Sprintf("op%d", o)}
+		return opInfo{}
 	}
 	return opTable[o]
 }
 
 // String returns the assembler mnemonic for o.
-func (o Op) String() string { return o.info().name }
+func (o Op) String() string {
+	if o >= numOps {
+		return fmt.Sprintf("op%d", o)
+	}
+	return opTable[o].name
+}
 
 // Unit returns the functional-unit class that executes o.
 func (o Op) Unit() UnitClass { return o.info().unit }

@@ -228,12 +228,71 @@ func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 // that a hostile request cannot allocate its way to an OOM.
 const MaxPredictorEntries = 1 << 24
 
+// Upper bounds on the other axes a request or sweep can set, checked by
+// Validate like MaxPredictorEntries: the pipeline sizes a lane's state
+// from them, so without a bound one request could ask for terabytes.
+// Each admits every value this repository uses (at most fetch_width 8,
+// queues 32, active_list 128, rename_regs 64, 32 KB caches) with room
+// to explore past them; the comments give the worst case per lane.
+const (
+	// MaxFetchWidth bounds fetch_width. A lane's fetch buffer holds
+	// 2 × width window indices: 1 KiB at 64. The drain's shared decode
+	// window also reaches 3 × width events further (184 B each).
+	MaxFetchWidth = 64
+	// MaxQueueEntries bounds int_queue, addr_queue and fp_queue. A queue
+	// depth only limits occupancy (queued instructions live in the
+	// active list), so it sizes nothing: 0 B per lane.
+	MaxQueueEntries = 1024
+	// MaxBranchStack bounds branch_stack, an occupancy limit like a
+	// queue's: 0 B per lane.
+	MaxBranchStack = 1024
+	// MaxActiveList bounds active_list. The ROB ring takes 104 B per
+	// entry and the eight per-unit ready queues 8 B each, plus their
+	// wake-up heaps: about 232 KiB per lane at 1024. The drain's shared
+	// decode window keeps twice the largest lane's reach: about 2.5 MiB
+	// at 1024 entries and fetch width 64.
+	MaxActiveList = 1024
+	// MaxRenameRegs bounds rename_regs, one free count per register
+	// file: 0 B per lane.
+	MaxRenameRegs = 1024
+	// MaxCacheBytes bounds icache_bytes and dcache_bytes. A
+	// direct-mapped cache keeps 9 B per line (tag and valid flag): 72 KiB
+	// per cache at 32-byte lines, 2.25 MiB at 1-byte lines.
+	MaxCacheBytes = 256 << 10
+	// MaxLineBytes bounds line_bytes. A longer line means fewer lines,
+	// so it sizes nothing by itself (MaxCacheBytes covers the worst
+	// case, the shortest line): 0 B per lane.
+	MaxLineBytes = 4096
+	// MaxPenalty bounds miss_penalty and mispredict_penalty. The miss
+	// penalty widens the completion wheel by 24 B per cycle: about
+	// 48 KiB per lane at 1024 with the R10000's latencies. The
+	// mispredict penalty is a stall length: 0 B per lane.
+	MaxPenalty = 1024
+)
+
 // Validate checks every axis of the model and returns an error naming
 // the first offending field, or nil. A Model that passes is safe to
 // hand to the pipeline: positive widths, queues deep enough to accept
-// one full dispatch group, power-of-two cache geometry, and a
-// predictor configuration its family can realize.
+// one full dispatch group, power-of-two cache geometry, a predictor
+// configuration its family can realize, and no axis past its Max
+// bound, so a lane's state stays bounded.
 func (m *Model) Validate() error {
+	for _, l := range []struct {
+		name   string
+		v, max int
+	}{
+		{"fetch_width", m.IssueWidth, MaxFetchWidth},
+		{"int_queue", m.IntQueue, MaxQueueEntries}, {"addr_queue", m.AddrQueue, MaxQueueEntries},
+		{"fp_queue", m.FPQueue, MaxQueueEntries}, {"branch_stack", m.BranchStack, MaxBranchStack},
+		{"active_list", m.ActiveList, MaxActiveList}, {"rename_regs", m.RenameRegs, MaxRenameRegs},
+		{"icache_bytes", m.ICacheBytes, MaxCacheBytes}, {"dcache_bytes", m.DCacheBytes, MaxCacheBytes},
+		{"line_bytes", m.CacheLineBytes, MaxLineBytes},
+		{"miss_penalty", m.CacheMissPenalty, MaxPenalty}, {"mispredict_penalty", m.MispredictPenalty, MaxPenalty},
+	} {
+		if l.v > l.max {
+			return fmt.Errorf("machine: %s %d exceeds the maximum %d", l.name, l.v, l.max)
+		}
+	}
 	if m.IssueWidth < 1 {
 		return fmt.Errorf("machine: fetch_width must be positive, got %d", m.IssueWidth)
 	}

@@ -128,6 +128,26 @@ func TestValidate(t *testing.T) {
 		{"dcache below line", func(m *Model) { m.DCacheBytes = 16 }, "dcache_bytes"},
 		{"negative throttle", func(m *Model) { m.ThrottledFetchWidth = -1 }, "throttle_width"},
 		{"throttle above width", func(m *Model) { m.ThrottledFetchWidth = 5 }, "throttle_width"},
+		{"huge width", func(m *Model) { m.IssueWidth = MaxFetchWidth + 1 }, "fetch_width"},
+		{"huge int queue", func(m *Model) { m.IntQueue = MaxQueueEntries + 1 }, "int_queue"},
+		{"huge addr queue", func(m *Model) { m.AddrQueue = 1 << 40 }, "addr_queue"},
+		{"huge fp queue", func(m *Model) { m.FPQueue = MaxQueueEntries + 1 }, "fp_queue"},
+		{"huge branch stack", func(m *Model) { m.BranchStack = 1 << 40 }, "branch_stack"},
+		{"huge rob", func(m *Model) { m.ActiveList = 1 << 30 }, "active_list"},
+		{"huge rename regs", func(m *Model) { m.RenameRegs = 1 << 40 }, "rename_regs"},
+		{"huge icache", func(m *Model) { m.ICacheBytes = 1 << 40 }, "icache_bytes"},
+		{"huge dcache", func(m *Model) { m.DCacheBytes = 2 * MaxCacheBytes }, "dcache_bytes"},
+		{"huge line", func(m *Model) { m.CacheLineBytes = 2 * MaxLineBytes }, "line_bytes"},
+		{"huge miss penalty", func(m *Model) { m.CacheMissPenalty = 1 << 40 }, "miss_penalty"},
+		{"huge mispredict penalty", func(m *Model) { m.MispredictPenalty = MaxPenalty + 1 }, "mispredict_penalty"},
+		{"every axis at its maximum", func(m *Model) {
+			m.IssueWidth, m.ThrottledFetchWidth = MaxFetchWidth, MaxFetchWidth
+			m.IntQueue, m.AddrQueue, m.FPQueue = MaxQueueEntries, MaxQueueEntries, MaxQueueEntries
+			m.BranchStack, m.ActiveList, m.RenameRegs = MaxBranchStack, MaxActiveList, MaxRenameRegs
+			m.ICacheBytes, m.DCacheBytes, m.CacheLineBytes = MaxCacheBytes, MaxCacheBytes, MaxLineBytes
+			m.CacheMissPenalty, m.MispredictPenalty = MaxPenalty, MaxPenalty
+			m.PredictorEntries = MaxPredictorEntries
+		}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

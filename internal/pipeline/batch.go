@@ -64,23 +64,26 @@ func geometry(lanes ...*Pipeline) (chunk, horizon int64) {
 	return chunk, horizon
 }
 
-// start attaches every lane to an empty window over src and returns it.
-func (b *Batch) start(src Source) *window {
-	chunk, horizon := geometry(b.lanes...)
+// start attaches every lane of a drain to an empty window over src and
+// returns it.
+func start(src Source, lanes ...*Pipeline) *window {
+	chunk, horizon := geometry(lanes...)
 	w := getWindow(src, chunk, horizon)
-	// Precompute icache outcomes for the most common geometry (that of
-	// the first icache-enabled lane); matching lanes read bits, others
-	// run their private cache. The bits always describe a cold cache,
-	// which is what a fresh lane's private cache would see.
+	// With two or more lanes, precompute icache outcomes for the most
+	// common geometry (that of the first icache-enabled lane); matching
+	// lanes read bits, others run their private cache. The bits always
+	// describe a cold cache, which is what a fresh lane's private cache
+	// would see. A one-lane drain has nothing to share, so it keeps its
+	// private icache and the window allocates none.
 	var icBytes, icLine int
-	for _, p := range b.lanes {
-		if p.icache != nil {
+	for _, p := range lanes {
+		if p.icache != nil && len(lanes) > 1 {
 			icBytes, icLine = p.model.ICacheBytes, p.model.CacheLineBytes
 			w.ic = cache.New(icBytes, icLine)
 			break
 		}
 	}
-	for _, p := range b.lanes {
+	for _, p := range lanes {
 		p.attach(w)
 		p.icShared = p.icache != nil && w.ic != nil &&
 			p.model.ICacheBytes == icBytes && p.model.CacheLineBytes == icLine

@@ -142,6 +142,56 @@ func TestBatchMatchesSingle(t *testing.T) {
 	}
 }
 
+// TestOneLaneBatchPrivateICache: a one-lane drain keeps its private
+// icache — its window builds no shared one — while a two-lane drain
+// builds one that both lanes read; either way every lane's Stats equal
+// a one-lane Run's. `make check` runs this under -race.
+func TestOneLaneBatchPrivateICache(t *testing.T) {
+	p := batchProgram(t)
+	cfgs := func(n int) []Config {
+		out := make([]Config, n)
+		for i := range out {
+			out[i] = Config{Model: machine.R10000(), Predictor: predict.NewTwoBit(512), SelfCheck: true}
+		}
+		return out
+	}
+	pipe, err := New(cfgs(1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pipe.Run(freshSource(t, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 2} {
+		b, err := NewBatch(cfgs(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		windowIC, shared := StartICache(b, freshSource(t, p))
+		if windowIC != (n > 1) {
+			t.Errorf("%d lanes: window icache built = %v, want %v", n, windowIC, n > 1)
+		}
+		for i, sh := range shared {
+			if sh != (n > 1) {
+				t.Errorf("%d lanes: lane %d reads the shared icache = %v, want %v", n, i, sh, n > 1)
+			}
+		}
+		if b, err = NewBatch(cfgs(n)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.Run(freshSource(t, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want) {
+				t.Errorf("%d lanes: lane %d diverged from a one-lane Run:\nbatch: %+v\nrun:   %+v", n, i, got[i], want)
+			}
+		}
+	}
+}
+
 // TestBatchCancellation verifies the cooperative Context poll works on
 // the batched path.
 func TestBatchCancellation(t *testing.T) {

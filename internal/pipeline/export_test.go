@@ -18,3 +18,17 @@ func WindowMemPeak(src Source, cfgs []Config) (peak, capacity int, chunk, horizo
 	}
 	return peak, len(w.memLast.slots), chunk, horizon, w.err
 }
+
+// StartICache attaches b's lanes to a window over src as a drain does,
+// reports whether the window built a shared icache and which lanes read
+// it, then detaches them and releases the window without running.
+func StartICache(b *Batch, src Source) (windowIC bool, shared []bool) {
+	w := start(src, b.lanes...)
+	windowIC = w.ic != nil
+	for _, p := range b.lanes {
+		shared = append(shared, p.icShared)
+		p.win, p.icShared = nil, false
+	}
+	putWindow(w)
+	return windowIC, shared
+}

@@ -416,9 +416,10 @@ func (p *Pipeline) depend(c *entry, prodSeq int64) {
 }
 
 // Run simulates the entire stream from src and returns the statistics.
-// It is a one-lane drain: the pipeline takes a decode window from the
-// free list, attaches as its only lane, and alternates window refills
-// with its lane loop until the trace ends. A fresh Pipeline's Stats are
+// It is the one-lane drain (RunDrains runs every one-lane Batch
+// through it): the pipeline takes a decode window from the free list,
+// attaches as its only lane, and alternates window refills with its
+// lane loop until the trace ends. A fresh Pipeline's Stats are
 // byte-identical to those of the same Config's lane in any Batch over
 // the same stream.
 //
@@ -429,9 +430,7 @@ func (p *Pipeline) depend(c *entry, prodSeq int64) {
 // are bit-identical to the scanning implementation (pinned by the
 // golden-stats test in internal/bench).
 func (p *Pipeline) Run(src Source) (Stats, error) {
-	chunk, horizon := geometry(p)
-	w := getWindow(src, chunk, horizon)
-	p.attach(w)
+	w := start(src, p)
 	var err error
 	for done := false; !done && err == nil; {
 		w.refill()

@@ -28,6 +28,9 @@ import (
 // refill it, and the scheduler's mutex orders every refill before the
 // runs that consume it, so a lane sees the same events at the same
 // points whichever worker runs it: Stats do not depend on W.
+//
+// A one-lane drain has nothing to interleave: the worker that admits it
+// runs it as Pipeline.Run, the one-lane drain, without rounds.
 
 // A Drain is one Source replayed into the lanes of one Batch.
 type Drain struct {
@@ -50,8 +53,8 @@ type Drain struct {
 // (GOMAXPROCS when workers ≤ 0), the calling goroutine included. On the
 // first error, or once ctx is done, it stops starting lane runs, waits
 // for those in progress and returns the error. A lane run ends within
-// one chunk of events; lanes with a Config.Context also poll it inside
-// the run.
+// one chunk of events, except a one-lane drain's, which is the whole
+// drain; lanes with a Config.Context also poll it inside the run.
 func RunDrains(ctx context.Context, drains []Drain, workers int) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -202,8 +205,8 @@ func (s *scheduler) signal(n int) {
 }
 
 // admit opens the largest pending drain, primes its window and queues
-// every lane on worker id. Called with s.mu held; Open and the first
-// refill run without it.
+// every lane on worker id, or runs a one-lane drain outright. Called
+// with s.mu held; Open and the first refill run without it.
 func (s *scheduler) admit(id int) {
 	spec := s.pending[0]
 	s.pending = s.pending[1:]
@@ -213,16 +216,20 @@ func (s *scheduler) admit(id int) {
 	if err == nil && b == nil {
 		err = fmt.Errorf("pipeline: drain %q opened no Batch", spec.Name)
 	}
+	if err == nil && len(b.lanes) == 1 {
+		s.runSolo(spec, b, src)
+		return
+	}
 	var d *liveDrain
 	if err == nil {
 		n := len(b.lanes)
-		d = &liveDrain{spec: spec, b: b, w: b.start(src), out: make([]Stats, n),
+		d = &liveDrain{spec: spec, b: b, w: start(src, b.lanes...), out: make([]Stats, n),
 			done: make([]bool, n), home: make([]int, n), live: make([]int, n)}
 		for i := range d.live {
 			d.live[i], d.home[i] = i, id
 		}
 		d.w.refill()
-		err = d.wrap(d.w.err)
+		err = spec.wrap(d.w.err)
 	}
 	s.mu.Lock()
 	if err != nil {
@@ -230,6 +237,23 @@ func (s *scheduler) admit(id int) {
 		return
 	}
 	s.requeue(d)
+}
+
+// runSolo runs a one-lane drain to its end on the worker that admitted
+// it. With no other lane to interleave there are no rounds to schedule,
+// so the drain is Pipeline.Run itself; it stops early only at its
+// lane's Config.Context poll. Called without s.mu; returns with it held.
+func (s *scheduler) runSolo(spec *Drain, b *Batch, src Source) {
+	st, err := b.lanes[0].Run(src)
+	if err == nil && spec.Done != nil {
+		spec.Done(b, []Stats{st})
+	}
+	s.mu.Lock()
+	if err != nil {
+		s.fail(spec.wrap(err))
+		return
+	}
+	s.retire()
 }
 
 // requeue starts a round: every live lane goes back to the worker that
@@ -255,7 +279,7 @@ func (s *scheduler) runLane(id int, r laneRef) {
 		return
 	}
 	if err != nil {
-		s.fail(d.wrap(fmt.Errorf("pipeline: batch lane %d: %w", r.lane, err)))
+		s.fail(d.spec.wrap(fmt.Errorf("pipeline: batch lane %d: %w", r.lane, err)))
 		return
 	}
 	d.home[r.lane] = id
@@ -291,17 +315,12 @@ func (s *scheduler) endRound(d *liveDrain) {
 			d.spec.Done(d.b, d.out)
 		}
 		s.mu.Lock()
-		s.live--
-		if s.live == 0 && len(s.pending) == 0 {
-			s.wake.Broadcast() // nothing left: idle workers exit
-		} else if len(s.pending) > 0 {
-			s.signal(1) // room for the next drain
-		}
+		s.retire()
 		return
 	}
 	d.w.refill()
 	s.mu.Lock()
-	if err := d.wrap(d.w.err); err != nil {
+	if err := d.spec.wrap(d.w.err); err != nil {
 		s.fail(err)
 		return
 	}
@@ -310,10 +329,21 @@ func (s *scheduler) endRound(d *liveDrain) {
 	}
 }
 
+// retire counts a completed drain out of the live set. Called with s.mu
+// held.
+func (s *scheduler) retire() {
+	s.live--
+	if s.live == 0 && len(s.pending) == 0 {
+		s.wake.Broadcast() // nothing left: idle workers exit
+	} else if len(s.pending) > 0 {
+		s.signal(1) // room for the next drain
+	}
+}
+
 // wrap prefixes err with the drain's Name.
-func (d *liveDrain) wrap(err error) error {
-	if err == nil || d.spec.Name == "" {
+func (d *Drain) wrap(err error) error {
+	if err == nil || d.Name == "" {
 		return err
 	}
-	return fmt.Errorf("%s: %w", d.spec.Name, err)
+	return fmt.Errorf("%s: %w", d.Name, err)
 }

@@ -99,9 +99,11 @@ type window struct {
 	// trace order in every lane, so for a given geometry the hit/miss
 	// sequence is lane-invariant and can be computed once per drain;
 	// lanes whose geometry matches consume the bit, others (and
-	// DisableICache lanes) keep their private cache. Run leaves it nil:
-	// a one-lane drain keeps its private icache, which persists across
-	// runs like the predictor.
+	// DisableICache lanes) keep their private cache. Only a drain of two
+	// or more lanes sets it (start): a one-lane drain — Run, which
+	// RunDrains also uses for a one-lane Batch — keeps its private
+	// icache, which persists across runs like the predictor; sharing
+	// with no other lane would only allocate a second cache.
 	ic *cache.Cache
 
 	// code, when the source exposes its predecoded program, lets

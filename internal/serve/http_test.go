@@ -3,12 +3,13 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -316,21 +317,8 @@ func TestHTTPBackpressureHeaders(t *testing.T) {
 		c.Workers = 1
 		c.QueueDepth = 1
 	})
-	var wg sync.WaitGroup
-	for i, req := range []RunRequest{
-		{Workload: "grep", Scheme: "2bit", DelayMS: 2000},
-		{Workload: "grep", Scheme: "perfect", DelayMS: 2000},
-	} {
-		wg.Add(1)
-		go func(i int, req RunRequest) {
-			defer wg.Done()
-			postRun(t, ts.URL, req)
-		}(i, req)
-	}
+	wg := holdPool(t, s, 2000, func(req RunRequest) { postRun(t, ts.URL, req) })
 	defer wg.Wait()
-	waitUntil(t, func() bool {
-		return s.metrics.InFlight.Load() == 1 && s.metrics.QueueDepth.Load() == 1
-	})
 
 	resp, data := postRun(t, ts.URL, RunRequest{Workload: "grep", Scheme: "proposed"})
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -529,6 +517,69 @@ func TestHTTPExplore(t *testing.T) {
 			t.Errorf("bad explore body %s = %d, want 400: %s", bad, resp.StatusCode, data)
 		}
 	}
+}
+
+// oversized lists machine overrides past their axis bounds, each of
+// which would size a lane's state: a ROB of 2^30 entries alone is over
+// 100 GiB.
+var oversized = []struct {
+	axis  string
+	value int
+}{
+	{"fetch_width", 1 << 20},
+	{"int_queue", 1 << 40},
+	{"branch_stack", 1 << 40},
+	{"active_list", 1 << 30},
+	{"rename_regs", 1 << 40},
+	{"icache_bytes", 1 << 40},
+	{"dcache_bytes", 1 << 40},
+	{"line_bytes", 1 << 40},
+	{"miss_penalty", 1 << 40},
+	{"mispredict_penalty", 1 << 40},
+}
+
+// TestHTTPOversizedMachineRejected: a machine override past its axis
+// bound is a 400 naming the axis on /v1/run and on /v1/explore, decided
+// before admission. The one worker is busy and the one queue slot taken,
+// so a request that reached the pool would be shed with 429 instead.
+func TestHTTPOversizedMachineRejected(t *testing.T) {
+	s, ts := newTestServer(t, func(c *Config) {
+		c.Workers = 1
+		c.QueueDepth = 1
+	})
+	wg := holdPool(t, s, 5000, func(req RunRequest) { postRun(t, ts.URL, req) })
+
+	for _, o := range oversized {
+		resp, data := postRun(t, ts.URL, RunRequest{Workload: "grep", Scheme: "2bit", Machine: map[string]int{o.axis: o.value}})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), o.axis) {
+			t.Errorf("/v1/run with %s=%d = %d, want 400 naming the axis: %s", o.axis, o.value, resp.StatusCode, data)
+		}
+		body := fmt.Sprintf(`{"axes":[{"name":%q,"values":[%d]}],"workloads":["grep"]}`, o.axis, o.value)
+		eresp, err := http.Post(ts.URL+"/v1/explore", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ = io.ReadAll(eresp.Body)
+		eresp.Body.Close()
+		if eresp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), o.axis) {
+			t.Errorf("/v1/explore with %s=%d = %d, want 400 naming the axis: %s", o.axis, o.value, eresp.StatusCode, data)
+		}
+	}
+	if got, want := s.metrics.BadRequests.Load(), int64(2*len(oversized)); got != want {
+		t.Errorf("BadRequests = %d, want %d", got, want)
+	}
+	if got := s.metrics.Rejected.Load(); got != 0 {
+		t.Errorf("Rejected = %d, want 0: an oversized request reached the queue check", got)
+	}
+	if in, q := s.metrics.InFlight.Load(), s.metrics.QueueDepth.Load(); in != 1 || q != 1 {
+		t.Errorf("pool holds %d running and %d queued jobs, want the two held ones", in, q)
+	}
+
+	// Cancel the held jobs rather than wait out their delay.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.Drain(ctx)
+	wg.Wait()
 }
 
 func waitUntil(t *testing.T, cond func() bool) {

@@ -203,18 +203,21 @@ type Service struct {
 // flight is one in-progress simulation and the rendezvous for every
 // request coalesced onto it.
 type flight struct {
-	key     string
-	spec    bench.Spec
-	req     RunRequest // normalized copy (canonical entries etc.)
+	key  string
+	spec bench.Spec
+	req  RunRequest // normalized copy (canonical entries etc.)
+
+	// group marks a pool job: a synthetic leader that holds one worker
+	// slot and simulates all of its member flights in one
+	// Runner.RunSpecs call (one trace drain per distinct program). Do
+	// enqueues a one-member group, DoSweep one group for every cell it
+	// could not answer otherwise. The leader itself is never in
+	// s.flights and has no waiters; its members are, and coalesce like
+	// any other flight. delay holds the job before it simulates and
+	// timeout caps its simulation wall time.
+	group   []*flight
 	delay   time.Duration
 	timeout time.Duration
-
-	// group marks a batched sweep leader: a synthetic flight that holds
-	// one worker slot and simulates all of its member flights in one
-	// Runner.RunSpecs call (one trace drain per distinct program). The
-	// leader itself is never in s.flights and has no waiters; its
-	// members are, and coalesce like any other flight.
-	group []*flight
 
 	// explore marks a design-space sweep job (DoExplore): one worker
 	// slot runs the whole grid through explore.Run, whose batched
@@ -443,32 +446,21 @@ const (
 // these to the client). ctx bounds only this caller's wait: the
 // simulation itself runs under the service's context so that other
 // waiters and the store still get the result if this caller leaves.
+// A request that must simulate becomes a one-member group job carrying
+// its own delay and timeout.
 func (s *Service) Do(ctx context.Context, req RunRequest, notify func(stage string)) (*RunResponse, error) {
+	if notify == nil {
+		notify = func(string) {}
+	}
 	s.metrics.Requests.Add(1)
 	spec, key, err := s.normalize(&req)
 	if err != nil {
 		s.metrics.BadRequests.Add(1)
 		return nil, err
 	}
-
-	if s.store != nil {
-		res, ok, quarantined, serr := s.store.Get(key)
-		if quarantined {
-			s.metrics.StoreQuarantined.Add(1)
-			s.cfg.Logf("store: quarantined corrupt entry for %s", key)
-		}
-		if serr != nil {
-			s.cfg.Logf("store: read error for %s: %v", key, serr)
-		}
-		if ok {
-			s.metrics.StoreHits.Add(1)
-			if notify != nil {
-				notify(StageStore)
-			}
-			res.Source = "store"
-			return res, nil
-		}
-		s.metrics.StoreMisses.Add(1)
+	if res, ok := s.stored(key); ok {
+		notify(StageStore)
+		return res, nil
 	}
 
 	s.mu.Lock()
@@ -479,34 +471,68 @@ func (s *Service) Do(ctx context.Context, req RunRequest, notify func(stage stri
 	if f, ok := s.flights[key]; ok {
 		s.mu.Unlock()
 		s.metrics.CoalescedHits.Add(1)
-		if notify != nil {
-			notify(StageCoalesced)
-		}
+		notify(StageCoalesced)
 		return s.wait(ctx, f, "coalesced")
 	}
-	if len(s.jobs) == cap(s.jobs) {
-		queued := len(s.jobs)
+	if err := s.queueFull(); err != nil {
 		s.mu.Unlock()
-		s.metrics.Rejected.Add(1)
-		retry := time.Duration(1+queued/s.cfg.Workers) * time.Second
-		return nil, &ErrOverloaded{RetryAfter: retry}
+		return nil, err
 	}
-	f := &flight{
-		key:     key,
-		spec:    spec,
-		req:     req,
-		delay:   s.delayFor(req.DelayMS),
-		timeout: s.timeoutFor(req.TimeoutMS),
-		done:    make(chan struct{}),
-	}
-	s.flights[key] = f
-	s.metrics.QueueDepth.Add(1)
-	s.jobs <- f // non-blocking: len < cap was checked under mu, all sends hold mu
+	f := s.lead(key, spec, req)
+	s.enqueue(&flight{group: []*flight{f}, delay: s.delayFor(req.DelayMS), timeout: s.timeoutFor(req.TimeoutMS)})
 	s.mu.Unlock()
-	if notify != nil {
-		notify(StageQueued)
-	}
+	notify(StageQueued)
 	return s.wait(ctx, f, "sim")
+}
+
+// stored returns the store's response for key, if it holds a valid
+// one, counting the hit or miss; a corrupt entry is quarantined (a
+// miss) and a read error is logged (a miss).
+func (s *Service) stored(key string) (*RunResponse, bool) {
+	if s.store == nil {
+		return nil, false
+	}
+	res, ok, quarantined, err := s.store.Get(key)
+	if quarantined {
+		s.metrics.StoreQuarantined.Add(1)
+		s.cfg.Logf("store: quarantined corrupt entry for %s", key)
+	}
+	if err != nil {
+		s.cfg.Logf("store: read error for %s: %v", key, err)
+	}
+	if !ok {
+		s.metrics.StoreMisses.Add(1)
+		return nil, false
+	}
+	s.metrics.StoreHits.Add(1)
+	res.Source = "store"
+	return res, true
+}
+
+// queueFull returns an ErrOverloaded, counting the shed request, when
+// the job queue has no slot left. Called with s.mu held: every send
+// holds it too, so a nil return guarantees the next send cannot block.
+func (s *Service) queueFull() error {
+	if len(s.jobs) < cap(s.jobs) {
+		return nil
+	}
+	s.metrics.Rejected.Add(1)
+	return &ErrOverloaded{RetryAfter: time.Duration(1+len(s.jobs)/s.cfg.Workers) * time.Second}
+}
+
+// lead registers a new flight for key, the leader its identity's later
+// requests coalesce onto. Called with s.mu held.
+func (s *Service) lead(key string, spec bench.Spec, req RunRequest) *flight {
+	f := &flight{key: key, spec: spec, req: req, done: make(chan struct{})}
+	s.flights[key] = f
+	return f
+}
+
+// enqueue sends a job to the pool. Called with s.mu held, after
+// queueFull returned nil.
+func (s *Service) enqueue(job *flight) {
+	s.metrics.QueueDepth.Add(1)
+	s.jobs <- job
 }
 
 func (s *Service) delayFor(ms int64) time.Duration {
@@ -556,77 +582,17 @@ func (s *Service) worker() {
 	}
 }
 
-// runFlight performs one simulation under the service context, then
-// publishes the result to every waiter and the store.
+// runFlight runs one pool job: a design-space sweep, or a group whose
+// members it simulates with one Runner.RunSpecs call under the service
+// context, so cells sharing a (workload, program) trace drain it once,
+// in lockstep. Each member then publishes to its own waiters and the
+// store. SimMS on every member is the whole group's wall time: the
+// lanes share drains, there is no meaningful per-lane figure.
 func (s *Service) runFlight(f *flight) {
-	if f.group != nil {
-		s.runGroupFlight(f)
-		return
-	}
 	if f.explore != nil {
 		s.runExploreFlight(f)
 		return
 	}
-	defer func() {
-		s.mu.Lock()
-		delete(s.flights, f.key)
-		s.mu.Unlock()
-		close(f.done)
-	}()
-
-	if f.delay > 0 {
-		t := time.NewTimer(f.delay)
-		select {
-		case <-t.C:
-		case <-s.baseCtx.Done():
-			t.Stop()
-			f.err = s.baseCtx.Err()
-			return
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(s.baseCtx, f.timeout)
-	defer cancel()
-	start := time.Now()
-	result, err := s.runner.RunSpec(ctx, f.spec)
-	elapsed := time.Since(start)
-	s.metrics.SimRuns.Add(1)
-	s.metrics.SimSeconds.Observe(elapsed)
-	if err != nil {
-		s.metrics.SimErrors.Add(1)
-		f.err = err
-		return
-	}
-
-	f.resp = &RunResponse{
-		Key:              addr(f.key),
-		Canonical:        f.key,
-		Workload:         f.req.Workload,
-		Scheme:           f.req.Scheme,
-		PredictorEntries: f.req.PredictorEntries,
-		Source:           "sim",
-		IPC:              result.Stats.IPC(),
-		PredAccuracy:     result.Stats.PredAccuracy(),
-		SimMS:            float64(elapsed) / float64(time.Millisecond),
-		Stats:            result.Stats,
-		Report:           result.Report,
-	}
-	if s.store != nil {
-		if err := s.store.Put(f.key, f.resp); err != nil {
-			s.cfg.Logf("store: persisting %s: %v", f.key, err)
-		} else {
-			s.metrics.StoreWrites.Add(1)
-		}
-	}
-}
-
-// runGroupFlight simulates every member of a batched sweep leader with
-// one Runner.RunSpecs call, so cells sharing a (workload, program)
-// trace drain it once, in lockstep. Each member then publishes to its
-// own waiters and the store exactly as a solo flight would. SimMS on
-// every member is the whole group's wall time: the lanes share one
-// drain, there is no meaningful per-lane figure.
-func (s *Service) runGroupFlight(f *flight) {
 	members := f.group
 	defer func() {
 		s.mu.Lock()
@@ -638,6 +604,22 @@ func (s *Service) runGroupFlight(f *flight) {
 			close(m.done)
 		}
 	}()
+	fail := func(err error) {
+		for _, m := range members {
+			m.err = err
+		}
+	}
+
+	if f.delay > 0 {
+		t := time.NewTimer(f.delay)
+		select {
+		case <-t.C:
+		case <-s.baseCtx.Done():
+			t.Stop()
+			fail(s.baseCtx.Err())
+			return
+		}
+	}
 
 	ctx, cancel := context.WithTimeout(s.baseCtx, f.timeout)
 	defer cancel()
@@ -652,9 +634,7 @@ func (s *Service) runGroupFlight(f *flight) {
 	s.metrics.SimSeconds.Observe(elapsed)
 	if err != nil {
 		s.metrics.SimErrors.Add(int64(len(members)))
-		for _, m := range members {
-			m.err = err
-		}
+		fail(err)
 		return
 	}
 	for i, m := range members {
@@ -719,20 +699,16 @@ func (s *Service) DoExplore(ctx context.Context, req explore.Request) (*explore.
 		s.mu.Unlock()
 		return nil, ErrDraining
 	}
-	if len(s.jobs) == cap(s.jobs) {
-		queued := len(s.jobs)
+	if err := s.queueFull(); err != nil {
 		s.mu.Unlock()
-		s.metrics.Rejected.Add(1)
-		retry := time.Duration(1+queued/s.cfg.Workers) * time.Second
-		return nil, &ErrOverloaded{RetryAfter: retry}
+		return nil, err
 	}
 	f := &flight{
 		explore: &req,
 		timeout: s.timeoutFor(0),
 		done:    make(chan struct{}),
 	}
-	s.metrics.QueueDepth.Add(1)
-	s.jobs <- f // non-blocking: len < cap was checked under mu, all sends hold mu
+	s.enqueue(f)
 	s.mu.Unlock()
 
 	select {
@@ -775,22 +751,9 @@ func (s *Service) DoSweep(ctx context.Context, reqs []RunRequest) ([]sweepCell, 
 			cells[i].Err = err
 			continue
 		}
-		if s.store != nil {
-			res, ok, quarantined, serr := s.store.Get(key)
-			if quarantined {
-				s.metrics.StoreQuarantined.Add(1)
-				s.cfg.Logf("store: quarantined corrupt entry for %s", key)
-			}
-			if serr != nil {
-				s.cfg.Logf("store: read error for %s: %v", key, serr)
-			}
-			if ok {
-				s.metrics.StoreHits.Add(1)
-				res.Source = "store"
-				cells[i].Res = res
-				continue
-			}
-			s.metrics.StoreMisses.Add(1)
+		if res, ok := s.stored(key); ok {
+			cells[i].Res = res
+			continue
 		}
 		misses = append(misses, miss{i, spec, key, req})
 	}
@@ -805,7 +768,6 @@ func (s *Service) DoSweep(ctx context.Context, reqs []RunRequest) ([]sweepCell, 
 	}
 	var waits []waiter
 	var members []*flight
-	timeout := s.timeoutFor(0)
 
 	s.mu.Lock()
 	if s.draining {
@@ -817,12 +779,9 @@ func (s *Service) DoSweep(ctx context.Context, reqs []RunRequest) ([]sweepCell, 
 	}
 	// The whole group takes one queue slot; check before building any
 	// member so an overloaded return leaves no state behind.
-	if len(s.jobs) == cap(s.jobs) {
-		queued := len(s.jobs)
+	if err := s.queueFull(); err != nil {
 		s.mu.Unlock()
-		s.metrics.Rejected.Add(1)
-		retry := time.Duration(1+queued/s.cfg.Workers) * time.Second
-		return nil, &ErrOverloaded{RetryAfter: retry}
+		return nil, err
 	}
 	for _, ms := range misses {
 		if f, ok := s.flights[ms.key]; ok {
@@ -830,20 +789,12 @@ func (s *Service) DoSweep(ctx context.Context, reqs []RunRequest) ([]sweepCell, 
 			waits = append(waits, waiter{ms.i, f, "coalesced"})
 			continue
 		}
-		f := &flight{
-			key:     ms.key,
-			spec:    ms.spec,
-			req:     ms.req,
-			timeout: timeout,
-			done:    make(chan struct{}),
-		}
-		s.flights[ms.key] = f
+		f := s.lead(ms.key, ms.spec, ms.req)
 		members = append(members, f)
 		waits = append(waits, waiter{ms.i, f, "sim"})
 	}
 	if len(members) > 0 {
-		s.metrics.QueueDepth.Add(1)
-		s.jobs <- &flight{group: members, timeout: timeout} // non-blocking: len < cap checked under mu
+		s.enqueue(&flight{group: members, timeout: s.timeoutFor(0)})
 	}
 	s.mu.Unlock()
 

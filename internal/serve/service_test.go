@@ -210,27 +210,8 @@ func TestBackpressure(t *testing.T) {
 		c.Workers = 1
 		c.QueueDepth = 1
 	})
-	// Fill the single worker and the single queue slot with slow,
-	// distinct requests.
-	hold := RunRequest{Workload: "grep", Scheme: "2bit", DelayMS: 2000}
-	hold2 := RunRequest{Workload: "grep", Scheme: "perfect", DelayMS: 2000}
-	launched := make(chan struct{}, 2)
-	go func() { launched <- struct{}{}; s.Do(context.Background(), hold, nil) }()
-	go func() { launched <- struct{}{}; s.Do(context.Background(), hold2, nil) }()
-	<-launched
-	<-launched
-	// Wait until one job is in flight and one is queued. Generous
-	// deadline: under -race on a small machine the first-touch
-	// normalization (workload fingerprinting) can eat seconds before
-	// either request even reaches the queue.
-	deadline := time.Now().Add(30 * time.Second)
-	for s.metrics.InFlight.Load() != 1 || s.metrics.QueueDepth.Load() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pool never saturated: inflight=%d queued=%d",
-				s.metrics.InFlight.Load(), s.metrics.QueueDepth.Load())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	wg := holdPool(t, s, 2000, func(req RunRequest) { s.Do(context.Background(), req, nil) })
+	defer wg.Wait()
 
 	_, err := s.Do(context.Background(), RunRequest{Workload: "grep", Scheme: "proposed"}, nil)
 	var over *ErrOverloaded
@@ -243,6 +224,35 @@ func TestBackpressure(t *testing.T) {
 	if got := s.metrics.Rejected.Load(); got != 1 {
 		t.Errorf("Rejected = %d, want 1", got)
 	}
+}
+
+// holdPool fills a one-worker, one-slot service with two slow, distinct
+// requests sent through do, each held delayMS before it simulates. The
+// second goes only once the first is running: sent together, it can
+// find the first still in the queue, before the worker took it, and be
+// shed. The returned WaitGroup waits for both calls.
+func holdPool(t *testing.T, s *Service, delayMS int64, do func(RunRequest)) *sync.WaitGroup {
+	t.Helper()
+	var wg sync.WaitGroup
+	for queued, scheme := range []string{"2bit", "perfect"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			do(RunRequest{Workload: "grep", Scheme: scheme, DelayMS: delayMS})
+		}()
+		// Generous deadline: under -race on a small machine the
+		// first-touch normalization (workload fingerprinting) can eat
+		// seconds before a request even reaches the queue.
+		deadline := time.Now().Add(30 * time.Second)
+		for s.metrics.InFlight.Load() != 1 || s.metrics.QueueDepth.Load() != int64(queued) {
+			if time.Now().After(deadline) {
+				t.Fatalf("pool never saturated: inflight=%d queued=%d",
+					s.metrics.InFlight.Load(), s.metrics.QueueDepth.Load())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	return &wg
 }
 
 // TestGracefulDrain: queued work completes during drain, new work is
@@ -346,5 +356,36 @@ func TestPerRequestTimeout(t *testing.T) {
 	}
 	if res.Source != "sim" {
 		t.Errorf("retry source = %q, want sim", res.Source)
+	}
+}
+
+// TestRunJobCarriesDelayAndTimeout: a /v1/run miss is a one-member
+// group job that carries its request's delay and timeout. A job held by
+// its delay simulates nothing before the delay ends, so cancelling the
+// service meanwhile leaves SimRuns at 0; and a 1 ms timeout cuts a
+// simulation that takes far longer, where the service default (60 s)
+// would not.
+func TestRunJobCarriesDelayAndTimeout(t *testing.T) {
+	s := newTestService(t, nil)
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Do(context.Background(), RunRequest{Workload: "grep", Scheme: "2bit", DelayMS: 5000}, nil)
+		done <- err
+	}()
+	waitUntil(t, func() bool { return s.metrics.InFlight.Load() == 1 })
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.Drain(ctx) // cancels the service context at once
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Errorf("delayed request cancelled by the drain = %v, want context.Canceled", err)
+	}
+	if got := s.metrics.SimRuns.Load(); got != 0 {
+		t.Errorf("SimRuns = %d, want 0: the job simulated before its delay ended", got)
+	}
+
+	s = newTestService(t, nil)
+	_, err := s.Do(context.Background(), RunRequest{Workload: "xlisp", Scheme: "2bit", TimeoutMS: 1}, nil)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("request with a 1 ms timeout = %v, want DeadlineExceeded in the chain", err)
 	}
 }
