@@ -32,16 +32,17 @@ test:
 # layer (coalescing, drain, backpressure) and the bench trace caches
 # it is built on — plus the batch golden tests (many lanes over one
 # shared decode window), the lane scheduler's tests (RunDrains, the
-# fuzz oracle with its two-drain batch split) and the decode-window
-# free list shared by concurrent Runs and drains, pinning lane
-# isolation across workers under -race.
+# fuzz oracle with its two-drain batch split) and the free lists of
+# decode windows and lanes shared by concurrent Runs and drains
+# (bounds, recycled lanes matching new ones, concurrent release and
+# New), pinning lane isolation across workers under -race.
 # The bench suite runs full timing simulations, which the detector
 # slows ~20×; heavy sweep tests shed redundant work under -race (see
 # bench/race_on_test.go) and the explicit -timeout gives slow
 # single-core machines headroom past the 600s default.
 test-race:
 	$(GO) test -race -timeout 900s ./internal/serve/... ./internal/bench/... ./internal/cluster/... ./internal/load/...
-	$(GO) test -race -run 'TestBatchMatchesSingle|TestGoldenStatsBatched|TestRunDrains|TestWindowMemLastBounded|TestFreeWindowsBounded|TestOneLaneBatchPrivateICache' ./internal/pipeline ./internal/bench
+	$(GO) test -race -run 'TestBatchMatchesSingle|TestGoldenStatsBatched|TestRunDrains|TestWindowMemLastBounded|TestFreeListsBounded|TestFreeListConcurrentReleaseAndNew|TestNewReusesReleasedLane|TestRecycledLanesMatchFresh|TestOneLaneBatchPrivateICache' ./internal/pipeline ./internal/bench
 	$(GO) test -race -run 'TestFuzzSmoke' ./internal/fuzz
 	$(GO) test -race -run 'TestRunIndependentOfParallelism' ./internal/explore
 

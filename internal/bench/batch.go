@@ -26,13 +26,6 @@ import (
 // a one-cell call (pinned by TestGoldenStatsBatched and
 // TestRunSpecsCanonicalLanes).
 
-// MaxBatchLanes caps the lanes folded into one drain. Lanes, not
-// drains, are the unit of parallel work (pipeline.RunDrains), so the
-// cap no longer buys fan-out: it bounds live lane state, since at most
-// one drain per worker is live at once. Lane dedup applies within a
-// drain.
-const MaxBatchLanes = 32
-
 // batchLane is one timing simulation shared by every spec index whose
 // cell has the same canonical machine (laneModel) within a subgroup.
 // Its key in batchGroup.byKey is that model's Key.
@@ -230,9 +223,10 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 		lm := laneModel(m, spec.Scheme, entries, r.boundOf(gk.traceKey, w, p))
 		lk := lm.Key()
 		g := groups[gk]
-		if g == nil || g.byKey[lk] == nil && len(g.lanes) == MaxBatchLanes {
+		if g == nil || g.byKey[lk] == nil && len(g.lanes) == pipeline.MaxBatchLanes {
 			// A new group, or a new lane for a full subgroup: open a
 			// fresh drain, bounding the lane state one drain holds.
+			// Lane dedup applies within a drain.
 			g = &batchGroup{w: w, p: p, fp: fp, byKey: map[string]*batchLane{}}
 			groups[gk] = g
 			order = append(order, g)
@@ -271,6 +265,7 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 				r.traceDrains.Add(1)
 				r.simLanes.Add(int64(len(g.lanes)))
 				r.addSkip(b.SkipStats(), stats...)
+				b.Release() // Stats and SkipStats read: the next drain's lanes reuse these
 				for j, ln := range g.lanes {
 					r.storeStats(ln.cache, stats[j])
 					for _, i := range ln.specIdxs {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"specguard/internal/core"
@@ -309,7 +310,7 @@ func TestRunSpecsGeometrySplit(t *testing.T) {
 	}
 }
 
-// TestRunSpecsSubgroupSplit: a grid bigger than MaxBatchLanes splits
+// TestRunSpecsSubgroupSplit: a grid bigger than pipeline.MaxBatchLanes splits
 // into multiple drains of the same trace, keeping drains ≪ cells while
 // letting the sweep fan out across cores.
 func TestRunSpecsSubgroupSplit(t *testing.T) {
@@ -318,11 +319,11 @@ func TestRunSpecsSubgroupSplit(t *testing.T) {
 		// parallel-drain interleavings it would exercise are already
 		// covered at smaller scale by TestRunSpecsModelSweep and
 		// TestRunSpecsGeometrySplit.
-		t.Skip("subgroup split needs >MaxBatchLanes lanes; too slow under -race")
+		t.Skip("subgroup split needs >pipeline.MaxBatchLanes lanes; too slow under -race")
 	}
 	w := All()[0]
 	var specs []Spec
-	n := MaxBatchLanes + 8
+	n := pipeline.MaxBatchLanes + 8
 	for i := 0; i < n; i++ {
 		m := machine.R10000()
 		m.PredictorEntries = 16 << (i % 10) // vary the lane key
@@ -341,7 +342,7 @@ func TestRunSpecsSubgroupSplit(t *testing.T) {
 		t.Fatalf("got %d results, want %d", len(results), n)
 	}
 	if got := r.TraceDrains(); got != 2 {
-		t.Errorf("TraceDrains = %d, want 2 (%d lanes split at %d per drain)", got, n, MaxBatchLanes)
+		t.Errorf("TraceDrains = %d, want 2 (%d lanes split at %d per drain)", got, n, pipeline.MaxBatchLanes)
 	}
 	if got := r.SimLanes(); got != int64(n) {
 		t.Errorf("SimLanes = %d, want %d", got, n)
@@ -464,7 +465,7 @@ func TestRunSpecsCanonicalLanes(t *testing.T) {
 		t.Errorf("SimLanes = %d, want 40 canonical machines", got)
 	}
 	if got := r.TraceDrains(); got != 2 {
-		t.Errorf("TraceDrains = %d, want 2 (40 lanes split at %d)", got, MaxBatchLanes)
+		t.Errorf("TraceDrains = %d, want 2 (40 lanes split at %d)", got, pipeline.MaxBatchLanes)
 	}
 	fresh := NewRunner()
 	for i, spec := range specs {
@@ -499,4 +500,38 @@ func TestRunSpecsCanonicalLanes(t *testing.T) {
 			t.Errorf("Runner-model cell not in the Stats cache when the cell with Entries=%d came first", order[0].Entries)
 		}
 	}
+}
+
+// TestOneCellRunSpecAllocation: a warm one-cell call on a per-spec model,
+// which the Stats cache never holds, so every call simulates, allocates
+// at most 6 KB: its trace comes from the trace cache, and its lane and
+// decode window from the free lists the previous call's drain released
+// them to. A lane built anew costs ~30 KB.
+func TestOneCellRunSpecAllocation(t *testing.T) {
+	if raceDetectorOn {
+		t.Skip("the race detector allocates on its own account")
+	}
+	r := NewRunner()
+	spec := Spec{Workload: Grep(), Scheme: SchemeTwoBit, Model: r.Model.Clone()}
+	ctx := context.Background()
+	if _, err := r.RunSpec(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	const calls = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := r.RunSpec(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if r.TraceDrains() != calls+1 {
+		t.Fatalf("%d drains over %d calls, want one per call", r.TraceDrains(), calls+1)
+	}
+	per := (after.TotalAlloc - before.TotalAlloc) / calls
+	if per > 6<<10 {
+		t.Errorf("a warm one-cell call allocated %d bytes, want ≤ 6 KB", per)
+	}
+	t.Logf("%d bytes per warm one-cell call", per)
 }

@@ -54,6 +54,11 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
+// Geometry returns the cache's size and line size in bytes.
+func (c *Cache) Geometry() (sizeBytes, lineBytes int) {
+	return c.numLines * c.lineBytes, c.lineBytes
+}
+
 // Stats returns (accesses, misses).
 func (c *Cache) Stats() (accesses, misses int64) { return c.accesses, c.misses }
 

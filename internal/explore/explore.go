@@ -155,7 +155,7 @@ func Precheck(req Request) error {
 // Run expands the grid and simulates every (point, workload) cell
 // through the batched runner. Cells are grouped by (workload, program,
 // icache geometry) inside bench.RunSpecs, so the whole sweep costs one
-// trace drain per group (capped at bench.MaxBatchLanes lanes each), not
+// trace drain per group (capped at pipeline.MaxBatchLanes lanes each), not
 // one per cell.
 func Run(ctx context.Context, r *bench.Runner, req Request) (*Report, error) {
 	points, err := expand(req)

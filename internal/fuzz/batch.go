@@ -119,6 +119,9 @@ func (o *Oracle) CheckBatch(p *prog.Program) error {
 	if err != nil {
 		return fail("batch-run", "lanes=%v: %v", kinds, err)
 	}
+	// Released lanes are rebuilt by the next New calls, so the reference
+	// runs below and later seeds simulate on recycled lanes.
+	batch.Release()
 
 	// Reference: each configuration standalone, fresh predictor state,
 	// fresh trace cursor.
@@ -154,7 +157,10 @@ func (o *Oracle) CheckBatch(p *prog.Program) error {
 				b, err := pipeline.NewBatch(cfgs)
 				return b, tr.NewReader(), err
 			},
-			Done: func(_ *pipeline.Batch, st []pipeline.Stats) { split[d] = st },
+			Done: func(b *pipeline.Batch, st []pipeline.Stats) {
+				split[d] = st
+				b.Release()
+			},
 		}
 	}
 	if err := pipeline.RunDrains(context.Background(), drains, 2); err != nil {

@@ -90,7 +90,9 @@ func (o *Oracle) CheckSkip(p *prog.Program) error {
 			return nil, pipeline.SkipStats{}, err
 		}
 		st, err := b.Run(tr.NewReader())
-		return st, b.SkipStats(), err
+		sk := b.SkipStats()
+		b.Release()
+		return st, sk, err
 	}
 	got, sk, err := run(false)
 	if err != nil {

@@ -70,6 +70,7 @@ func (o *Oracle) CheckSpan(p *prog.Program) error {
 	if err != nil {
 		return fail("bound %d, history %d: %v", bound, hist, err)
 	}
+	batch.Release()
 	for i := 1; i < len(lanes); i++ {
 		a, b := lanes[i-1], lanes[i]
 		if a.gshare != b.gshare {

@@ -95,10 +95,10 @@ type Interp struct {
 	layout *Layout
 	opts   Options
 
-	r   [isa.NumIntRegs]int64
-	f   [isa.NumFPRegs]float64
-	pd  [isa.NumPredRegs]bool
-	mem []int64
+	r  [isa.NumIntRegs]int64
+	f  [isa.NumFPRegs]float64
+	pd [isa.NumPredRegs]bool
+	image
 
 	fn     *prog.Func
 	block  int // index into fn.Blocks
@@ -127,7 +127,7 @@ func New(p *prog.Program, layout *Layout, opts Options) (*Interp, error) {
 		p:      p,
 		layout: layout,
 		opts:   opts,
-		mem:    make([]int64, opts.MemBytes/8),
+		image:  newImage(opts.MemBytes),
 		fn:     p.EntryFunc(),
 	}
 	m.pd[0] = true
@@ -168,34 +168,6 @@ func (m *Interp) SetPred(r isa.Reg, v bool) {
 	if !r.IsTruePred() {
 		m.pd[r.Index()] = v
 	}
-}
-
-// ReadWord returns the 8-byte word at byte address addr.
-func (m *Interp) ReadWord(addr int64) (int64, error) {
-	if err := m.checkAddr(addr); err != nil {
-		return 0, err
-	}
-	return m.mem[addr/8], nil
-}
-
-// WriteWord stores v at byte address addr. Workloads use it to build
-// their initial memory image.
-func (m *Interp) WriteWord(addr int64, v int64) error {
-	if err := m.checkAddr(addr); err != nil {
-		return err
-	}
-	m.mem[addr/8] = v
-	return nil
-}
-
-func (m *Interp) checkAddr(addr int64) error {
-	if addr < 0 || addr+8 > int64(len(m.mem))*8 {
-		return fmt.Errorf("interp: address %#x out of range", addr)
-	}
-	if addr%8 != 0 {
-		return fmt.Errorf("interp: unaligned access at %#x", addr)
-	}
-	return nil
 }
 
 // Steps returns the number of dynamic instructions executed so far.

@@ -26,10 +26,10 @@ type Machine struct {
 	c    *Code
 	opts Options
 
-	r   [isa.NumIntRegs]int64
-	f   [isa.NumFPRegs]float64
-	pd  [isa.NumPredRegs]bool
-	mem []int64
+	r  [isa.NumIntRegs]int64
+	f  [isa.NumFPRegs]float64
+	pd [isa.NumPredRegs]bool
+	image
 
 	pc     int32 // flat index; negative = fell off the end of funcs[^pc]
 	stack  []int32
@@ -46,10 +46,10 @@ func (c *Code) NewMachine(opts Options) *Machine {
 		opts.MaxSteps = DefaultOptions().MaxSteps
 	}
 	m := &Machine{
-		c:    c,
-		opts: opts,
-		mem:  make([]int64, opts.MemBytes/8),
-		pc:   c.entry,
+		c:     c,
+		opts:  opts,
+		image: newImage(opts.MemBytes),
+		pc:    c.entry,
 	}
 	m.pd[0] = true
 	return m
@@ -63,9 +63,7 @@ func (m *Machine) Reset() {
 	m.f = [isa.NumFPRegs]float64{}
 	m.pd = [isa.NumPredRegs]bool{}
 	m.pd[0] = true
-	for i := range m.mem {
-		m.mem[i] = 0
-	}
+	m.image.reset()
 	m.pc = m.c.entry
 	m.stack = m.stack[:0]
 	m.halted = false
@@ -109,33 +107,6 @@ func (m *Machine) SetPred(r isa.Reg, v bool) {
 	if !r.IsTruePred() {
 		m.pd[r.Index()] = v
 	}
-}
-
-// ReadWord returns the 8-byte word at byte address addr.
-func (m *Machine) ReadWord(addr int64) (int64, error) {
-	if err := m.checkAddr(addr); err != nil {
-		return 0, err
-	}
-	return m.mem[addr/8], nil
-}
-
-// WriteWord stores v at byte address addr.
-func (m *Machine) WriteWord(addr int64, v int64) error {
-	if err := m.checkAddr(addr); err != nil {
-		return err
-	}
-	m.mem[addr/8] = v
-	return nil
-}
-
-func (m *Machine) checkAddr(addr int64) error {
-	if addr < 0 || addr+8 > int64(len(m.mem))*8 {
-		return fmt.Errorf("interp: address %#x out of range", addr)
-	}
-	if addr%8 != 0 {
-		return fmt.Errorf("interp: unaligned access at %#x", addr)
-	}
-	return nil
 }
 
 // Steps returns the number of dynamic instructions executed so far.

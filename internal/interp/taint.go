@@ -111,7 +111,7 @@ func (c *Code) NewTaintMachine(opts Options, topts TaintOptions) *TaintMachine {
 	tm := &TaintMachine{
 		m:      m,
 		opts:   topts,
-		shadow: make([]uint64, (len(m.mem)+63)/64),
+		shadow: make([]uint64, (m.words+63)/64),
 	}
 	tm.seedShadow()
 	return tm
@@ -131,7 +131,7 @@ func (tm *TaintMachine) seedShadow() {
 // addresses read untainted).
 func (tm *TaintMachine) shadowAt(addr int64) bool {
 	w := addr / 8
-	if addr < 0 || w >= int64(len(tm.m.mem)) {
+	if addr < 0 || w >= tm.m.words {
 		return false
 	}
 	return tm.shadow[w/64]&(1<<uint(w%64)) != 0
@@ -140,7 +140,7 @@ func (tm *TaintMachine) shadowAt(addr int64) bool {
 // setShadow writes the taint bit of the word at addr.
 func (tm *TaintMachine) setShadow(addr int64, v bool) {
 	w := addr / 8
-	if addr < 0 || w >= int64(len(tm.m.mem)) {
+	if addr < 0 || w >= tm.m.words {
 		return
 	}
 	if v {
@@ -311,10 +311,10 @@ func (tm *TaintMachine) loadWord(w *walker, addr int64) (int64, bool) {
 			return w.stores[i].bits, w.stores[i].taint
 		}
 	}
-	if addr < 0 || addr%8 != 0 || addr/8 >= int64(len(tm.m.mem)) {
+	if !tm.m.valid(addr) {
 		return 0, false
 	}
-	return tm.m.mem[addr/8], tm.shadowAt(addr)
+	return tm.m.word(addr), tm.shadowAt(addr)
 }
 
 // wrongPath executes the not-actually-taken successor of the

@@ -2,9 +2,12 @@ package pipeline
 
 import (
 	"context"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"specguard/internal/asm"
@@ -166,19 +169,88 @@ func TestRunReusesReleasedWindow(t *testing.T) {
 	}
 }
 
-// TestFreeWindowsBounded: the free list keeps at most GOMAXPROCS
-// windows however many drains release one, Run's and RunDrains' alike,
-// and a GC does not empty it.
-func TestFreeWindowsBounded(t *testing.T) {
-	n := runtime.GOMAXPROCS(0)
-	freeWindows.Lock()
-	freeWindows.ws = nil
-	freeWindows.Unlock()
-	held := func() int {
-		freeWindows.Lock()
-		defer freeWindows.Unlock()
-		return len(freeWindows.ws)
+// TestNewReusesReleasedLane: New takes a released lane's buffers
+// instead of allocating a lane, so a warm one-lane cycle of New, Run and
+// release allocates nothing at all, the window and the lane both coming
+// from their free lists.
+func TestNewReusesReleasedLane(t *testing.T) {
+	events := recordTrace(t, allocKernel)
+	src := NewSliceSource(events)
+	cfg := Config{Model: machine.R10000(), Predictor: predict.NewTwoBit(512)}
+	b, err := NewBatch([]Config{cfg})
+	if err != nil {
+		t.Fatal(err)
 	}
+	lane := b.lanes[0]
+	if _, err := b.Run(src); err != nil {
+		t.Fatal(err)
+	}
+	b.Release()
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != lane {
+		t.Fatal("New built a lane while a released one was free")
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		p.release()
+		p, err = New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.Reset()
+		if _, err := p.Run(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("New and Run on a released lane allocated %.1f objects, want 0", allocs)
+	}
+}
+
+// TestReleasedBatchRunFails: a released Batch has no lanes, and running
+// it again is an error, not a drain whose round never ends.
+func TestReleasedBatchRunFails(t *testing.T) {
+	b, err := NewBatch(batchCases(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Release()
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.Run(kernelSource(10)(t))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "released Batch") {
+			t.Errorf("Run on a released Batch = %v, want an error naming it", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run on a released Batch did not return")
+	}
+}
+
+// TestFreeListsBounded: the window free list keeps at most GOMAXPROCS
+// windows and the lane free list at most GOMAXPROCS × MaxBatchLanes
+// lanes, however many drains release them, Run's and RunDrains' alike,
+// and a GC empties neither.
+func TestFreeListsBounded(t *testing.T) {
+	n := runtime.GOMAXPROCS(0)
+	held := func() (windows, lanes int) {
+		freeWindows.mu.Lock()
+		freeLanes.mu.Lock()
+		defer freeWindows.mu.Unlock()
+		defer freeLanes.mu.Unlock()
+		return len(freeWindows.items), len(freeLanes.items)
+	}
+	freeWindows.mu.Lock()
+	freeWindows.items = nil
+	freeWindows.mu.Unlock()
+	freeLanes.mu.Lock()
+	freeLanes.items = nil
+	freeLanes.mu.Unlock()
 
 	ws := make([]*window, 2*n+1)
 	for i := range ws {
@@ -187,12 +259,22 @@ func TestFreeWindowsBounded(t *testing.T) {
 	for _, w := range ws {
 		putWindow(w)
 	}
-	if got := held(); got != n {
-		t.Fatalf("after releasing %d windows the free list holds %d, want GOMAXPROCS = %d", len(ws), got, n)
+	cfgs := make([]Config, 2*n*MaxBatchLanes+1)
+	for i := range cfgs {
+		cfgs[i] = Config{Model: machine.R10000(), Predictor: predict.NewTwoBit(16)}
+	}
+	b, err := NewBatch(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Release()
+	if w, l := held(); w != n || l != n*MaxBatchLanes {
+		t.Fatalf("after releasing %d windows and %d lanes the free lists hold %d and %d, want GOMAXPROCS = %d and %d",
+			len(ws), len(cfgs), w, l, n, n*MaxBatchLanes)
 	}
 	runtime.GC()
-	if got := held(); got != n {
-		t.Fatalf("a GC left %d windows on the free list, want %d", got, n)
+	if w, l := held(); w != n || l != n*MaxBatchLanes {
+		t.Fatalf("a GC left %d windows and %d lanes on the free lists, want %d and %d", w, l, n, n*MaxBatchLanes)
 	}
 
 	src := kernelSource(300)
@@ -216,13 +298,65 @@ func TestFreeWindowsBounded(t *testing.T) {
 			b, err := NewBatch(batchCases(false))
 			return b, src(t), err
 		}
+		ds[i].Done = func(b *Batch, _ []Stats) { b.Release() }
 	}
 	if err := RunDrains(context.Background(), ds, 2*n); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if got := held(); got > n {
-		t.Errorf("free list holds %d windows, want ≤ GOMAXPROCS = %d", got, n)
+	if w, l := held(); w > n || l > n*MaxBatchLanes {
+		t.Errorf("free lists hold %d windows and %d lanes, want ≤ GOMAXPROCS = %d and ≤ %d", w, l, n, n*MaxBatchLanes)
+	}
+}
+
+// TestFreeListConcurrentReleaseAndNew: drains that release their lanes
+// while other workers build new ones from the same list each get Stats
+// identical to a never-recycled batch's. Run under -race, it pins that
+// a lane is handed to one drain at a time.
+func TestFreeListConcurrentReleaseAndNew(t *testing.T) {
+	src := kernelSource(300)
+	ref, err := NewBatch(batchCases(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Run(src(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := runtime.GOMAXPROCS(0)
+	var mu sync.Mutex
+	var got [][]Stats
+	ds := make([]Drain, 4*n)
+	for i := range ds {
+		ds[i].Open = func() (*Batch, Source, error) {
+			b, err := NewBatch(batchCases(true))
+			return b, src(t), err
+		}
+		ds[i].Done = func(b *Batch, stats []Stats) {
+			b.Release()
+			mu.Lock()
+			got = append(got, stats)
+			mu.Unlock()
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := RunDrains(context.Background(), ds[g*2*n:(g+1)*2*n], n); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(got) != len(ds) {
+		t.Fatalf("%d of %d drains finished", len(got), len(ds))
+	}
+	for i, stats := range got {
+		if !reflect.DeepEqual(stats, want) {
+			t.Fatalf("drain %d on recycled lanes: Stats differ from a fresh batch's", i)
+		}
 	}
 }
 

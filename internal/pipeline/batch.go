@@ -3,9 +3,13 @@ package pipeline
 import (
 	"context"
 	"fmt"
-
-	"specguard/internal/cache"
 )
+
+// MaxBatchLanes caps the lanes bench folds into one drain. Lanes, not
+// drains, are the unit of parallel work (RunDrains), so the cap does not
+// buy fan-out: it bounds live lane state, since at most one drain per
+// worker is live at once, and with it the lane free list (freeLanes).
+const MaxBatchLanes = 32
 
 // Batch is a drain with N independently configured pipeline lanes: one
 // Source replayed through one decode window, each lane reading it
@@ -74,12 +78,13 @@ func start(src Source, lanes ...*Pipeline) *window {
 	// lanes read bits, others run their private cache. The bits always
 	// describe a cold cache, which is what a fresh lane's private cache
 	// would see. A one-lane drain has nothing to share, so it keeps its
-	// private icache and the window allocates none.
+	// private icache and the window builds none.
 	var icBytes, icLine int
 	for _, p := range lanes {
 		if p.icache != nil && len(lanes) > 1 {
 			icBytes, icLine = p.model.ICacheBytes, p.model.CacheLineBytes
-			w.ic = cache.New(icBytes, icLine)
+			w.icKept = coldCache(w.icKept, icBytes, icLine)
+			w.ic = w.icKept
 			break
 		}
 	}
@@ -103,6 +108,18 @@ func (b *Batch) Run(src Source) ([]Stats, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// Release returns the batch's lanes to the lane free list, for New to
+// reuse their buffers. Call it once the drain's Stats and SkipStats have
+// been read; the lanes must not be used afterwards, and running the
+// Batch again is an error. A Pipeline that is never released keeps its
+// state.
+func (b *Batch) Release() {
+	for _, p := range b.lanes {
+		p.release()
+	}
+	b.lanes = nil
 }
 
 // SkipStats sums the quiescence fast-forward counters over all lanes

@@ -53,3 +53,23 @@ func TestRunStatsUnchangedByContext(t *testing.T) {
 		t.Errorf("Context changed Stats:\nwith:    %+v\nwithout: %+v", with, without)
 	}
 }
+
+// TestRunYieldsAtPoll: a lane yields its processor at every poll, every
+// 4096 simulated cycles, with or without a Context, so a simulation
+// cannot hold a processor until async preemption. Without cycle skips
+// every cycle is polled, so the count follows from the cycle count.
+func TestRunYieldsAtPoll(t *testing.T) {
+	orig := yield
+	defer func() { yield = orig }()
+	var n int64
+	yield = func() { n++ }
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, c := range []context.Context{nil, ctx} {
+		n = 0
+		st := simulate(t, allocKernel, twoBit(), func(cfg *Config) { cfg.NoCycleSkip, cfg.Context = true, c })
+		if want := (st.Cycles-1)/(cancelCheckMask+1) + 1; st.Cycles < 4*(cancelCheckMask+1) || n != want {
+			t.Errorf("Context %v: %d yields over %d cycles, want %d (one per 4096 cycles)", c != nil, n, st.Cycles, want)
+		}
+	}
+}

@@ -32,3 +32,18 @@ func StartICache(b *Batch, src Source) (windowIC bool, shared []bool) {
 	putWindow(w)
 	return windowIC, shared
 }
+
+// DropFreeLanes empties the lane free list, so the lanes New builds next
+// are new.
+func DropFreeLanes() {
+	freeLanes.mu.Lock()
+	freeLanes.items = nil
+	freeLanes.mu.Unlock()
+}
+
+// FreeLanes returns how many released lanes the free list holds.
+func FreeLanes() int {
+	freeLanes.mu.Lock()
+	defer freeLanes.mu.Unlock()
+	return len(freeLanes.items)
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"runtime"
 
 	"specguard/internal/cache"
 	"specguard/internal/interp"
@@ -165,11 +166,14 @@ type Config struct {
 	Context context.Context
 }
 
-// cancelCheckMask spaces the hot loop's Context polls: the done channel
-// is inspected when cycle&cancelCheckMask == 0, i.e. every 4096 cycles
-// (tens of microseconds of simulated work), keeping cancellation
-// latency negligible next to any realistic request timeout.
+// cancelCheckMask spaces the hot loop's Context polls and yields: the
+// done channel is inspected when cycle&cancelCheckMask == 0, i.e. every
+// 4096 cycles (tens of microseconds of simulated work), keeping
+// cancellation latency negligible next to any realistic request timeout.
 const cancelCheckMask = 4095
+
+// yield is runtime.Gosched, a variable so tests can count its calls.
+var yield = runtime.Gosched
 
 type entryState uint8
 
@@ -294,7 +298,11 @@ type Pipeline struct {
 	icShared bool    // consume window.ic bits instead of the private icache
 }
 
-// New validates cfg and returns a simulator.
+// New validates cfg and returns a simulator. It reuses the buffers of a
+// released lane (Batch.Release) when there is one, preferring one with
+// cfg's active list and cache geometry: its caches are reset cold, and
+// everything else a run reads is reset when the run attaches, so its
+// Stats are those of a new lane.
 func New(cfg Config) (*Pipeline, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("pipeline: Config.Model is required")
@@ -308,19 +316,53 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.Watchdog == 0 {
 		cfg.Watchdog = 100000
 	}
-	p := &Pipeline{cfg: cfg, model: cfg.Model, pred: cfg.Predictor}
+	m := cfg.Model
+	p, ok := freeLanes.get(func(p *Pipeline) bool { return p.fits(&cfg) })
+	if !ok {
+		p = new(Pipeline)
+	}
+	p.cfg, p.model, p.pred = cfg, m, cfg.Predictor
 	p.predTB, _ = cfg.Predictor.(*predict.TwoBit)
+	ic, dc := p.icache, p.dcache
+	p.icache, p.dcache = nil, nil
 	if !cfg.DisableICache {
-		p.icache = cache.New(cfg.Model.ICacheBytes, cfg.Model.CacheLineBytes)
+		p.icache = coldCache(ic, m.ICacheBytes, m.CacheLineBytes)
 	}
 	if !cfg.DisableDCache {
-		p.dcache = cache.New(cfg.Model.DCacheBytes, cfg.Model.CacheLineBytes)
+		p.dcache = coldCache(dc, m.DCacheBytes, m.CacheLineBytes)
 	}
 	for op := 0; op < len(p.latTab); op++ {
-		p.latTab[op] = int16(cfg.Model.Latency(isa.Op(op)))
+		p.latTab[op] = int16(m.Latency(isa.Op(op)))
 	}
-	p.leakWin = int32(cfg.Model.SpecWindow())
+	p.leakWin = int32(m.SpecWindow())
 	return p, nil
+}
+
+// freeLanes recycles released lanes: a lane's ROB, fetch buffer,
+// completion wheel, ready queues and caches are ~30 KB, which a sweep
+// would otherwise allocate per lane and a one-cell run per call. A drain
+// holds at most MaxBatchLanes lanes and at most GOMAXPROCS drains run at
+// once, so the list keeps that many.
+var freeLanes = freeList[*Pipeline]{perProc: MaxBatchLanes}
+
+// release drops what the lane's caller owns (predictor, model, context,
+// window, Stats) and puts the lane's buffers on the free list.
+func (p *Pipeline) release() {
+	p.cfg, p.model, p.pred, p.predTB = Config{}, nil, nil, nil
+	p.stats, p.skip = Stats{}, SkipStats{}
+	p.rs.done = nil
+	p.win, p.icShared = nil, false
+	freeLanes.put(p)
+}
+
+// fits reports whether a released lane's buffers suit cfg as they are:
+// the same active list and, for each cache cfg enables, the same
+// geometry.
+func (p *Pipeline) fits(cfg *Config) bool {
+	m := cfg.Model
+	return p.rob != nil && p.rob.cap == m.ActiveList &&
+		(cfg.DisableICache || shaped(p.icache, m.ICacheBytes, m.CacheLineBytes)) &&
+		(cfg.DisableDCache || shaped(p.dcache, m.DCacheBytes, m.CacheLineBytes))
 }
 
 // maxLatency bounds the schedule horizon for the completion wheel: the
@@ -454,12 +496,18 @@ func (p *Pipeline) advance() (bool, error) {
 	w := p.win
 	for {
 		if !rs.inFetch {
-			// ---- Cooperative cancellation (see Config.Context). ----
-			if rs.done != nil && rs.cycle&cancelCheckMask == 0 {
-				select {
-				case <-rs.done:
-					return false, fmt.Errorf("pipeline: run cancelled at cycle %d: %w", rs.cycle, p.cfg.Context.Err())
-				default:
+			// ---- Cooperative cancellation (see Config.Context), and a
+			// yield: a lane otherwise holds its processor until Go's
+			// 10 ms async preemption, so a busy simulation would stall
+			// the HTTP handlers and timers sharing it. ----
+			if rs.cycle&cancelCheckMask == 0 {
+				yield()
+				if rs.done != nil {
+					select {
+					case <-rs.done:
+						return false, fmt.Errorf("pipeline: run cancelled at cycle %d: %w", rs.cycle, p.cfg.Context.Err())
+					default:
+					}
 				}
 			}
 			p.stageComplete()

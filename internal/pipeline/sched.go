@@ -213,8 +213,10 @@ func (s *scheduler) admit(id int) {
 	s.live++
 	s.mu.Unlock()
 	b, src, err := spec.Open()
-	if err == nil && b == nil {
-		err = fmt.Errorf("pipeline: drain %q opened no Batch", spec.Name)
+	if err == nil && (b == nil || len(b.lanes) == 0) {
+		// A released Batch has no lanes; admitting it would start a
+		// round no lane ever ends.
+		err = fmt.Errorf("pipeline: drain %q opened no lanes (a nil or released Batch)", spec.Name)
 	}
 	if err == nil && len(b.lanes) == 1 {
 		s.runSolo(spec, b, src)

@@ -2,8 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"specguard/internal/cache"
 	"specguard/internal/interp"
@@ -105,6 +103,9 @@ type window struct {
 	// icache, which persists across runs like the predictor; sharing
 	// with no other lane would only allocate a second cache.
 	ic *cache.Cache
+	// icKept is the last shared icache, kept across drains so the next
+	// drain of the same geometry resets it instead of allocating one.
+	icKept *cache.Cache
 
 	// code, when the source exposes its predecoded program, lets
 	// prepare read static operand metadata (uses/defs/rename class)
@@ -161,38 +162,16 @@ func (w *window) reset(src Source, chunk, horizon int64) {
 }
 
 // freeWindows recycles windows across drains, Run's included. A window
-// is ~330 KB (1024 slots plus its disambiguation table) where the rest
-// of a one-lane run allocates ~36 KB, so a fresh window per run would
-// dominate allocation. The list is a plain slice, not a sync.Pool: a
-// GC empties a Pool, and the sweeps that need reuse are exactly the
-// allocation-heavy phases that trigger one. It holds at most GOMAXPROCS
-// windows — at most that many drains run at once — so an idle process
-// keeps at most one window's ~330 KB per core.
-var freeWindows struct {
-	sync.Mutex
-	ws []*window
-}
+// is ~330 KB (1024 slots plus its disambiguation table) where a lane is
+// ~30 KB, so a fresh window per run would dominate allocation. At most
+// GOMAXPROCS drains run at once, so the list keeps one per processor.
+var freeWindows = freeList[*window]{perProc: 1}
 
-// getWindow returns an empty window over src, reusing the smallest free
-// window that fits.
+// getWindow returns an empty window over src, reusing a free window —
+// one large enough when there is one.
 func getWindow(src Source, chunk, horizon int64) *window {
-	freeWindows.Lock()
-	ws := freeWindows.ws
-	best := -1
-	for i, w := range ws {
-		if int64(cap(w.slots)) >= 2*chunk && (best < 0 || cap(w.slots) < cap(ws[best].slots)) {
-			best = i
-		}
-	}
-	var w *window
-	if best >= 0 {
-		w = ws[best]
-		ws[best] = ws[len(ws)-1]
-		ws[len(ws)-1] = nil
-		freeWindows.ws = ws[:len(ws)-1]
-	}
-	freeWindows.Unlock()
-	if w == nil {
+	w, ok := freeWindows.get(func(w *window) bool { return int64(cap(w.slots)) >= 2*chunk })
+	if !ok {
 		return newWindow(src, chunk, horizon)
 	}
 	w.reset(src, chunk, horizon)
@@ -200,14 +179,29 @@ func getWindow(src Source, chunk, horizon int64) *window {
 }
 
 // putWindow returns a window no lane reads any more to the free list,
-// dropping its source, or drops it when the list is full.
+// dropping its source.
 func putWindow(w *window) {
 	w.src, w.code, w.ic = nil, nil, nil
-	freeWindows.Lock()
-	if len(freeWindows.ws) < runtime.GOMAXPROCS(0) {
-		freeWindows.ws = append(freeWindows.ws, w)
+	freeWindows.put(w)
+}
+
+// coldCache returns an empty cache of the given geometry: c reset when
+// it has that geometry, else a new one.
+func coldCache(c *cache.Cache, sizeBytes, lineBytes int) *cache.Cache {
+	if !shaped(c, sizeBytes, lineBytes) {
+		return cache.New(sizeBytes, lineBytes)
 	}
-	freeWindows.Unlock()
+	c.Reset()
+	return c
+}
+
+// shaped reports whether c is a cache of the given geometry.
+func shaped(c *cache.Cache, sizeBytes, lineBytes int) bool {
+	if c == nil {
+		return false
+	}
+	s, l := c.Geometry()
+	return s == sizeBytes && l == lineBytes
 }
 
 // refill decodes up to one chunk of further events past the frontier.

@@ -24,30 +24,142 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
+	"slices"
 
 	"specguard/internal/interp"
 	"specguard/internal/isa"
 )
 
-// bits is an append-only packed bit stream.
+// blockShift sizes the blocks every stream of a trace is chained from:
+// 1<<blockShift bytes, 4 KiB. A stream grows a block at a time, never by
+// re-copying what it holds, and its last block is trimmed to its use, so
+// a capture allocates about SizeBytes plus one block per stream. It is
+// at least 4, so a varint's worst case fits one block; a variable so
+// tests can cross block boundaries with small blocks.
+var blockShift uint = 12
+
+// yieldEvents spaces Capture's yields: an architectural run is a long
+// loop that holds its processor, so every 2^16 events it lets other
+// goroutines (HTTP handlers, timers) run.
+const yieldEvents = 1 << 16
+
+// yield is runtime.Gosched, a variable so tests can count its calls.
+var yield = runtime.Gosched
+
+// bits is an append-only packed bit stream in blocks of 1<<blockShift
+// bytes.
 type bits struct {
-	words []uint64
-	n     int64
+	blocks [][]uint64 // full blocks, the last one trimmed by trim
+	shift  uint       // log2 of the bits per block, below 64
+	wmask  int64      // words per block − 1
+	n      int64
 }
 
 func (b *bits) append(v bool) {
-	w := int(b.n >> 6)
-	if w == len(b.words) {
-		b.words = append(b.words, 0)
+	if b.n>>(b.shift&63) == int64(len(b.blocks)) {
+		if b.blocks == nil {
+			b.shift = blockShift + 3
+			b.wmask = 1<<(b.shift-6) - 1
+		}
+		b.blocks = append(b.blocks, make([]uint64, b.wmask+1))
 	}
 	if v {
-		b.words[w] |= 1 << uint(b.n&63)
+		b.blocks[len(b.blocks)-1][b.n>>6&b.wmask] |= 1 << uint(b.n&63)
 	}
 	b.n++
 }
 
+// get reads bit i. The shift is masked to 63 so it compiles to one
+// instruction: replay reads a bit per branch and guarded event.
 func (b *bits) get(i int64) bool {
-	return b.words[i>>6]&(1<<uint(i&63)) != 0
+	return b.blocks[i>>(b.shift&63)][i>>6&b.wmask]&(1<<uint(i&63)) != 0
+}
+
+// trim shortens the last block to the words it uses.
+func (b *bits) trim() {
+	if last := len(b.blocks) - 1; last >= 0 {
+		used := (b.n - int64(last)<<(b.shift&63) + 63) >> 6
+		b.blocks[last] = slices.Clone(b.blocks[last][:used])
+	}
+}
+
+// size returns the stream's payload bytes.
+func (b *bits) size() int {
+	n := 0
+	for _, blk := range b.blocks {
+		n += 8 * len(blk)
+	}
+	return n
+}
+
+// varints is an append-only stream of varints in blocks of
+// 1<<blockShift bytes.
+// No varint straddles two blocks: a block is closed once the next
+// varint might not fit, so a reader decodes every varint from one
+// slice.
+type varints struct {
+	blocks [][]byte // closed blocks, each cut to the bytes it holds
+	cur    []byte   // the open block
+	off    int      // bytes of cur in use
+}
+
+// room makes sure the open block fits a varint of any value.
+func (s *varints) room() {
+	if len(s.cur)-s.off < binary.MaxVarintLen64 {
+		s.close()
+		s.cur = make([]byte, 1<<blockShift)
+	}
+}
+
+func (s *varints) putVarint(v int64) {
+	s.room()
+	s.off += binary.PutVarint(s.cur[s.off:], v)
+}
+
+func (s *varints) putUvarint(v uint64) {
+	s.room()
+	s.off += binary.PutUvarint(s.cur[s.off:], v)
+}
+
+// close appends the open block's bytes to blocks.
+func (s *varints) close() {
+	if s.off > 0 {
+		s.blocks = append(s.blocks, s.cur[:s.off])
+	}
+	s.cur, s.off = nil, 0
+}
+
+// trim closes the open block as an exact-size copy.
+func (s *varints) trim() {
+	s.cur = slices.Clone(s.cur[:s.off])
+	s.close()
+}
+
+// size returns the stream's payload bytes.
+func (s *varints) size() int {
+	n := s.off
+	for _, blk := range s.blocks {
+		n += len(blk)
+	}
+	return n
+}
+
+// cursor is a Reader's position in a varints stream.
+type cursor struct {
+	blk  []byte // the block being read
+	off  int    // bytes of blk already read
+	next int    // index of the block after blk
+}
+
+// rest returns the unread bytes of the current block, moving to the
+// next block once this one is read; it is empty at the stream's end.
+func (c *cursor) rest(s *varints) []byte {
+	if c.off == len(c.blk) && c.next < len(s.blocks) {
+		c.blk, c.off = s.blocks[c.next], 0
+		c.next++
+	}
+	return c.blk[c.off:]
 }
 
 // Trace is one captured execution. It is immutable after Capture and
@@ -57,17 +169,18 @@ type Trace struct {
 	events int64
 	result interp.Result
 
-	branch bits   // taken bit per conditional-branch event
-	annul  bits   // annulled bit per guarded-instruction event
-	mem    []byte // zigzag-varint deltas of non-annulled effective addresses
-	ctrl   []byte // uvarint chosen flat pc per Switch event
+	branch bits    // taken bit per conditional-branch event
+	annul  bits    // annulled bit per guarded-instruction event
+	mem    varints // zigzag-varint deltas of non-annulled effective addresses
+	ctrl   varints // uvarint chosen flat pc per Switch event
 }
 
 // Capture runs code to completion on a fresh Machine, recording the
 // packed trace. init (if non-nil) installs the initial memory image;
 // visit (if non-nil) observes every Event with a reused record, so the
 // profiler can collect feedback from the same architectural run that
-// fills the trace — one execution serves both.
+// fills the trace — one execution serves both. Every 2^16 events it
+// yields its processor.
 func Capture(code *interp.Code, opts interp.Options, init func(interp.Memory) error, visit func(*interp.Event)) (*Trace, interp.Result, error) {
 	m := code.NewMachine(opts)
 	if init != nil {
@@ -86,6 +199,9 @@ func Capture(code *interp.Code, opts interp.Options, init func(interp.Memory) er
 		}
 		res.DynInstrs++
 		t.events++
+		if t.events&(yieldEvents-1) == 0 {
+			yield()
+		}
 		if ev.Instr.Guarded() {
 			t.annul.append(ev.Annulled)
 		}
@@ -100,10 +216,10 @@ func Capture(code *interp.Code, opts interp.Options, init func(interp.Memory) er
 				}
 				t.branch.append(ev.Taken)
 			case ev.IsMem:
-				t.mem = binary.AppendVarint(t.mem, ev.MemAddr-lastMem)
+				t.mem.putVarint(ev.MemAddr - lastMem)
 				lastMem = ev.MemAddr
 			case ev.Instr.Op == isa.Switch:
-				t.ctrl = binary.AppendUvarint(t.ctrl, uint64(m.PC()))
+				t.ctrl.putUvarint(uint64(m.PC()))
 			}
 		}
 		if ev.IsMem {
@@ -115,6 +231,10 @@ func Capture(code *interp.Code, opts interp.Options, init func(interp.Memory) er
 		if m.Halted() {
 			res.FinalStateR = m.IntRegs()
 			t.result = res
+			t.branch.trim()
+			t.annul.trim()
+			t.mem.trim()
+			t.ctrl.trim()
 			return t, res, nil
 		}
 	}
@@ -132,7 +252,7 @@ func (t *Trace) Result() interp.Result { return t.result }
 // SizeBytes returns the packed payload size — the whole point: tens of
 // bits per thousand instructions instead of a 100+-byte Event each.
 func (t *Trace) SizeBytes() int {
-	return len(t.branch.words)*8 + len(t.annul.words)*8 + len(t.mem) + len(t.ctrl)
+	return t.branch.size() + t.annul.size() + t.mem.size() + t.ctrl.size()
 }
 
 // Reader replays a Trace as the exact committed-event stream of the
@@ -144,9 +264,9 @@ type Reader struct {
 	stack   []int32
 	brPos   int64
 	anPos   int64
-	memOff  int
+	mem     cursor
 	lastMem int64
-	ctrlOff int
+	ctrl    cursor
 	emitted int64
 	done    bool
 }
@@ -168,8 +288,8 @@ func (r *Reader) Reset() {
 	r.pc = r.t.code.Entry()
 	r.stack = r.stack[:0]
 	r.brPos, r.anPos = 0, 0
-	r.memOff, r.lastMem = 0, 0
-	r.ctrlOff = 0
+	r.mem, r.lastMem = cursor{}, 0
+	r.ctrl = cursor{}
 	r.emitted = 0
 	r.done = false
 }
@@ -246,21 +366,21 @@ func (r *Reader) NextInto(ev *interp.Event) (bool, error) {
 		r.pc = r.stack[len(r.stack)-1]
 		r.stack = r.stack[:len(r.stack)-1]
 	case interp.KindSwitch:
-		tgt, n := binary.Uvarint(r.t.ctrl[r.ctrlOff:])
+		tgt, n := binary.Uvarint(r.ctrl.rest(&r.t.ctrl))
 		if n <= 0 {
 			return false, fmt.Errorf("trace: control stream exhausted at event %d", r.emitted)
 		}
-		r.ctrlOff += n
+		r.ctrl.off += n
 		r.pc = int32(tgt)
 	case interp.KindHalt:
 		r.done = true
 	default:
 		if f.IsMem {
-			delta, n := binary.Varint(r.t.mem[r.memOff:])
+			delta, n := binary.Varint(r.mem.rest(&r.t.mem))
 			if n <= 0 {
 				return false, fmt.Errorf("trace: memory stream exhausted at event %d", r.emitted)
 			}
-			r.memOff += n
+			r.mem.off += n
 			r.lastMem += delta
 			ev.IsMem = true
 			ev.MemAddr = r.lastMem

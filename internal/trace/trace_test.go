@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"encoding/binary"
+	"math"
+	"runtime"
 	"testing"
 
 	"specguard/internal/asm"
@@ -65,9 +68,28 @@ func captureSrc(t testing.TB, src string) (*Trace, *interp.Code) {
 }
 
 // TestReplayMatchesLive replays the trace in lockstep with the
-// reference interpreter and demands event-for-event identity.
+// reference interpreter and demands event-for-event identity, with the
+// default blocks and with blocks so small that every stream is a chain
+// of many.
 func TestReplayMatchesLive(t *testing.T) {
 	tr, code := captureSrc(t, traceSrc)
+	checkReplay(t, tr, code)
+	t.Run("blocks-16", func(t *testing.T) {
+		withBlockShift(t, 4)
+		small, code := captureSrc(t, traceSrc)
+		if len(small.mem.blocks) < 2 || len(small.ctrl.blocks) < 2 {
+			t.Fatalf("varint streams in %d/%d blocks (mem/ctrl), want chains", len(small.mem.blocks), len(small.ctrl.blocks))
+		}
+		if small.SizeBytes() != tr.SizeBytes() {
+			t.Errorf("SizeBytes = %d with 16-byte blocks, %d with the default", small.SizeBytes(), tr.SizeBytes())
+		}
+		checkReplay(t, small, code)
+	})
+}
+
+// checkReplay replays tr in lockstep with the reference interpreter.
+func checkReplay(t *testing.T, tr *Trace, code *interp.Code) {
+	t.Helper()
 	ref, err := interp.New(code.Program(), nil, interp.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +130,136 @@ func TestReplayMatchesLive(t *testing.T) {
 	}
 }
 
+// withBlockShift chains streams from 1<<shift-byte blocks until t ends.
+func withBlockShift(t *testing.T, shift uint) {
+	orig := blockShift
+	blockShift = shift
+	t.Cleanup(func() { blockShift = orig })
+}
+
+// TestStreamBlockBoundaries: varints of every length and bits read back
+// exactly across block boundaries, no varint straddles two blocks, and
+// trimming leaves each stream its payload and no more.
+func TestStreamBlockBoundaries(t *testing.T) {
+	withBlockShift(t, 4)
+	var vals []int64
+	for i := 0; i < 40; i++ {
+		vals = append(vals, 0, -1, 1<<(i%63), -(1 << (i % 63)), math.MaxInt64, math.MinInt64)
+	}
+	var s varints
+	size := 0
+	for _, v := range vals {
+		s.putVarint(v)
+		size += len(binary.AppendVarint(nil, v))
+	}
+	s.trim()
+	if s.size() != size {
+		t.Errorf("varint stream holds %d bytes, want its payload %d", s.size(), size)
+	}
+	if len(s.blocks) < 2 {
+		t.Fatalf("%d blocks, want a chain", len(s.blocks))
+	}
+	var c cursor
+	for i, want := range vals {
+		got, n := binary.Varint(c.rest(&s))
+		if n <= 0 || got != want {
+			t.Fatalf("varint %d = %d (n %d), want %d", i, got, n, want)
+		}
+		c.off += n
+	}
+	if rest := c.rest(&s); len(rest) != 0 {
+		t.Errorf("%d bytes left after the last varint", len(rest))
+	}
+
+	var b bits
+	const n = 1000 // 7 full 128-bit blocks and a partial eighth
+	for i := 0; i < n; i++ {
+		b.append(i%3 == 0 || i%7 == 0)
+	}
+	b.trim()
+	if len(b.blocks) != 8 || b.size() != 8*((n+63)/64) {
+		t.Errorf("%d bits in %d blocks of %d bytes in all, want 8 blocks and %d bytes", n, len(b.blocks), b.size(), 8*((n+63)/64))
+	}
+	for i := int64(0); i < n; i++ {
+		if got, want := b.get(i), i%3 == 0 || i%7 == 0; got != want {
+			t.Fatalf("bit %d = %v, want %v", i, got, want)
+		}
+	}
+}
+
+// replayKernel runs 400k events, 100k of them memory accesses.
+const replayKernel = `
+func main:
+entry:
+	li r1, 0
+	li r5, 9000
+loop:
+	lw r3, 0(r5)
+	add r3, r3, 1
+	sw r3, 0(r5)
+	and r2, r1, 7
+	beq r2, 0, sp
+pl:
+	add r4, r4, 1
+	j next
+sp:
+	add r6, r6, 1
+next:
+	add r1, r1, 1
+	blt r1, 50000, loop
+exit:
+	halt
+`
+
+// TestCaptureAllocatesItsSize: a capture allocates its packed payload
+// plus at most one block per stream (the trimmed last blocks), beside
+// a small machine; streams that grew by re-copying would leave about
+// their own size again in garbage.
+func TestCaptureAllocatesItsSize(t *testing.T) {
+	code, err := interp.Predecode(asm.MustParse(replayKernel), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := interp.Options{MemBytes: 1 << 16}
+	if _, _, err := Capture(code, opts, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr, _, err := Capture(code, opts, nil, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The machine: its struct, page table and the one page the kernel
+	// writes; the Trace and its block lists.
+	const machine = 8 << 10
+	got := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(tr.SizeBytes() + 4<<blockShift + machine); got > limit || tr.SizeBytes() < 16<<blockShift {
+		t.Errorf("capture of a %d-byte trace allocated %d bytes, want ≤ %d", tr.SizeBytes(), got, limit)
+	}
+}
+
+// TestCaptureYields: a capture yields its processor once every 2^16
+// events.
+func TestCaptureYields(t *testing.T) {
+	orig := yield
+	defer func() { yield = orig }()
+	n := int64(0)
+	yield = func() { n++ }
+	code, err := interp.Predecode(asm.MustParse(replayKernel), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, _, err := Capture(code, interp.Options{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := tr.Events() / yieldEvents; want < 4 || n != want {
+		t.Errorf("%d yields over %d events, want %d", n, tr.Events(), want)
+	}
+}
+
 func TestReaderReset(t *testing.T) {
 	tr, _ := captureSrc(t, traceSrc)
 	rd := tr.NewReader()
@@ -141,7 +293,7 @@ func TestCorruptTraceDetected(t *testing.T) {
 	if tr.branch.n == 0 {
 		t.Fatal("trace recorded no branches")
 	}
-	tr.branch.words[0] ^= 1 // first branch outcome
+	tr.branch.blocks[0][0] ^= 1 // first branch outcome
 
 	ref, err := interp.New(code.Program(), nil, interp.Options{})
 	if err != nil {
@@ -187,28 +339,7 @@ func TestTraceCompactness(t *testing.T) {
 // BenchmarkTraceReplay measures the pure replay rate: how fast the
 // packed trace reconstructs the committed-event stream.
 func BenchmarkTraceReplay(b *testing.B) {
-	code, err := interp.Predecode(asm.MustParse(`
-func main:
-entry:
-	li r1, 0
-	li r5, 9000
-loop:
-	lw r3, 0(r5)
-	add r3, r3, 1
-	sw r3, 0(r5)
-	and r2, r1, 7
-	beq r2, 0, sp
-pl:
-	add r4, r4, 1
-	j next
-sp:
-	add r6, r6, 1
-next:
-	add r1, r1, 1
-	blt r1, 50000, loop
-exit:
-	halt
-`), nil)
+	code, err := interp.Predecode(asm.MustParse(replayKernel), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
