@@ -56,7 +56,8 @@ benchmark-check:
 # One iteration of each performance benchmark — catches benchmark rot
 # without paying for a full measurement run — plus a fixed-seed sweep of
 # the front-end agreement oracle (interp vs. predecode vs. trace
-# replay).
+# replay), and a check that sgsim's CPU profile covers the timing core
+# the benchmark times (sgsim simulates through bench.Runner).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkPipe|BenchmarkPipeReplay|BenchmarkBatchPipe' -benchtime 1x ./internal/pipeline
 	$(GO) test -run '^$$' -bench BenchmarkInterpStep -benchtime 1x ./internal/interp
@@ -66,6 +67,11 @@ bench-smoke:
 	# Quiescence fast-forward engagement: a latency-bound workload must
 	# report SkippedCycles > 0 with Stats unchanged (asserted in-test).
 	$(GO) test -run 'TestSkipLongLatencyFP' -count 1 ./internal/pipeline
+	prof=$$(mktemp); \
+	$(GO) run ./cmd/sgsim -w grep -scheme proposed -cpuprofile $$prof >/dev/null && \
+	$(GO) tool pprof -top -cum $$prof 2>/dev/null | grep -qF 'pipeline.(*Pipeline).Run'; \
+	ok=$$?; rm -f $$prof; \
+	if [ $$ok -ne 0 ]; then echo "bench-smoke: sgsim's CPU profile does not list pipeline.(*Pipeline).Run" >&2; exit 1; fi
 
 # A bounded sweep of the differential fuzzer (internal/fuzz): every
 # seed must pass the interp/pipeline/xform agreement oracle (which now

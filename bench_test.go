@@ -298,18 +298,11 @@ func BenchmarkAblationPredictor(b *testing.B) {
 				product := 1.0
 				var lookups, correct int64
 				for _, w := range bench.All() {
-					m, err := interp.New(w.Build(), nil, interp.Options{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := w.Init(m); err != nil {
-						b.Fatal(err)
-					}
 					pipe, err := pipeline.New(pipeline.Config{Model: machine.R10000(), Predictor: pc.mk()})
 					if err != nil {
 						b.Fatal(err)
 					}
-					st, err := pipe.Run(pipeline.NewInterpSource(m))
+					st, err := pipe.Run(workloadMachine(b, w))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -328,24 +321,32 @@ func BenchmarkAblationPredictor(b *testing.B) {
 
 // ---- Component micro-benchmarks ----
 
-// BenchmarkPipelineThroughput measures the timing simulator's
-// simulation rate on the compress kernel.
+// workloadMachine returns a predecoded machine of w's program with w's
+// input installed: the live event stream the timing model consumes.
+func workloadMachine(b *testing.B, w bench.Workload) *interp.Machine {
+	code, err := interp.Predecode(w.Build(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := code.NewMachine(interp.Options{})
+	if err := w.Init(m); err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
+// BenchmarkPipelineThroughput measures the simulation rate of the
+// timing simulator fed live by a predecoded machine, on the compress
+// kernel.
 func BenchmarkPipelineThroughput(b *testing.B) {
 	w := bench.Compress()
 	var committed int64
 	for i := 0; i < b.N; i++ {
-		m, err := interp.New(w.Build(), nil, interp.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Init(m); err != nil {
-			b.Fatal(err)
-		}
 		pipe, err := pipeline.New(pipeline.Config{Model: machine.R10000(), Predictor: predict.NewTwoBit(512)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		st, err := pipe.Run(pipeline.NewInterpSource(m))
+		st, err := pipe.Run(workloadMachine(b, w))
 		if err != nil {
 			b.Fatal(err)
 		}

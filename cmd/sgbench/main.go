@@ -29,7 +29,7 @@ func main() {
 	summary := flag.Bool("summary", false, "print only the headline IPC summary")
 	ablation := flag.Bool("ablation", false, "print only the policy ablation")
 	leaks := flag.Bool("leaks", false, "print only the speculative-leak ablation (victim kernels, dynamic vs static)")
-	entries := flag.Int("entries", 0, "override the 2-bit predictor table size")
+	entries := flag.Int("entries", 0, fmt.Sprintf("override the 2-bit predictor table size, 1-%d (0 = the model's)", machine.MaxPredictorEntries))
 	par := flag.Int("par", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -47,10 +47,12 @@ func main() {
 			tableSet = true
 		}
 	})
-	if err := tableRangeErr(*table, tableSet); err != nil {
-		fmt.Fprintln(os.Stderr, "sgbench:", err)
-		flag.Usage()
-		os.Exit(2)
+	for _, err := range []error{tableRangeErr(*table, tableSet), entriesRangeErr(*entries)} {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "sgbench:", err)
+			flag.Usage()
+			os.Exit(2)
+		}
 	}
 
 	if err := run(*table, *figure, *summary, *ablation, *leaks, *entries, *par,
@@ -148,6 +150,16 @@ func run(table int, figure, summary, ablation, leaks bool, entries, par int,
 func tableRangeErr(table int, set bool) error {
 	if set && (table < 1 || table > 4) {
 		return fmt.Errorf("-table must be in 1..4, got %d", table)
+	}
+	return nil
+}
+
+// entriesRangeErr validates -entries: 0 keeps the model's table size,
+// and any other value must be a size the 2-bit predictor can take. A
+// negative size used to run silently with the model's.
+func entriesRangeErr(entries int) error {
+	if entries < 0 || entries > machine.MaxPredictorEntries {
+		return fmt.Errorf("-entries must be in 0..%d, got %d", machine.MaxPredictorEntries, entries)
 	}
 	return nil
 }

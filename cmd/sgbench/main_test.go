@@ -31,6 +31,32 @@ func TestTableRangeErr(t *testing.T) {
 	}
 }
 
+// TestEntriesRangeErr pins the -entries validation: 0 keeps the
+// model's table size, a size outside the 2-bit predictor's range is a
+// usage error (the CLI exits 2) instead of silently running the
+// model's size.
+func TestEntriesRangeErr(t *testing.T) {
+	cases := []struct {
+		entries int
+		wantErr bool
+	}{
+		{0, false}, // default: the model's size
+		{1, false},
+		{100, false},
+		{2048, false},
+		{machine.MaxPredictorEntries, false},
+		{-3, true},
+		{-5, true},
+		{machine.MaxPredictorEntries + 1, true},
+	}
+	for _, tc := range cases {
+		err := entriesRangeErr(tc.entries)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("entriesRangeErr(%d) = %v, wantErr=%v", tc.entries, err, tc.wantErr)
+		}
+	}
+}
+
 // TestTable2UsesConfiguredRunner guards the Table 2 path: it must
 // render the configured runner's machine model, not a fresh default
 // one, so model overrides echo consistently.

@@ -1,6 +1,8 @@
 // Command sgsim runs a program on the R10000-like timing simulator and
 // prints the statistics. The program is either a built-in workload
 // kernel (-w) or an assembly file (-f, in the syntax of internal/asm).
+// The one cell is simulated by bench.Runner, as sgbench and sgserved
+// simulate theirs, so -cpuprofile profiles the benchmarked path.
 //
 // Usage:
 //
@@ -10,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -19,19 +22,14 @@ import (
 	"specguard/internal/asm"
 	"specguard/internal/bench"
 	"specguard/internal/buildinfo"
-	"specguard/internal/core"
-	"specguard/internal/interp"
 	"specguard/internal/machine"
-	"specguard/internal/pipeline"
-	"specguard/internal/predict"
-	"specguard/internal/profile"
 )
 
 func main() {
 	workload := flag.String("w", "", "built-in workload: compress|espresso|xlisp|grep")
 	file := flag.String("f", "", "assembly file to simulate")
 	scheme := flag.String("scheme", "2bit", "2bit | gshare | proposed | perfect")
-	entries := flag.Int("entries", 512, "2-bit predictor table size")
+	entries := flag.Int("entries", 512, fmt.Sprintf("predictor table size, 1-%d (a power of two for gshare)", machine.MaxPredictorEntries))
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	version := flag.Bool("version", false, "print version and exit")
@@ -45,14 +43,49 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sgsim: exactly one of -w or -f is required")
 		os.Exit(2)
 	}
+	r := bench.NewRunner()
+	spec, err := cellSpec(r.Model, *scheme, *entries)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sgsim:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
-	if err := run(*workload, *file, *scheme, *entries, *cpuprofile, *memprofile); err != nil {
+	if err := run(r, spec, *workload, *file, *cpuprofile, *memprofile); err != nil {
 		fmt.Fprintln(os.Stderr, "sgsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(workload, file, scheme string, entries int, cpuprofile, memprofile string) error {
+// cellSpec returns the Runner spec of one (scheme, table size) cell on
+// base, less its workload, or a usage error: an unknown scheme, or a
+// size the predictor cannot take (outside 1..machine.MaxPredictorEntries,
+// or not a power of two for gshare). A gshare cell runs on a Clone of
+// base with an 8-bit-history gshare predictor of that size.
+func cellSpec(base *machine.Model, scheme string, entries int) (bench.Spec, error) {
+	m := base.Clone()
+	m.PredictorEntries = entries
+	spec := bench.Spec{Entries: entries}
+	switch scheme {
+	case "2bit":
+		spec.Scheme = bench.SchemeTwoBit
+	case "gshare":
+		m.Predictor, m.HistoryBits = machine.PredGShare, 8
+		spec.Scheme, spec.Model = bench.SchemeTwoBit, m
+	case "proposed":
+		spec.Scheme = bench.SchemeProposed
+	case "perfect":
+		spec.Scheme = bench.SchemePerfect
+	default:
+		return bench.Spec{}, fmt.Errorf("unknown scheme %q", scheme)
+	}
+	if err := m.Validate(); err != nil {
+		return bench.Spec{}, fmt.Errorf("-entries %d: %w", entries, err)
+	}
+	return spec, nil
+}
+
+func run(r *bench.Runner, spec bench.Spec, workload, file, cpuprofile, memprofile string) error {
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
@@ -79,13 +112,12 @@ func run(workload, file, scheme string, entries int, cpuprofile, memprofile stri
 		}()
 	}
 
-	var w bench.Workload
 	if workload != "" {
-		var err error
-		w, err = bench.ByName(workload)
+		w, err := bench.ByName(workload)
 		if err != nil {
 			return err
 		}
+		spec.Workload = w
 	} else {
 		src, err := os.ReadFile(file)
 		if err != nil {
@@ -95,55 +127,16 @@ func run(workload, file, scheme string, entries int, cpuprofile, memprofile stri
 		if err != nil {
 			return err
 		}
-		w = bench.Workload{
-			Name:  file,
-			Build: p.Clone,
-			Init:  func(interp.Memory) error { return nil },
-		}
+		spec.Workload = bench.Workload{Name: file, Build: p.Clone}
 	}
 
-	model := machine.R10000()
-	p := w.Build()
-	var pred predict.Predictor
-	switch scheme {
-	case "2bit":
-		pred = predict.NewTwoBit(entries)
-	case "gshare":
-		pred = predict.NewGShare(entries, 8)
-	case "perfect":
-		pred = predict.NewPerfect()
-	case "proposed":
-		pred = predict.NewTwoBit(entries)
-		prof, _, err := profile.Collect(w.Build(), interp.Options{}, w.Init)
-		if err != nil {
-			return err
-		}
-		rep, err := core.Optimize(p, prof, model, w.Opt)
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep.String())
-	default:
-		return fmt.Errorf("unknown scheme %q", scheme)
-	}
-
-	m, err := interp.New(p, nil, interp.Options{})
+	res, err := r.RunSpec(context.Background(), spec)
 	if err != nil {
 		return err
 	}
-	if w.Init != nil {
-		if err := w.Init(m); err != nil {
-			return err
-		}
+	if res.Report != nil {
+		fmt.Print(res.Report.String())
 	}
-	pipe, err := pipeline.New(pipeline.Config{Model: model, Predictor: pred})
-	if err != nil {
-		return err
-	}
-	stats, err := pipe.Run(pipeline.NewInterpSource(m))
-	if err != nil {
-		return err
-	}
-	fmt.Print(stats.String())
+	fmt.Print(res.Stats.String())
 	return nil
 }

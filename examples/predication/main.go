@@ -115,7 +115,7 @@ func demo(title, src string) {
 }
 
 func simulate(p *prog.Program, model *machine.Model) pipeline.Stats {
-	m, err := interp.New(p.Clone(), nil, interp.Options{})
+	code, err := interp.Predecode(p, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func simulate(p *prog.Program, model *machine.Model) pipeline.Stats {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stats, err := pipe.Run(pipeline.NewInterpSource(m))
+	stats, err := pipe.Run(code.NewMachine(interp.Options{}))
 	if err != nil {
 		log.Fatal(err)
 	}

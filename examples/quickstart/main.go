@@ -75,7 +75,7 @@ func main() {
 		{"proposed      ", optimized, predict.NewTwoBit(model.PredictorEntries)},
 		{"perfect BP    ", program, predict.NewPerfect()},
 	} {
-		m, err := interp.New(cfg.p.Clone(), nil, interp.Options{})
+		code, err := interp.Predecode(cfg.p, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		stats, err := pipe.Run(pipeline.NewInterpSource(m))
+		stats, err := pipe.Run(code.NewMachine(interp.Options{}))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -38,12 +38,16 @@ func TestDiagEspressoMerge(t *testing.T) {
 		if err := xform.LowerProgram(p); err != nil {
 			t.Fatal(err)
 		}
-		m, _ := interp.New(p, nil, interp.Options{})
+		code, err := interp.Predecode(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := code.NewMachine(interp.Options{})
 		if err := w.Init(m); err != nil {
 			t.Fatal(err)
 		}
 		pipe, _ := pipeline.New(pipeline.Config{Model: machine.R10000(), Predictor: predict.NewTwoBit(512)})
-		st, err := pipe.Run(pipeline.NewInterpSource(m))
+		st, err := pipe.Run(m)
 		if err != nil {
 			t.Fatal(err)
 		}

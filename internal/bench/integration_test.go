@@ -60,7 +60,7 @@ func TestQuickEndToEndOptimizerPreservesSemantics(t *testing.T) {
 		}
 
 		// (c) The timing model commits exactly the dynamic stream.
-		m2, err := interp.New(opt.Clone(), nil, interp.Options{})
+		code, err := interp.Predecode(opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestQuickEndToEndOptimizerPreservesSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := pipe.Run(pipeline.NewInterpSource(m2))
+		stats, err := pipe.Run(code.NewMachine(interp.Options{}))
 		if err != nil {
 			t.Fatalf("trial %d: simulate: %v", trial, err)
 		}

@@ -226,7 +226,7 @@ func (r *Runner) RunLeakContext(ctx context.Context, w Workload, s Scheme) (Leak
 	if err != nil {
 		return out, err
 	}
-	stats, err := pipe.Run(pipeline.NewTaintSource(tm))
+	stats, err := pipe.Run(tm)
 	if err != nil {
 		return out, fmt.Errorf("bench: simulating %s: %w", w.Name, err)
 	}

@@ -21,10 +21,11 @@ func TestTraceReplayMatchesLiveStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := interp.New(w.Build(), nil, interp.Options{})
+	code, err := interp.Predecode(w.Build(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := code.NewMachine(interp.Options{})
 	if err := w.Init(m); err != nil {
 		t.Fatal(err)
 	}
@@ -32,12 +33,12 @@ func TestTraceReplayMatchesLiveStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := pipe.Run(pipeline.NewInterpSource(m))
+	live, err := pipe.Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.Stats, live) {
-		t.Errorf("trace-replay Stats differ from live interpretation:\nreplay: %+v\nlive:   %+v", res.Stats, live)
+		t.Errorf("trace-replay Stats differ from a live machine's:\nreplay: %+v\nlive:   %+v", res.Stats, live)
 	}
 }
 

@@ -11,10 +11,7 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
-	"time"
 
-	"specguard/internal/bench"
 	"specguard/internal/buildinfo"
 	"specguard/internal/serve"
 )
@@ -73,13 +70,6 @@ func shortHash(s string) string {
 	return hex.EncodeToString(sum[:4])
 }
 
-// coordError is the uniform JSON error envelope (matches serve's).
-func coordError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // writeErr maps coordinator errors onto status codes.
 func (c *Coordinator) writeErr(w http.ResponseWriter, err error) {
 	var bad *serve.ErrBadRequest
@@ -87,19 +77,15 @@ func (c *Coordinator) writeErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.As(err, &bad):
 		c.metrics.BadRequests.Add(1)
-		coordError(w, http.StatusBadRequest, "%v", bad.Err)
+		serve.HTTPError(w, http.StatusBadRequest, "%v", bad.Err)
 	case errors.As(err, &shed):
 		c.metrics.Shed.Add(1)
-		secs := int64((shed.RetryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		coordError(w, http.StatusTooManyRequests, "%v", err)
+		serve.SetRetryAfter(w, shed.RetryAfter)
+		serve.HTTPError(w, http.StatusTooManyRequests, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
-		coordError(w, http.StatusGatewayTimeout, "%v", err)
+		serve.HTTPError(w, http.StatusGatewayTimeout, "%v", err)
 	default:
-		coordError(w, http.StatusBadGateway, "%v", err)
+		serve.HTTPError(w, http.StatusBadGateway, "%v", err)
 	}
 }
 
@@ -127,7 +113,7 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	c.metrics.Requests.Add(1)
 	if c.Draining() {
 		w.Header().Set("Retry-After", "10")
-		coordError(w, http.StatusServiceUnavailable, "coordinator is draining")
+		serve.HTTPError(w, http.StatusServiceUnavailable, "coordinator is draining")
 		return
 	}
 	req, err := serve.ParseRunRequest(r)
@@ -162,26 +148,17 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	c.metrics.Requests.Add(1)
 	if c.Draining() {
 		w.Header().Set("Retry-After", "10")
-		coordError(w, http.StatusServiceUnavailable, "coordinator is draining")
+		serve.HTTPError(w, http.StatusServiceUnavailable, "coordinator is draining")
 		return
 	}
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
-		coordError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		serve.HTTPError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	entries := 0
-	if v := r.URL.Query().Get("entries"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			c.metrics.BadRequests.Add(1)
-			coordError(w, http.StatusBadRequest, "bad entries: %v", err)
-			return
-		}
-		if err := serve.CheckEntries(n); err != nil {
-			c.writeErr(w, err) // counts the bad request
-			return
-		}
-		entries = n
+	reqs, err := serve.ParseSweepRequest(r)
+	if err != nil {
+		c.writeErr(w, err) // counts the bad request
+		return
 	}
 	client := ClientID(r)
 	release, err := c.AcquireBatch(r.Context(), client)
@@ -190,13 +167,6 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-
-	var reqs []serve.RunRequest
-	for _, wl := range bench.All() {
-		for _, scheme := range []bench.Scheme{bench.SchemeTwoBit, bench.SchemeProposed, bench.SchemePerfect} {
-			reqs = append(reqs, serve.RunRequest{Workload: wl.Name, Scheme: scheme.String(), PredictorEntries: entries})
-		}
-	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	type cell struct {
@@ -234,17 +204,17 @@ func (c *Coordinator) handleExplore(w http.ResponseWriter, r *http.Request) {
 	c.metrics.Requests.Add(1)
 	if c.Draining() {
 		w.Header().Set("Retry-After", "10")
-		coordError(w, http.StatusServiceUnavailable, "coordinator is draining")
+		serve.HTTPError(w, http.StatusServiceUnavailable, "coordinator is draining")
 		return
 	}
 	if r.Method != http.MethodPost {
-		coordError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		serve.HTTPError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		c.metrics.BadRequests.Add(1)
-		coordError(w, http.StatusBadRequest, "reading request body: %v", err)
+		serve.HTTPError(w, http.StatusBadRequest, "reading request body: %v", err)
 		return
 	}
 	up, err := c.DoExplore(r.Context(), ClientID(r), body)

@@ -102,7 +102,7 @@ func mustPreserve(t *testing.T, before, after *prog.Program, observe []int) {
 // ipcOf simulates p under the given predictor.
 func ipcOf(t *testing.T, p *prog.Program, pred predict.Predictor) pipeline.Stats {
 	t.Helper()
-	m, err := interp.New(p, nil, interp.Options{})
+	code, err := interp.Predecode(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func ipcOf(t *testing.T, p *prog.Program, pred predict.Predictor) pipeline.Stats
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := pipe.Run(pipeline.NewInterpSource(m))
+	stats, err := pipe.Run(code.NewMachine(interp.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,16 +199,16 @@ func (d *digest) event(ev interp.Event) {
 	d.fold(bits)
 }
 
-// teeSource feeds the pipeline from an interpreter while fingerprinting
-// the event stream it hands over.
+// teeSource feeds the pipeline from a predecoded machine while
+// fingerprinting the event stream it hands over.
 type teeSource struct {
-	inner *pipeline.InterpSource
-	d     digest
+	*interp.Machine
+	d digest
 }
 
 func (t *teeSource) NextInto(ev *interp.Event) (bool, error) {
-	ok, err := t.inner.NextInto(ev)
-	if ok && err == nil {
+	ok, err := t.Machine.NextInto(ev)
+	if ok {
 		t.d.event(*ev)
 	}
 	return ok, err
@@ -272,15 +272,16 @@ func (o *Oracle) Check(p *prog.Program) error {
 	}
 
 	// 3. Pipeline over the same program, invariant audits enabled. The
-	// timing model consumes the commit trace, so its counts must match
-	// the architectural run exactly — and the trace it consumed must
-	// fingerprint identically (interp determinism).
+	// timing model consumes the predecoded machine's commit trace, so
+	// its counts must match the architectural run exactly — and that
+	// trace must fingerprint identically to the reference
+	// interpreter's.
 	stats, pipeDigest, err := o.runPipeline(p)
 	if err != nil {
 		return fail("pipeline-invariant", "%v", err)
 	}
 	if pipeDigest != baseDigest {
-		return fail("trace-digest", "pipeline consumed a different commit trace than the profiler (interp nondeterminism?)")
+		return fail("trace-digest", "the predecoded machine fed the pipeline a different commit trace than the reference interpreter's profiling run")
 	}
 	if msg := diffCounts(stats, base.res); msg != "" {
 		return fail("pipeline-counts", "%s", msg)
@@ -374,9 +375,10 @@ func (o *Oracle) runVariant(q *prog.Program) (*interp.Interp, interp.Result, err
 	return m, res, err
 }
 
-// runPipeline simulates p on the timing model with SelfCheck audits on.
+// runPipeline simulates p on the timing model with SelfCheck audits on,
+// fed by a predecoded machine.
 func (o *Oracle) runPipeline(p *prog.Program) (pipeline.Stats, digest, error) {
-	m, err := interp.New(p, nil, o.interpOpts())
+	code, err := interp.Predecode(p, nil)
 	if err != nil {
 		return pipeline.Stats{}, 0, err
 	}
@@ -388,7 +390,7 @@ func (o *Oracle) runPipeline(p *prog.Program) (pipeline.Stats, digest, error) {
 	if err != nil {
 		return pipeline.Stats{}, 0, err
 	}
-	src := &teeSource{inner: pipeline.NewInterpSource(m), d: newDigest()}
+	src := &teeSource{Machine: code.NewMachine(o.interpOpts()), d: newDigest()}
 	stats, err := pipe.Run(src)
 	return stats, src.d, err
 }

@@ -32,11 +32,11 @@ type Event struct {
 	Index int // instruction position within Block
 	Instr *isa.Instr
 	Addr  uint64 // code address (from Layout)
-	// Flat is the flat-code index of the instruction when the producer
-	// executes predecoded Code (Machine, trace replay); 0 and stale
-	// values are harmless — consumers must verify Code.Flat(Flat).Instr
-	// == Instr before trusting it (the tree-walking interpreter leaves
-	// it meaningless).
+	// Flat is the instruction's index in the predecoded Code of its
+	// producer (Machine, TaintMachine, trace replay): Code.Flat(Flat)
+	// is Instr, and the timing model's decode window rejects an event
+	// for which it is not. The tree-walking interpreter leaves it
+	// meaningless, which is why Interp does not feed the timing model.
 	Flat int32
 
 	// Branch outcome, meaningful when Instr is a conditional branch.

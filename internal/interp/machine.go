@@ -123,6 +123,21 @@ func (m *Machine) PC() int32 { return m.pc }
 // (Result.FinalStateR).
 func (m *Machine) IntRegs() [isa.NumIntRegs]int64 { return m.r }
 
+// NextInto is Step as an event stream (pipeline.Source): ok=false,
+// with a nil error, once the program has halted.
+func (m *Machine) NextInto(ev *Event) (ok bool, err error) {
+	return streamStep(m.Step(ev))
+}
+
+// streamStep maps a Step result onto the event-stream contract:
+// ErrHalted is the end of the stream, not an error.
+func streamStep(err error) (bool, error) {
+	if err == ErrHalted {
+		return false, nil
+	}
+	return err == nil, err
+}
+
 // Step executes one instruction, filling *ev with what happened. After
 // Halt it returns ErrHalted.
 func (m *Machine) Step(ev *Event) error {

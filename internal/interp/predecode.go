@@ -49,11 +49,13 @@ type FlatInstr struct {
 
 	// Static operand metadata, precomputed so per-event consumers (the
 	// timing simulator's shared decode window) do not re-derive operand
-	// lists per dynamic execution. Uses holds the registers read
-	// (AppendUses order; NUses > len(Uses) means overflow — recompute
-	// from Instr). Def is the destination register when HasDef.
-	// NeedsRename/FPRename mirror the rename-register classification of
-	// the destination.
+	// lists per dynamic execution. Uses holds the NUses registers read,
+	// in AppendUses order (at most three: two operands plus the guard;
+	// Predecode rejects an instruction with more). Def is the
+	// destination register when HasDef. NeedsRename/FPRename classify
+	// the destination's rename register: an integer or floating-point
+	// one; predicate destinations are compiler-synthesized condition
+	// codes and consume none.
 	Uses        [3]isa.Reg
 	NUses       uint8
 	Def         isa.Reg
@@ -209,12 +211,12 @@ func Predecode(p *prog.Program, layout *Layout) (*Code, error) {
 		in := fl.Instr
 		var rb [4]isa.Reg
 		uses := in.AppendUses(rb[:0])
-		if len(uses) <= len(fl.Uses) {
-			copy(fl.Uses[:], uses)
-			fl.NUses = uint8(len(uses))
-		} else {
-			fl.NUses = uint8(len(fl.Uses)) + 1 // overflow sentinel: recompute from Instr
+		if len(uses) > len(fl.Uses) {
+			return nil, fmt.Errorf("interp: %s in %s/%s reads %d registers, at most %d are supported",
+				in.Op, fl.Fn.Name, fl.Block.Name, len(uses), len(fl.Uses))
 		}
+		copy(fl.Uses[:], uses)
+		fl.NUses = uint8(len(uses))
 		defs := in.AppendDefs(rb[:0])
 		if len(defs) > 0 {
 			fl.Def = defs[0]

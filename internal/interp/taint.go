@@ -150,8 +150,7 @@ func (tm *TaintMachine) setShadow(addr int64, v bool) {
 	}
 }
 
-// Code returns the predecoded program (the batch decode window's fast
-// path asserts for this).
+// Code returns the predecoded program.
 func (tm *TaintMachine) Code() *Code { return tm.m.c }
 
 // Machine returns the underlying machine, for result inspection.
@@ -214,6 +213,12 @@ func (tm *TaintMachine) Step(ev *Event) error {
 		tm.t.setRegTaint(in.Def, t)
 	}
 	return nil
+}
+
+// NextInto is Step as an event stream (pipeline.Source), like
+// Machine.NextInto: the stream a Config.TrackLeaks run consumes.
+func (tm *TaintMachine) NextInto(ev *Event) (ok bool, err error) {
+	return streamStep(tm.Step(ev))
 }
 
 // Run executes to completion like Machine.Run.

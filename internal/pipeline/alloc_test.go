@@ -14,6 +14,7 @@ import (
 	"specguard/internal/interp"
 	"specguard/internal/machine"
 	"specguard/internal/predict"
+	"specguard/internal/trace"
 )
 
 // allocKernel mixes ALU, memory, taken/not-taken branches and an
@@ -41,39 +42,34 @@ exit:
 	halt
 `
 
-// recordTrace executes the kernel architecturally and returns its
-// committed event stream.
-func recordTrace(t testing.TB, src string) []interp.Event {
+// recordTrace executes the kernel architecturally and returns the
+// captured trace of its committed event stream.
+func recordTrace(t testing.TB, src string) *trace.Trace {
 	t.Helper()
-	m, err := interp.New(asm.MustParse(src), nil, interp.Options{})
+	code, err := interp.Predecode(asm.MustParse(src), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []interp.Event
-	for {
-		ev, err := m.Step()
-		if err == interp.ErrHalted {
-			return events
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		events = append(events, ev)
+	tr, _, err := trace.Capture(code, interp.Options{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return tr
 }
 
 // TestSteadyStateZeroAllocs is the regression test for the event-driven
 // hot loop: replaying a ~180k-instruction trace through a warmed
-// Pipeline must not allocate at all. This pins both the old
-// `fetchBuf = fetchBuf[1:]` reslice bug (which forced append re-growth
-// per fetched instruction) and any future per-instruction allocation
-// (entry churn, producer slices, map-based disambiguation).
+// Pipeline must not allocate at all, trace decode included. This pins
+// both the old `fetchBuf = fetchBuf[1:]` reslice bug (which forced
+// append re-growth per fetched instruction) and any future
+// per-instruction allocation (entry churn, producer slices, map-based
+// disambiguation).
 func TestSteadyStateZeroAllocs(t *testing.T) {
-	events := recordTrace(t, allocKernel)
-	if len(events) < 100_000 {
-		t.Fatalf("trace too small to be meaningful: %d events", len(events))
+	tr := recordTrace(t, allocKernel)
+	if tr.Events() < 100_000 {
+		t.Fatalf("trace too small to be meaningful: %d events", tr.Events())
 	}
-	src := NewSliceSource(events)
+	src := tr.NewReader()
 	pipe, err := New(Config{Model: machine.R10000(), Predictor: predict.NewTwoBit(512)})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +87,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state Run allocated %.1f objects per run over %d instructions, want 0",
-			allocs, len(events))
+			allocs, tr.Events())
 	}
 }
 
@@ -101,13 +97,13 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 // predictor deliberately persist across Run, as before; here the
 // second fresh pipeline replays the warmup too.)
 func TestReusedPipelineMatchesFreshRun(t *testing.T) {
-	events := recordTrace(t, allocKernel)
+	tr := recordTrace(t, allocKernel)
 
 	reused, err := New(Config{Model: machine.R10000(), Predictor: predict.NewTwoBit(512)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := NewSliceSource(events)
+	src := tr.NewReader()
 	if _, err := reused.Run(src); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +117,7 @@ func TestReusedPipelineMatchesFreshRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src2 := NewSliceSource(events)
+	src2 := tr.NewReader()
 	if _, err := fresh.Run(src2); err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +137,13 @@ func TestReusedPipelineMatchesFreshRun(t *testing.T) {
 // window, a fresh Pipeline's Run takes it from the free list instead of
 // allocating the window's ~190 KB of slots again.
 func TestRunReusesReleasedWindow(t *testing.T) {
-	events := recordTrace(t, allocKernel)
+	tr := recordTrace(t, allocKernel)
 	cfg := Config{Model: machine.R10000(), Predictor: predict.NewTwoBit(512)}
 	warm, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := warm.Run(NewSliceSource(events)); err != nil {
+	if _, err := warm.Run(tr.NewReader()); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Predictor = predict.NewTwoBit(512)
@@ -155,7 +151,7 @@ func TestRunReusesReleasedWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := NewSliceSource(events)
+	src := tr.NewReader()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if _, err := fresh.Run(src); err != nil {
@@ -174,8 +170,7 @@ func TestRunReusesReleasedWindow(t *testing.T) {
 // release allocates nothing at all, the window and the lane both coming
 // from their free lists.
 func TestNewReusesReleasedLane(t *testing.T) {
-	events := recordTrace(t, allocKernel)
-	src := NewSliceSource(events)
+	src := recordTrace(t, allocKernel).NewReader()
 	cfg := Config{Model: machine.R10000(), Predictor: predict.NewTwoBit(512)}
 	b, err := NewBatch([]Config{cfg})
 	if err != nil {
@@ -254,7 +249,7 @@ func TestFreeListsBounded(t *testing.T) {
 
 	ws := make([]*window, 2*n+1)
 	for i := range ws {
-		ws[i] = getWindow(NewSliceSource(nil), 512, 32)
+		ws[i] = getWindow(emptySource{}, 512, 32)
 	}
 	for _, w := range ws {
 		putWindow(w)
@@ -360,13 +355,13 @@ func TestFreeListConcurrentReleaseAndNew(t *testing.T) {
 	}
 }
 
-// BenchmarkPipeReplay measures the pure timing loop on a pre-recorded
-// trace, excluding the assembler and interpreter that dominate
+// BenchmarkPipeReplay measures the timing loop on a captured trace,
+// excluding the assembler and the architectural run that dominate
 // BenchmarkPipe. This is the number the completion wheel and ready
 // queues exist for.
 func BenchmarkPipeReplay(b *testing.B) {
-	events := recordTrace(b, allocKernel)
-	src := NewSliceSource(events)
+	tr := recordTrace(b, allocKernel)
+	src := tr.NewReader()
 	pipe, err := New(Config{Model: machine.R10000(), Predictor: predict.NewTwoBit(512)})
 	if err != nil {
 		b.Fatal(err)
@@ -379,5 +374,5 @@ func BenchmarkPipeReplay(b *testing.B) {
 		}
 	}
 	b.SetBytes(0)
-	b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+	b.ReportMetric(float64(tr.Events())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }

@@ -59,13 +59,14 @@ func batchProgram(t testing.TB) *prog.Program {
 	return asm.MustParse(batchKernel)
 }
 
-func freshSource(t testing.TB, p *prog.Program) Source {
+// freshSource returns a predecoded machine at the entry of p.
+func freshSource(t testing.TB, p *prog.Program) *interp.Machine {
 	t.Helper()
-	m, err := interp.New(p, nil, interp.Options{})
+	code, err := interp.Predecode(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewInterpSource(m)
+	return code.NewMachine(interp.Options{})
 }
 
 // batchCases are the mixed lane configurations the lockstep tests run:

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"specguard/internal/asm"
-	"specguard/internal/interp"
 	"specguard/internal/machine"
 )
 
@@ -26,17 +25,13 @@ exit:
 // first poll (cycle 0) with the context's error in the chain.
 func TestRunCancelled(t *testing.T) {
 	p := asm.MustParse(cancelLoop)
-	m, err := interp.New(p, nil, interp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pipe, err := New(Config{Model: machine.R10000(), Predictor: twoBit(), Context: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipe.Run(NewInterpSource(m)); !errors.Is(err, context.Canceled) {
+	if _, err := pipe.Run(freshSource(t, p)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run with cancelled Context = %v, want context.Canceled in the chain", err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"specguard/internal/asm"
-	"specguard/internal/interp"
 	"specguard/internal/machine"
 	"specguard/internal/predict"
 )
@@ -41,15 +40,11 @@ exit:
 // the statistics.
 func TestSelfCheckCleanRun(t *testing.T) {
 	run := func(selfCheck bool) Stats {
-		m, err := interp.New(asm.MustParse(invariantKernel), nil, interp.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		sim, err := New(Config{Model: machine.R10000(), Predictor: predict.NewTwoBit(512), SelfCheck: selfCheck})
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := sim.Run(NewInterpSource(m))
+		stats, err := sim.Run(freshSource(t, asm.MustParse(invariantKernel)))
 		if err != nil {
 			t.Fatalf("selfCheck=%v: %v", selfCheck, err)
 		}
@@ -65,7 +60,7 @@ func TestSelfCheckCleanRun(t *testing.T) {
 // first refill: full rename pools and zero queue occupancy in p.rs.
 func attachEmpty(p *Pipeline) {
 	chunk, horizon := geometry(p)
-	p.attach(newWindow(nil, chunk, horizon))
+	p.attach(newWindow(emptySource{}, chunk, horizon))
 }
 
 // newCheckedPipeline builds a pipeline with initialized machinery, ready

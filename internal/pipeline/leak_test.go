@@ -31,14 +31,14 @@ exit:
 	halt
 `
 
-func leakSource(t testing.TB) *TaintSource {
+func leakSource(t testing.TB) *interp.TaintMachine {
 	t.Helper()
 	p := asm.MustParse(leakKernel)
 	code, err := interp.Predecode(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewTaintSource(code.NewTaintMachine(interp.Options{}, interp.TaintOptions{}))
+	return code.NewTaintMachine(interp.Options{}, interp.TaintOptions{})
 }
 
 // TestPipelineLeakCounts pins the dynamic flagging semantics: the one
@@ -137,7 +137,7 @@ func TestTrackLeaksOffNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaTaint, err := pipe.Run(NewTaintSource(code.NewTaintMachine(interp.Options{}, interp.TaintOptions{})))
+	viaTaint, err := pipe.Run(code.NewTaintMachine(interp.Options{}, interp.TaintOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestTrackLeaksOffNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaMachine, err := pipe.Run(NewMachineSource(code.NewMachine(interp.Options{})))
+	viaMachine, err := pipe.Run(code.NewMachine(interp.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}

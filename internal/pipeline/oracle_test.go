@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"specguard/internal/asm"
-	"specguard/internal/interp"
 	"specguard/internal/isa"
 	"specguard/internal/machine"
 	"specguard/internal/predict"
@@ -28,15 +27,11 @@ func oracleCycles(t *testing.T, m *machine.Model, noICache bool, body func(i int
 		b.WriteString("\t" + body(i) + "\n")
 	}
 	b.WriteString("\thalt\n")
-	it, err := interp.New(asm.MustParse(b.String()), nil, interp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	p, err := New(Config{Model: m, Predictor: predict.NewTwoBit(512), DisableICache: noICache, SelfCheck: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := p.Run(NewInterpSource(it))
+	st, err := p.Run(freshSource(t, asm.MustParse(b.String())))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,111 +13,19 @@ import (
 	"specguard/internal/predict"
 )
 
-// Source supplies the committed dynamic instruction stream. Only the
-// decode window reads it, straight into its reused event slots.
+// Source supplies the committed dynamic instruction stream of a
+// predecoded program: *interp.Machine and *interp.TaintMachine execute
+// one live, *trace.Reader replays a captured one. Only the decode
+// window reads it, straight into its reused event slots, and it reads
+// each event's static operands from Code at the event's Flat index.
 type Source interface {
 	// NextInto fills *ev with the next committed instruction event, or
 	// returns ok=false at end of program.
 	NextInto(ev *interp.Event) (ok bool, err error)
+	// Code is the predecoded program whose instructions the events
+	// name.
+	Code() *interp.Code
 }
-
-// InterpSource adapts a live interpreter into a Source, running the
-// functional and timing models in lockstep so no trace is buffered.
-type InterpSource struct {
-	m *interp.Interp
-}
-
-// NewInterpSource wraps m.
-func NewInterpSource(m *interp.Interp) *InterpSource { return &InterpSource{m: m} }
-
-// NextInto implements Source.
-func (s *InterpSource) NextInto(ev *interp.Event) (bool, error) {
-	e, err := s.m.Step()
-	if err == interp.ErrHalted {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	*ev = e
-	return true, nil
-}
-
-// MachineSource adapts a predecoded machine into a Source, running the
-// functional and timing models in lockstep; the whole front end is
-// allocation-free.
-type MachineSource struct {
-	m *interp.Machine
-}
-
-// NewMachineSource wraps m.
-func NewMachineSource(m *interp.Machine) *MachineSource { return &MachineSource{m: m} }
-
-// NextInto implements Source.
-func (s *MachineSource) NextInto(ev *interp.Event) (bool, error) {
-	err := s.m.Step(ev)
-	if err == interp.ErrHalted {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// Code exposes the predecoded program: the decode window reads static
-// operand metadata from it instead of re-deriving uses/defs per
-// dynamic instruction.
-func (s *MachineSource) Code() *interp.Code { return s.m.Code() }
-
-// TaintSource adapts a taint-tracking machine into a Source: the event
-// stream a Config.TrackLeaks run consumes. It exposes the predecoded
-// Code so the decode window keeps its FlatInstr fast path.
-type TaintSource struct {
-	m *interp.TaintMachine
-}
-
-// NewTaintSource wraps m.
-func NewTaintSource(m *interp.TaintMachine) *TaintSource { return &TaintSource{m: m} }
-
-// NextInto implements Source.
-func (s *TaintSource) NextInto(ev *interp.Event) (bool, error) {
-	err := s.m.Step(ev)
-	if err == interp.ErrHalted {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// Code exposes the predecoded program for the decode window's static
-// metadata fast path.
-func (s *TaintSource) Code() *interp.Code { return s.m.Code() }
-
-// SliceSource replays a pre-recorded event slice; used by tests.
-type SliceSource struct {
-	events []interp.Event
-	pos    int
-}
-
-// NewSliceSource returns a Source over events.
-func NewSliceSource(events []interp.Event) *SliceSource { return &SliceSource{events: events} }
-
-// NextInto implements Source.
-func (s *SliceSource) NextInto(ev *interp.Event) (bool, error) {
-	if s.pos >= len(s.events) {
-		return false, nil
-	}
-	*ev = s.events[s.pos]
-	s.pos++
-	return true, nil
-}
-
-// Reset rewinds the source to the first event so one recorded trace can
-// drive repeated Runs (benchmarks, allocation tests).
-func (s *SliceSource) Reset() { s.pos = 0 }
 
 // Config assembles one simulation.
 type Config struct {
@@ -943,23 +851,6 @@ func (p *Pipeline) countWrongPathLeaks(wp []interp.WrongPathAccess) {
 			p.stats.SpecSecretAccesses++
 		}
 	}
-}
-
-// destRename reports whether the instruction's destination consumes a
-// rename register, and whether it is a floating-point one. Predicate
-// destinations are compiler-synthesized condition codes and consume no
-// rename register.
-func destRename(in *isa.Instr) (needs, fp bool) {
-	var buf [1]isa.Reg
-	for _, d := range in.AppendDefs(buf[:0]) {
-		switch {
-		case d.IsInt():
-			return true, false
-		case d.IsFP():
-			return true, true
-		}
-	}
-	return false, false
 }
 
 // Stats returns the statistics of the last Run.

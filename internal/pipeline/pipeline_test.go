@@ -22,10 +22,6 @@ func simulate(t *testing.T, src string, pred predict.Predictor, mutate func(*Con
 
 func simulateProg(t *testing.T, p *prog.Program, pred predict.Predictor, mutate func(*Config)) Stats {
 	t.Helper()
-	m, err := interp.New(p, nil, interp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := Config{Model: machine.R10000(), Predictor: pred}
 	if mutate != nil {
 		mutate(&cfg)
@@ -34,7 +30,7 @@ func simulateProg(t *testing.T, p *prog.Program, pred predict.Predictor, mutate 
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := pipe.Run(NewInterpSource(m))
+	stats, err := pipe.Run(freshSource(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,12 +336,20 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// emptySource is a Source with no events, so no Code to name.
+type emptySource struct{}
+
+func (emptySource) NextInto(*interp.Event) (bool, error) { return false, nil }
+func (emptySource) Code() *interp.Code                   { return nil }
+
+// TestSliceSourceAndEmptyTrace: a Source with no events runs to a
+// clean finish with nothing committed.
 func TestSliceSourceAndEmptyTrace(t *testing.T) {
 	pipe, err := New(Config{Model: machine.R10000(), Predictor: twoBit()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := pipe.Run(NewSliceSource(nil))
+	s, err := pipe.Run(emptySource{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"specguard/internal/asm"
-	"specguard/internal/interp"
 	"specguard/internal/machine"
 	"specguard/internal/predict"
 	"specguard/internal/prog"
@@ -33,10 +32,6 @@ func fpChainKernel(n int) string {
 func runSkipPair(t *testing.T, p *prog.Program, mutate func(*Config)) (skip, noskip Stats, sk SkipStats) {
 	t.Helper()
 	run := func(off bool) (Stats, SkipStats) {
-		m, err := interp.New(p, nil, interp.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := Config{Model: machine.R10000(), Predictor: twoBit(), SelfCheck: true, NoCycleSkip: off}
 		if mutate != nil {
 			mutate(&cfg)
@@ -45,7 +40,7 @@ func runSkipPair(t *testing.T, p *prog.Program, mutate func(*Config)) (skip, nos
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := pipe.Run(NewInterpSource(m))
+		st, err := pipe.Run(freshSource(t, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,10 +123,6 @@ func TestSkipNeutralAcrossFixtures(t *testing.T) {
 func TestSkipWatchdogDeadlockIdentical(t *testing.T) {
 	p := asm.MustParse(fpChainKernel(400))
 	run := func(off bool) (Stats, SkipStats, error) {
-		m, err := interp.New(p, nil, interp.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		slow := machine.R10000()
 		slow.FPDivLat = 40
 		pipe, err := New(Config{Model: slow, Predictor: twoBit(),
@@ -139,7 +130,7 @@ func TestSkipWatchdogDeadlockIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := pipe.Run(NewInterpSource(m))
+		st, err := pipe.Run(freshSource(t, p))
 		return st, pipe.SkipStats(), err
 	}
 	_, sk, errSkip := run(false)

@@ -55,7 +55,7 @@ func BenchmarkPipe(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := pipe.Run(NewMachineSource(m)); err != nil {
+		if _, err := pipe.Run(m); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -107,9 +107,9 @@ type window struct {
 	// drain of the same geometry resets it instead of allocating one.
 	icKept *cache.Cache
 
-	// code, when the source exposes its predecoded program, lets
-	// prepare read static operand metadata (uses/defs/rename class)
-	// straight from FlatInstr instead of re-deriving it per event.
+	// code is the source's predecoded program: prepare reads each
+	// event's static operand metadata (uses, def, rename class) from
+	// its FlatInstr.
 	code *interp.Code
 
 	// selfCheck audits memLast after every refill (any lane's
@@ -127,7 +127,6 @@ type window struct {
 	memLast    memTable
 	horizon    int64 // the largest lane ActiveList
 	pruned     int64 // next seq pruneMem retires
-	regBuf     []isa.Reg
 }
 
 // newWindow returns an empty window over src.
@@ -140,10 +139,7 @@ func newWindow(src Source, chunk, horizon int64) *window {
 // reset empties w for a drain of src, reusing its buffers when they are
 // large enough.
 func (w *window) reset(src Source, chunk, horizon int64) {
-	w.src, w.code, w.ic = src, nil, nil
-	if cs, ok := src.(interface{ Code() *interp.Code }); ok {
-		w.code = cs.Code()
-	}
+	w.src, w.code, w.ic = src, src.Code(), nil
 	if int64(cap(w.slots)) < 2*chunk {
 		w.slots = make([]winEvent, 2*chunk)
 	}
@@ -156,9 +152,6 @@ func (w *window) reset(src Source, chunk, horizon int64) {
 		w.lastWriter[i] = noSeq
 	}
 	w.memLast.init(int(chunk + horizon))
-	if w.regBuf == nil {
-		w.regBuf = make([]isa.Reg, 0, 4)
-	}
 }
 
 // freeWindows recycles windows across drains, Run's included. A window
@@ -251,65 +244,38 @@ func (w *window) pruneMem() {
 
 // prepare computes the lane-invariant metadata and program-order
 // dependence edges for the event at sequence number seq: an event's
-// uses read the last writers before its own defs are recorded.
+// uses read the last writers before its own defs are recorded. The
+// static operands come from the FlatInstr the event's Flat names in the
+// source's Code; an event whose Flat is out of range or names another
+// instruction is an error, since its operands would be another
+// instruction's.
 func (w *window) prepare(slot *winEvent, seq int64) error {
-	in := slot.ev.Instr
-	op := in.Op
-	mt := &opMetaTab[op]
-	slot.op = op
+	ev := &slot.ev
+	c := w.code
+	if fi := ev.Flat; fi < 0 || int(fi) >= c.Len() {
+		return fmt.Errorf("pipeline: event %d (%v): flat index %d is outside the source's code [0, %d)", seq, ev.Instr, fi, c.Len())
+	}
+	f := c.Flat(ev.Flat)
+	if f.Instr != ev.Instr {
+		return fmt.Errorf("pipeline: event %d (%v): flat index %d names another instruction (%v)", seq, ev.Instr, ev.Flat, f.Instr)
+	}
+	mt := &opMetaTab[f.Op]
+	slot.op = f.Op
 	slot.unit = mt.unit
 	slot.queue = mt.queue
 	slot.ctl = mt.ctl
 	slot.isCond = mt.isCond
-	slot.memAccess = slot.ev.IsMem && !slot.ev.Annulled
-	slot.fetchBreak = (slot.ev.Branch && slot.ev.Taken) || mt.isJ
+	slot.memAccess = ev.IsMem && !ev.Annulled
+	slot.fetchBreak = (ev.Branch && ev.Taken) || mt.isJ
+	slot.needsRename, slot.fpRename = f.NeedsRename, f.FPRename
 
-	// Fast path: the predecoded Code carries the static operand
-	// metadata. The Instr pointer compare proves ev.Flat names this
-	// exact instruction (Instr pointers are unique per static
-	// instruction), so a stale or zero Flat merely falls through to the
-	// recompute path below.
-	if c := w.code; c != nil {
-		if fi := slot.ev.Flat; fi >= 0 && int(fi) < c.Len() {
-			if f := c.Flat(fi); f.Instr == in && int(f.NUses) <= len(slot.regDep) {
-				slot.needsRename, slot.fpRename = f.NeedsRename, f.FPRename
-				n := int(f.NUses)
-				slot.nreg = f.NUses
-				for i := 0; i < n; i++ {
-					slot.regDep[i] = w.lastWriter[f.Uses[i]]
-				}
-				slot.depStore, slot.depLoad = -1, -1
-				if slot.memAccess {
-					pair := w.memLast.slot(slot.ev.MemAddr)
-					slot.depStore = pair.store
-					if mt.isLoad {
-						pair.load = seq
-					} else {
-						slot.depLoad = pair.load
-						pair.store = seq
-					}
-				}
-				if f.HasDef && !slot.ev.Annulled {
-					w.lastWriter[f.Def] = seq
-				}
-				return nil
-			}
-		}
+	slot.nreg = f.NUses
+	for i := 0; i < int(f.NUses); i++ {
+		slot.regDep[i] = w.lastWriter[f.Uses[i]]
 	}
-
-	slot.needsRename, slot.fpRename = destRename(in)
-	w.regBuf = in.AppendUses(w.regBuf[:0])
-	if len(w.regBuf) > len(slot.regDep) {
-		return fmt.Errorf("pipeline: event %d uses %d registers, window supports %d", seq, len(w.regBuf), len(slot.regDep))
-	}
-	slot.nreg = uint8(len(w.regBuf))
-	for i, r := range w.regBuf {
-		slot.regDep[i] = w.lastWriter[r]
-	}
-
 	slot.depStore, slot.depLoad = -1, -1
 	if slot.memAccess {
-		pair := w.memLast.slot(slot.ev.MemAddr)
+		pair := w.memLast.slot(ev.MemAddr)
 		slot.depStore = pair.store
 		if mt.isLoad {
 			pair.load = seq
@@ -318,14 +284,10 @@ func (w *window) prepare(slot *winEvent, seq int64) error {
 			pair.store = seq
 		}
 	}
-
 	// An annulled instruction's destination write is squashed, so it
 	// must not become a producer.
-	if !slot.ev.Annulled {
-		w.regBuf = in.AppendDefs(w.regBuf[:0])
-		for _, r := range w.regBuf {
-			w.lastWriter[r] = seq
-		}
+	if f.HasDef && !ev.Annulled {
+		w.lastWriter[f.Def] = seq
 	}
 	return nil
 }

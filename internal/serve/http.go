@@ -48,11 +48,21 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// httpError is the uniform JSON error envelope.
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
+// HTTPError writes the uniform JSON error envelope, {"error": message},
+// with status code. sgcoord answers with the same envelope.
+func HTTPError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// SetRetryAfter sets the Retry-After header of a shed request to d,
+// rounded up to whole seconds and at least 1: truncating a sub-second
+// backoff to "0" tells well-behaved clients to hammer the queue that
+// just shed them.
+func SetRetryAfter(w http.ResponseWriter, d time.Duration) {
+	secs := max(int64((d+time.Second-1)/time.Second), 1)
+	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 }
 
 // writeErr maps the service's typed errors onto status codes.
@@ -61,24 +71,17 @@ func writeErr(w http.ResponseWriter, err error) {
 	var over *ErrOverloaded
 	switch {
 	case errors.As(err, &bad):
-		httpError(w, http.StatusBadRequest, "%v", bad.Err)
+		HTTPError(w, http.StatusBadRequest, "%v", bad.Err)
 	case errors.As(err, &over):
-		// Round up: Retry-After is whole seconds, and truncating a
-		// sub-second backoff to "0" tells well-behaved clients to hammer
-		// the queue that just shed them.
-		secs := int64((over.RetryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		httpError(w, http.StatusTooManyRequests, "%v", over)
+		SetRetryAfter(w, over.RetryAfter)
+		HTTPError(w, http.StatusTooManyRequests, "%v", over)
 	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "10")
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		HTTPError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
-		httpError(w, http.StatusGatewayTimeout, "simulation timed out: %v", err)
+		HTTPError(w, http.StatusGatewayTimeout, "simulation timed out: %v", err)
 	default:
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		HTTPError(w, http.StatusInternalServerError, "%v", err)
 	}
 }
 
@@ -126,6 +129,32 @@ func ParseRunRequest(r *http.Request) (RunRequest, error) {
 		return req, &ErrBadRequest{fmt.Errorf("method %s not allowed", r.Method)}
 	}
 	return req, nil
+}
+
+// ParseSweepRequest returns the cells of a /v1/sweep request: every
+// workload under every scheme, in table order, at the predictor size of
+// the optional ?entries= parameter (0, the model's, when absent). An
+// entries value that is not an integer or fails CheckEntries is an
+// *ErrBadRequest. Exported, like ParseRunRequest, for the cluster
+// coordinator, which fans the same cells out per shard.
+func ParseSweepRequest(r *http.Request) ([]RunRequest, error) {
+	var entries int
+	if v := r.URL.Query().Get("entries"); v != "" {
+		var err error
+		if entries, err = strconv.Atoi(v); err != nil {
+			return nil, &ErrBadRequest{fmt.Errorf("bad entries: %w", err)}
+		}
+		if err := CheckEntries(entries); err != nil {
+			return nil, err
+		}
+	}
+	var reqs []RunRequest
+	for _, wl := range bench.All() {
+		for _, scheme := range []bench.Scheme{bench.SchemeTwoBit, bench.SchemeProposed, bench.SchemePerfect} {
+			reqs = append(reqs, RunRequest{Workload: wl.Name, Scheme: scheme.String(), PredictorEntries: entries})
+		}
+	}
+	return reqs, nil
 }
 
 // wantsStream reports whether the client asked for NDJSON progress.
@@ -200,18 +229,10 @@ func (s *Service) streamRun(w http.ResponseWriter, r *http.Request, req RunReque
 // An invalid entries value is a 400 before any line is written.
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		HTTPError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	var entries int
-	var err error
-	if v := r.URL.Query().Get("entries"); v != "" {
-		if entries, err = strconv.Atoi(v); err != nil {
-			err = &ErrBadRequest{fmt.Errorf("bad entries: %w", err)}
-		} else {
-			err = CheckEntries(entries)
-		}
-	}
+	reqs, err := ParseSweepRequest(r)
 	if err != nil {
 		s.metrics.Requests.Add(1)
 		s.metrics.BadRequests.Add(1)
@@ -219,13 +240,6 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-
-	var reqs []RunRequest
-	for _, wl := range bench.All() {
-		for _, scheme := range []bench.Scheme{bench.SchemeTwoBit, bench.SchemeProposed, bench.SchemePerfect} {
-			reqs = append(reqs, RunRequest{Workload: wl.Name, Scheme: scheme.String(), PredictorEntries: entries})
-		}
-	}
 
 	for {
 		cells, err := s.DoSweep(r.Context(), reqs)
@@ -290,7 +304,7 @@ type exploreSummary struct {
 // error event.
 func (s *Service) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		HTTPError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
 	var hreq ExploreRequest

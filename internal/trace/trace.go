@@ -256,8 +256,8 @@ func (t *Trace) SizeBytes() int {
 }
 
 // Reader replays a Trace as the exact committed-event stream of the
-// captured run. It implements pipeline.Source (NextInto). Readers are
-// cheap; create one per simulation or Reset between runs.
+// captured run. It is a pipeline.Source (NextInto and Code). Readers
+// are cheap; create one per simulation or Reset between runs.
 type Reader struct {
 	t       *Trace
 	pc      int32
@@ -278,9 +278,8 @@ func (t *Trace) NewReader() *Reader {
 	return r
 }
 
-// Code returns the predecoded program the reader replays over, letting
-// consumers (the pipeline's decode window) reuse its static
-// per-instruction metadata.
+// Code returns the predecoded program the reader replays over: the
+// pipeline's decode window reads each event's static operands from it.
 func (r *Reader) Code() *interp.Code { return r.t.code }
 
 // Reset rewinds the reader to the first event.
