@@ -35,7 +35,8 @@ test:
 # fuzz oracle with its two-drain batch split) and the free lists of
 # decode windows and lanes shared by concurrent Runs and drains
 # (bounds, recycled lanes matching new ones, concurrent release and
-# New), pinning lane isolation across workers under -race.
+# New), pinning lane isolation across workers under -race, and
+# machines running concurrently from one shared input image.
 # The bench suite runs full timing simulations, which the detector
 # slows ~20×; heavy sweep tests shed redundant work under -race (see
 # bench/race_on_test.go) and the explicit -timeout gives slow
@@ -43,6 +44,7 @@ test:
 test-race:
 	$(GO) test -race -timeout 900s ./internal/serve/... ./internal/bench/... ./internal/cluster/... ./internal/load/...
 	$(GO) test -race -run 'TestBatchMatchesSingle|TestGoldenStatsBatched|TestRunDrains|TestWindowMemLastBounded|TestFreeListsBounded|TestFreeListConcurrentReleaseAndNew|TestNewReusesReleasedLane|TestRecycledLanesMatchFresh|TestOneLaneBatchPrivateICache' ./internal/pipeline ./internal/bench
+	$(GO) test -race -run 'TestImageConcurrentMachines' ./internal/interp
 	$(GO) test -race -run 'TestFuzzSmoke' ./internal/fuzz
 	$(GO) test -race -run 'TestRunIndependentOfParallelism' ./internal/explore
 

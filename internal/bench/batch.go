@@ -295,7 +295,7 @@ var indexBound = predict.IndexBound
 // for it, which would otherwise cost every one-cell call as much as its
 // lane setup.
 func (r *Runner) boundOf(tk traceKey, w Workload, p *prog.Program) int {
-	te := r.traceEntry(tk)
+	te := entry(r, r.traces, tk)
 	te.boundOnce.Do(func() {
 		if p == nil {
 			p = w.Build()

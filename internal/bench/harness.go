@@ -56,11 +56,17 @@ type Result struct {
 	Report *core.Report
 }
 
-// Runner caches the experiment so repeated work runs once. Three caches
+// Runner caches the experiment so repeated work runs once. Four caches
 // cooperate:
 //
 //   - profiles, keyed by workload name: the feedback run (the paper's
 //     instrumented profiling pass), one per workload;
+//   - images, keyed by workload name like profiles: the workload's input,
+//     Init run once into an empty memory and frozen as an interp.Image.
+//     Every architectural run of the workload — the profiling capture,
+//     every trace capture and RunLeak's taint machine — starts from it
+//     copy-on-write, so an input is generated and paged in once per
+//     Runner, however many programs run over it;
 //   - traces, keyed by (workload, program fingerprint): the packed
 //     committed-event trace of one architectural execution, captured
 //     once per distinct program and replayed into every timing
@@ -104,7 +110,8 @@ type Runner struct {
 	Parallelism int
 
 	mu       sync.Mutex
-	profiles map[string]*profileEntry
+	profiles map[string]*cached[*profile.Profile]
+	images   map[string]*cached[*interp.Image]
 	traces   map[traceKey]*traceEntry
 	stats    map[statsKey]pipeline.Stats
 	archRuns atomic.Int64
@@ -122,10 +129,32 @@ type Runner struct {
 	simCycles     atomic.Int64
 }
 
-type profileEntry struct {
+// cached is one lazily built cache value: the first caller builds it,
+// concurrent callers wait for that build, and every later caller gets
+// its value or its error.
+type cached[T any] struct {
 	once sync.Once
-	prof *profile.Profile
+	v    T
 	err  error
+}
+
+// get returns the value, building it with build on first use.
+func (c *cached[T]) get(build func() (T, error)) (T, error) {
+	c.once.Do(func() { c.v, c.err = build() })
+	return c.v, c.err
+}
+
+// entry returns m's entry for k, adding an empty one; r.mu guards the
+// Runner's cache maps, and the entry itself its build.
+func entry[K comparable, E any](r *Runner, m map[K]*E, k K) *E {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := m[k]
+	if e == nil {
+		e = new(E)
+		m[k] = e
+	}
+	return e
 }
 
 // traceKey identifies one architectural execution: the workload names
@@ -136,9 +165,7 @@ type traceKey struct {
 }
 
 type traceEntry struct {
-	once sync.Once
-	tr   *trace.Trace
-	err  error
+	cached[*trace.Trace]
 
 	boundOnce sync.Once
 	bound     int // the program's predict.IndexBound (Runner.boundOf)
@@ -159,7 +186,8 @@ type statsKey struct {
 func NewRunner() *Runner {
 	return &Runner{
 		Model:    machine.R10000(),
-		profiles: map[string]*profileEntry{},
+		profiles: map[string]*cached[*profile.Profile]{},
+		images:   map[string]*cached[*interp.Image]{},
 		traces:   map[traceKey]*traceEntry{},
 		stats:    map[statsKey]pipeline.Stats{},
 	}
@@ -172,39 +200,34 @@ func (r *Runner) entries() int {
 	return r.Model.PredictorEntries
 }
 
-func (r *Runner) profileEntry(name string) *profileEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.profiles[name]
-	if e == nil {
-		e = &profileEntry{}
-		r.profiles[name] = e
-	}
-	return e
-}
-
-func (r *Runner) traceEntry(key traceKey) *traceEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.traces[key]
-	if e == nil {
-		e = &traceEntry{}
-		r.traces[key] = e
-	}
-	return e
-}
-
 // ArchRuns returns how many architectural executions (trace captures)
 // this Runner has performed — the quantity the trace cache exists to
 // minimize. A full three-scheme table is 2 captures per workload; a
 // predictor sweep adds none.
 func (r *Runner) ArchRuns() int64 { return r.archRuns.Load() }
 
-// capture performs one architectural execution of code under the
+// newImage is interp.NewImage, a variable so tests can count image
+// builds.
+var newImage = interp.NewImage
+
+// imageOf returns (building if needed) the workload's input image. A
+// failing Init fails every run of the workload with its error, as a
+// failing profile does.
+func (r *Runner) imageOf(w Workload) (*interp.Image, error) {
+	return entry(r, r.images, w.Name).get(func() (*interp.Image, error) {
+		return newImage(interp.Options{}, w.Init)
+	})
+}
+
+// capture performs one architectural execution of code from the
 // workload's input image, producing its packed trace.
 func (r *Runner) capture(code *interp.Code, w Workload, visit func(*interp.Event)) (*trace.Trace, interp.Result, error) {
+	img, err := r.imageOf(w)
+	if err != nil {
+		return nil, interp.Result{}, err
+	}
 	r.archRuns.Add(1)
-	return trace.Capture(code, interp.Options{}, wrapInit(w), visit)
+	return trace.Capture(code, interp.Options{Image: img}, nil, visit)
 }
 
 // ProfileOf returns (building if needed) the workload's feedback
@@ -212,9 +235,7 @@ func (r *Runner) capture(code *interp.Code, w Workload, visit func(*interp.Event
 // collects the profile also captures the original program's packed
 // trace, seeding the trace cache for the non-optimized schemes.
 func (r *Runner) ProfileOf(w Workload) (*profile.Profile, error) {
-	e := r.profileEntry(w.Name)
-	e.once.Do(func() { e.prof, e.err = r.collectProfile(w) })
-	return e.prof, e.err
+	return entry(r, r.profiles, w.Name).get(func() (*profile.Profile, error) { return r.collectProfile(w) })
 }
 
 func (r *Runner) collectProfile(w Workload) (*profile.Profile, error) {
@@ -234,8 +255,7 @@ func (r *Runner) collectProfile(w Workload) (*profile.Profile, error) {
 	}
 	prof.DynInstrs = res.DynInstrs
 	prof.Annulled = res.Annulled
-	te := r.traceEntry(traceKey{w.Name, w.Fingerprint()})
-	te.once.Do(func() { te.tr = tr })
+	entry(r, r.traces, traceKey{w.Name, w.Fingerprint()}).get(func() (*trace.Trace, error) { return tr, nil })
 	return prof, nil
 }
 
@@ -244,26 +264,17 @@ func (r *Runner) collectProfile(w Workload) (*profile.Profile, error) {
 // image. A nil p names w's unmodified base program, built only if the
 // trace must be captured.
 func (r *Runner) traceFor(w Workload, p *prog.Program, fp uint64) (*trace.Trace, error) {
-	te := r.traceEntry(traceKey{w.Name, fp})
-	te.once.Do(func() {
+	return entry(r, r.traces, traceKey{w.Name, fp}).get(func() (*trace.Trace, error) {
 		if p == nil {
 			p = w.Build()
 		}
 		code, err := interp.Predecode(p, nil)
 		if err != nil {
-			te.err = fmt.Errorf("bench: predecoding %s: %w", w.Name, err)
-			return
+			return nil, fmt.Errorf("bench: predecoding %s: %w", w.Name, err)
 		}
-		te.tr, _, te.err = r.capture(code, w, nil)
+		tr, _, err := r.capture(code, w, nil)
+		return tr, err
 	})
-	return te.tr, te.err
-}
-
-func wrapInit(w Workload) func(interp.Memory) error {
-	if w.Init == nil {
-		return nil
-	}
-	return w.Init
 }
 
 // prefetchProfiles builds the feedback profile of every distinct

@@ -169,9 +169,10 @@ type LeakResult struct {
 
 // RunLeak simulates one (workload, scheme) cell with leak tracking.
 // Unlike Run it always feeds the pipeline from a live taint-tracking
-// machine — the packed trace cache stores only architectural events,
-// which carry no taint — and runs the static leak rules over the same
-// program for the cross-check.
+// machine, started from the workload's cached input image — the packed
+// trace cache stores only architectural events, which carry no taint —
+// and runs the static leak rules over the same program for the
+// cross-check.
 func (r *Runner) RunLeak(w Workload, s Scheme) (LeakResult, error) {
 	return r.RunLeakContext(context.Background(), w, s)
 }
@@ -210,12 +211,11 @@ func (r *Runner) RunLeakContext(ctx context.Context, w Workload, s Scheme) (Leak
 	if err != nil {
 		return out, fmt.Errorf("bench: predecoding %s: %w", w.Name, err)
 	}
-	tm := code.NewTaintMachine(interp.Options{}, interp.TaintOptions{})
-	if w.Init != nil {
-		if err := w.Init(tm); err != nil {
-			return out, fmt.Errorf("bench: initializing %s: %w", w.Name, err)
-		}
+	img, err := r.imageOf(w)
+	if err != nil {
+		return out, fmt.Errorf("bench: initializing %s: %w", w.Name, err)
 	}
+	tm := code.NewTaintMachine(interp.Options{Image: img}, interp.TaintOptions{})
 
 	pipe, err := pipeline.New(pipeline.Config{
 		Model:      r.Model,

@@ -1,6 +1,9 @@
 package interp
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // pageShift sizes the pages of an image: 4 KiB, 512 words.
 const (
@@ -14,8 +17,13 @@ const (
 // about that fifth instead of the whole image. Interp and Machine embed
 // it, which gives both the Memory surface and one copy of the bounds
 // and alignment checks.
+//
+// A memory started from a frozen Image shares that Image's pages
+// copy-on-write: base is the Image's page table, and a page that is
+// still base's is copied on the first write that changes a word of it.
 type image struct {
 	pages []*[pageWords]int64
+	base  []*[pageWords]int64 // the Image's pages; nil when started empty
 	words int64
 }
 
@@ -23,6 +31,41 @@ type image struct {
 func newImage(bytes int64) image {
 	words := bytes / 8
 	return image{pages: make([]*[pageWords]int64, (words+pageWords-1)/pageWords), words: words}
+}
+
+// Image is a frozen initial data memory: what an initializer (a
+// workload's Init) wrote into an all-zero memory, built once by
+// NewImage and never written again. A machine started from it
+// (Options.Image) points its page table at the Image's pages and copies
+// a page only when it first changes a word of it, so any number of
+// machines, concurrent ones too, run from one Image, each allocating
+// only the pages it changes.
+type Image struct {
+	mem image
+}
+
+// NewImage runs init (if non-nil) on an all-zero memory of
+// opts.MemBytes (1 MiB when 0) and freezes the result.
+func NewImage(opts Options, init func(Memory) error) (*Image, error) {
+	if opts.MemBytes == 0 {
+		opts.MemBytes = DefaultOptions().MemBytes
+	}
+	img := &Image{mem: newImage(opts.MemBytes)}
+	if init != nil {
+		if err := init(&img.mem); err != nil {
+			return nil, err
+		}
+	}
+	return img, nil
+}
+
+// memory returns the data memory a front end starts with: opts.Image's
+// pages, shared, or an all-zero image of opts.MemBytes.
+func (opts Options) memory() image {
+	if img := opts.Image; img != nil {
+		return image{pages: slices.Clone(img.mem.pages), base: img.mem.pages, words: img.mem.words}
+	}
+	return newImage(opts.MemBytes)
 }
 
 // ReadWord returns the 8-byte word at byte address addr.
@@ -39,15 +82,25 @@ func (m *image) WriteWord(addr int64, v int64) error {
 	if !m.valid(addr) {
 		return m.addrErr(addr)
 	}
-	pg := m.pages[addr>>pageShift]
-	if pg == nil {
+	i, j := addr>>pageShift, addr>>3&(pageWords-1)
+	pg := m.pages[i]
+	switch {
+	case pg == nil:
 		if v == 0 {
 			return nil // an absent page already reads as zero
 		}
 		pg = new([pageWords]int64)
-		m.pages[addr>>pageShift] = pg
+		m.pages[i] = pg
+	case m.base != nil && pg == m.base[i]:
+		if pg[j] == v {
+			return nil // the shared page already holds v
+		}
+		cp := new([pageWords]int64)
+		*cp = *pg
+		pg = cp
+		m.pages[i] = pg
 	}
-	pg[addr>>3&(pageWords-1)] = v
+	pg[j] = v
 	return nil
 }
 
@@ -74,10 +127,16 @@ func (m *image) word(addr int64) int64 {
 	return 0
 }
 
-// reset zeroes every word, keeping the pages already allocated.
+// reset restores the starting contents: a page the memory copied points
+// back at its Image's page, and a page the Image lacks is zeroed in
+// place and kept for the next run.
 func (m *image) reset() {
-	for _, pg := range m.pages {
-		if pg != nil {
+	for i, pg := range m.pages {
+		switch {
+		case pg == nil:
+		case m.base != nil && m.base[i] != nil:
+			m.pages[i] = m.base[i]
+		default:
 			*pg = [pageWords]int64{}
 		}
 	}

@@ -17,6 +17,10 @@ type Options struct {
 	// MaxSteps bounds execution as a runaway-loop backstop.
 	// Defaults to 200 million dynamic instructions.
 	MaxSteps int64
+	// Image, when set, is the initial data memory: the run starts from
+	// its pages copy-on-write (see Image), and memory is the Image's
+	// size, whatever MemBytes says.
+	Image *Image
 }
 
 // DefaultOptions are the settings used by the experiment harness.
@@ -127,7 +131,7 @@ func New(p *prog.Program, layout *Layout, opts Options) (*Interp, error) {
 		p:      p,
 		layout: layout,
 		opts:   opts,
-		image:  newImage(opts.MemBytes),
+		image:  opts.memory(),
 		fn:     p.EntryFunc(),
 	}
 	m.pd[0] = true

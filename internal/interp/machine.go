@@ -7,9 +7,9 @@ import (
 	"specguard/internal/isa"
 )
 
-// Memory is the initial-image surface workloads write through before
-// execution; both the reference Interp and the predecoded Machine
-// implement it.
+// Memory is the surface workloads write their input through: NewImage
+// hands it to an initializer, and both the reference Interp and the
+// predecoded Machine implement it.
 type Memory interface {
 	ReadWord(addr int64) (int64, error)
 	WriteWord(addr int64, v int64) error
@@ -48,7 +48,7 @@ func (c *Code) NewMachine(opts Options) *Machine {
 	m := &Machine{
 		c:     c,
 		opts:  opts,
-		image: newImage(opts.MemBytes),
+		image: opts.memory(),
 		pc:    c.entry,
 	}
 	m.pd[0] = true
@@ -56,8 +56,8 @@ func (c *Code) NewMachine(opts Options) *Machine {
 }
 
 // Reset rewinds the machine to the entry point with zeroed registers
-// and memory, so one allocation serves many runs (benchmarks, predictor
-// sweeps).
+// and its starting memory (zeros, or its Image's contents), so one
+// allocation serves many runs (benchmarks, predictor sweeps).
 func (m *Machine) Reset() {
 	m.r = [isa.NumIntRegs]int64{}
 	m.f = [isa.NumFPRegs]float64{}

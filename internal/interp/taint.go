@@ -100,9 +100,11 @@ type TaintMachine struct {
 }
 
 // NewTaintMachine returns a taint-tracking machine at the entry of c,
-// with shadow memory seeded from c's program region annotations. A
-// program with no secret regions yields an ordinary event stream with
-// every leak field zero.
+// with shadow memory seeded from c's program region annotations. Its
+// data memory is a Machine's: opts.Image, when set, is its input.
+// Taint comes from the region annotations, not from who wrote a word,
+// so the input needs no shadow of its own. A program with no secret
+// regions yields an ordinary event stream with every leak field zero.
 func (c *Code) NewTaintMachine(opts Options, topts TaintOptions) *TaintMachine {
 	if topts.Horizon <= 0 {
 		topts.Horizon = DefaultTaintHorizon
@@ -158,15 +160,6 @@ func (tm *TaintMachine) Machine() *Machine { return tm.m }
 
 // PC returns the current flat pc (trace-capture surface parity).
 func (tm *TaintMachine) PC() int32 { return tm.m.PC() }
-
-// ReadWord implements Memory by delegation: workload Init functions
-// write the initial image through this surface. Taint classification
-// comes from the region annotations, not from who wrote the word, so
-// no shadow update happens here.
-func (tm *TaintMachine) ReadWord(addr int64) (int64, error) { return tm.m.ReadWord(addr) }
-
-// WriteWord implements Memory by delegation.
-func (tm *TaintMachine) WriteWord(addr int64, v int64) error { return tm.m.WriteWord(addr, v) }
 
 // Step executes one instruction, propagates taint, and fills the leak
 // fields of ev. Event semantics are otherwise bit-identical to

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"specguard/internal/asm"
 	"specguard/internal/machine"
@@ -49,22 +50,33 @@ func TestRunStatsUnchangedByContext(t *testing.T) {
 	}
 }
 
-// TestRunYieldsAtPoll: a lane yields its processor at every poll, every
-// 4096 simulated cycles, with or without a Context, so a simulation
-// cannot hold a processor until async preemption. Without cycle skips
-// every cycle is polled, so the count follows from the cycle count.
+// TestRunYieldsAtPoll: a lane yields its processor at a poll, every
+// 4096 simulated cycles, once a millisecond has passed since its last
+// yield or the start of its run, with or without a Context. The clock
+// is faked and read once when the run starts and once per poll: one
+// that advances a millisecond per reading yields at every poll (without
+// cycle skips every cycle is polled, so the count follows from the
+// cycle count), and a frozen one never yields.
 func TestRunYieldsAtPoll(t *testing.T) {
-	orig := yield
-	defer func() { yield = orig }()
+	origYield, origClock := yield, clock
+	defer func() { yield, clock = origYield, origClock }()
 	var n int64
 	yield = func() { n++ }
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for _, c := range []context.Context{nil, ctx} {
-		n = 0
-		st := simulate(t, allocKernel, twoBit(), func(cfg *Config) { cfg.NoCycleSkip, cfg.Context = true, c })
-		if want := (st.Cycles-1)/(cancelCheckMask+1) + 1; st.Cycles < 4*(cancelCheckMask+1) || n != want {
-			t.Errorf("Context %v: %d yields over %d cycles, want %d (one per 4096 cycles)", c != nil, n, st.Cycles, want)
+	for _, tick := range []time.Duration{yieldEvery, 0} {
+		for _, c := range []context.Context{nil, ctx} {
+			now := 5 * time.Second
+			clock = func() time.Duration { now += tick; return now }
+			n = 0
+			st := simulate(t, allocKernel, twoBit(), func(cfg *Config) { cfg.NoCycleSkip, cfg.Context = true, c })
+			want := (st.Cycles-1)/(cancelCheckMask+1) + 1 // one per 4096 cycles
+			if tick == 0 {
+				want = 0
+			}
+			if st.Cycles < 4*(cancelCheckMask+1) || n != want {
+				t.Errorf("clock tick %v, Context %v: %d yields over %d cycles, want %d", tick, c != nil, n, st.Cycles, want)
+			}
 		}
 	}
 }

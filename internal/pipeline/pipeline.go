@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"time"
 
 	"specguard/internal/cache"
 	"specguard/internal/interp"
@@ -74,14 +75,29 @@ type Config struct {
 	Context context.Context
 }
 
-// cancelCheckMask spaces the hot loop's Context polls and yields: the
-// done channel is inspected when cycle&cancelCheckMask == 0, i.e. every
-// 4096 cycles (tens of microseconds of simulated work), keeping
-// cancellation latency negligible next to any realistic request timeout.
+// cancelCheckMask spaces the hot loop's polls: the done channel is
+// inspected, and the clock read for a yield (yieldEvery), when
+// cycle&cancelCheckMask == 0, i.e. every 4096 cycles (tens of
+// microseconds of simulated work), keeping cancellation latency
+// negligible next to any realistic request timeout.
 const cancelCheckMask = 4095
+
+// yieldEvery spaces a lane's yields: a poll yields only once this much
+// time has passed since the lane's last yield (or the start of its
+// run), so a lane holds its processor about a millisecond at a time —
+// far under Go's 10 ms async preemption — at the cost of one clock
+// read per poll. A Gosched at every poll cost CPU: it sends the lane
+// to the global run queue, often onto another core.
+const yieldEvery = time.Millisecond
 
 // yield is runtime.Gosched, a variable so tests can count its calls.
 var yield = runtime.Gosched
+
+// clock reads the monotonic clock (time since clockStart), a variable
+// so tests can decide when a lane yields.
+var clock = func() time.Duration { return time.Since(clockStart) }
+
+var clockStart = time.Now()
 
 type entryState uint8
 
@@ -172,7 +188,8 @@ type runState struct {
 	// and is audited by the self-check.
 	readyMask uint32
 
-	done <-chan struct{} // Config.Context cancellation, nil when unset
+	done      <-chan struct{} // Config.Context cancellation, nil when unset
+	lastYield time.Duration   // clock at the lane's last yield or attach
 }
 
 // Pipeline is one configured simulator instance: one lane of a decode
@@ -308,6 +325,7 @@ func (p *Pipeline) attach(w *window) {
 	if p.cfg.Context != nil {
 		p.rs.done = p.cfg.Context.Done()
 	}
+	p.rs.lastYield = clock()
 	if p.rob == nil || p.rob.cap != m.ActiveList {
 		p.rob = newRing(m.ActiveList)
 	} else {
@@ -405,11 +423,15 @@ func (p *Pipeline) advance() (bool, error) {
 	for {
 		if !rs.inFetch {
 			// ---- Cooperative cancellation (see Config.Context), and a
-			// yield: a lane otherwise holds its processor until Go's
-			// 10 ms async preemption, so a busy simulation would stall
-			// the HTTP handlers and timers sharing it. ----
+			// yield every yieldEvery: a lane otherwise holds its
+			// processor until Go's 10 ms async preemption, so a busy
+			// simulation would stall the HTTP handlers and timers
+			// sharing it. ----
 			if rs.cycle&cancelCheckMask == 0 {
-				yield()
+				if now := clock(); now-rs.lastYield >= yieldEvery {
+					rs.lastYield = now
+					yield()
+				}
 				if rs.done != nil {
 					select {
 					case <-rs.done:

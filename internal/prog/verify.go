@@ -140,10 +140,15 @@ func checkOperandClasses(in *isa.Instr) error {
 		cls      regClass
 		optional bool // NoReg allowed (immediate form)
 	}
-	var slots []slot
-	rd := func(c regClass) { slots = append(slots, slot{"rd", in.Rd, c, false}) }
-	rs := func(c regClass) { slots = append(slots, slot{"rs", in.Rs, c, false}) }
-	rt := func(c regClass, opt bool) { slots = append(slots, slot{"rt", in.Rt, c, opt}) }
+	// At most rd, rs and rt: a stack array, since every program that is
+	// predecoded, lowered or assembled is verified instruction by
+	// instruction.
+	var slots [3]slot
+	n := 0
+	add := func(s slot) { slots[n] = s; n++ }
+	rd := func(c regClass) { add(slot{"rd", in.Rd, c, false}) }
+	rs := func(c regClass) { add(slot{"rs", in.Rs, c, false}) }
+	rt := func(c regClass, opt bool) { add(slot{"rt", in.Rt, c, opt}) }
 
 	switch in.Op {
 	case isa.Nop, isa.J, isa.Call, isa.Ret, isa.Halt:
@@ -191,7 +196,7 @@ func checkOperandClasses(in *isa.Instr) error {
 		rs(clsPred)
 	}
 
-	for _, s := range slots {
+	for _, s := range slots[:n] {
 		if s.reg == isa.NoReg {
 			if s.optional {
 				continue

@@ -127,3 +127,22 @@ func TestVerifyOperandClasses(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckOperandClassesAllocatesNothing: the operand check of a legal
+// instruction allocates nothing, whatever its operand count, since it
+// runs on every instruction Predecode, the lowering and the assembler
+// verify.
+func TestCheckOperandClassesAllocatesNothing(t *testing.T) {
+	for _, in := range []isa.Instr{
+		{Op: isa.Halt},
+		{Op: isa.Li, Rd: isa.R(2), Imm: 7},
+		{Op: isa.Lw, Rd: isa.R(2), Rs: isa.R(8), Imm: 4},
+		{Op: isa.Add, Rd: isa.R(2), Rs: isa.R(1), Rt: isa.R(3)},
+		{Op: isa.PAnd, Rd: isa.P(3), Rs: isa.P(1), Rt: isa.P(2), Pred: isa.P(4)},
+	} {
+		var err error
+		if allocs := testing.AllocsPerRun(100, func() { err = checkOperandClasses(&in) }); allocs != 0 || err != nil {
+			t.Errorf("%s: %.0f allocations, err %v; want 0, nil", in.String(), allocs, err)
+		}
+	}
+}

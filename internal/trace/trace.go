@@ -176,11 +176,13 @@ type Trace struct {
 }
 
 // Capture runs code to completion on a fresh Machine, recording the
-// packed trace. init (if non-nil) installs the initial memory image;
-// visit (if non-nil) observes every Event with a reused record, so the
-// profiler can collect feedback from the same architectural run that
-// fills the trace — one execution serves both. Every 2^16 events it
-// yields its processor.
+// packed trace. The machine starts from opts.Image when it is set, and
+// shares its pages copy-on-write, so a capture allocates only the pages
+// the program changes; init (if non-nil) then writes the input into the
+// machine's memory. visit (if non-nil) observes every Event with a
+// reused record, so the profiler can collect feedback from the same
+// architectural run that fills the trace — one execution serves both.
+// Every 2^16 events it yields its processor.
 func Capture(code *interp.Code, opts interp.Options, init func(interp.Memory) error, visit func(*interp.Event)) (*Trace, interp.Result, error) {
 	m := code.NewMachine(opts)
 	if init != nil {

@@ -214,29 +214,44 @@ exit:
 // TestCaptureAllocatesItsSize: a capture allocates its packed payload
 // plus at most one block per stream (the trimmed last blocks), beside
 // a small machine; streams that grew by re-copying would leave about
-// their own size again in garbage.
+// their own size again in garbage. That holds with an empty memory and
+// with a 16-page input image alike: a machine started from an image
+// shares its pages and copies only the one the kernel writes.
 func TestCaptureAllocatesItsSize(t *testing.T) {
 	code, err := interp.Predecode(asm.MustParse(replayKernel), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := interp.Options{MemBytes: 1 << 16}
-	if _, _, err := Capture(code, opts, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	tr, _, err := Capture(code, opts, nil, nil)
-	runtime.ReadMemStats(&after)
+	const memBytes = 1 << 16
+	img, err := interp.NewImage(interp.Options{MemBytes: memBytes}, func(m interp.Memory) error {
+		for addr := int64(0); addr < memBytes; addr += 512 {
+			if err := m.WriteWord(addr, addr+1); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The machine: its struct, page table and the one page the kernel
-	// writes; the Trace and its block lists.
-	const machine = 8 << 10
-	got := after.TotalAlloc - before.TotalAlloc
-	if limit := uint64(tr.SizeBytes() + 4<<blockShift + machine); got > limit || tr.SizeBytes() < 16<<blockShift {
-		t.Errorf("capture of a %d-byte trace allocated %d bytes, want ≤ %d", tr.SizeBytes(), got, limit)
+	for _, opts := range []interp.Options{{MemBytes: memBytes}, {Image: img}} {
+		if _, _, err := Capture(code, opts, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tr, _, err := Capture(code, opts, nil, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The machine: its struct, page table and the one page the kernel
+		// writes; the Trace and its block lists.
+		const machine = 8 << 10
+		got := after.TotalAlloc - before.TotalAlloc
+		if limit := uint64(tr.SizeBytes() + 4<<blockShift + machine); got > limit || tr.SizeBytes() < 16<<blockShift {
+			t.Errorf("image %v: capture of a %d-byte trace allocated %d bytes, want ≤ %d", opts.Image != nil, tr.SizeBytes(), got, limit)
+		}
 	}
 }
 
