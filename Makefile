@@ -29,9 +29,11 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the concurrency-heavy packages: the serve
-# layer (coalescing, drain, backpressure) and the bench trace caches
-# it is built on — plus the batch golden tests (many lanes over one
-# shared decode window), the lane scheduler's tests (RunDrains, the
+# layer (coalescing, drain, backpressure) and the bench caches and
+# machine pool it is built on (TestConcurrentCallsDrainOwnMachines:
+# concurrent calls of one program each drain their own machine) — plus
+# the batch golden tests (many lanes over one shared decode window),
+# the lane scheduler's tests (RunDrains, the
 # fuzz oracle with its two-drain batch split) and the free lists of
 # decode windows and lanes shared by concurrent Runs and drains
 # (bounds, recycled lanes matching new ones, concurrent release and
@@ -79,16 +81,20 @@ bench-smoke:
 # seed must pass the interp/pipeline/xform agreement oracle (which now
 # includes the batch lane-isolation and leak-soundness stages),
 # plus focused sweeps of the batch and leak oracles alone on disjoint
-# seed ranges, and ten seconds of native fuzzing of the service's
+# seed ranges, and ten seconds each of native fuzzing of the service's
 # request normalization (bounded inputs, typed rejections, stable
-# keys). Seconds, not minutes; `sgfuzz -seeds 500` (or more) is the
-# deep version.
+# keys), its /v1/run wire decoding (POST bodies and GET queries, typed
+# rejections) and its /v1/explore grid decoding (accepted grids expand
+# within max_points to Validate-clean models). Seconds, not minutes;
+# `sgfuzz -seeds 500` (or more) is the deep version.
 fuzz-smoke:
 	$(GO) run ./cmd/sgfuzz -seeds 50
 	$(GO) run ./cmd/sgfuzz -batch -start 1000 -seeds 50
 	$(GO) run ./cmd/sgfuzz -leak -start 3000 -seeds 100
 	$(GO) run ./cmd/sgfuzz -skip -start 5000 -seeds 50
 	$(GO) test -run '^$$' -fuzz '^FuzzNormalizeRequest$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRunRequest$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzParseExploreRequest$$' -fuzztime 10s ./internal/serve
 
 # End-to-end smoke of the experiment daemon: coalescing, graceful
 # drain under SIGTERM, and post-restart store-hit replay, all asserted

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"specguard/internal/core"
+	"specguard/internal/interp"
 	"specguard/internal/machine"
 	"specguard/internal/pipeline"
 	"specguard/internal/predict"
@@ -12,19 +13,19 @@ import (
 )
 
 // Batched execution: RunSpecs is the Runner's one timing path. It groups
-// heterogeneous Specs by the trace they replay and their I-cache
+// heterogeneous Specs by the program they run and their I-cache
 // geometry — the (workload, program fingerprint, icache bytes, line
-// bytes) tuple — and runs each group as one pipeline.Batch, so a whole
-// sweep costs one trace drain per distinct architectural execution and
-// geometry instead of one per cell. Geometry is part of the key because
-// the batch's shared precomputed icache bits are only sound for lanes
-// whose cache shape matches (pipeline.Batch falls back to private
-// caches otherwise, which is correct but forfeits the sharing); models
-// may differ per lane in every other axis. Within a group, cells whose
-// machines the program cannot tell apart share a lane outright
-// (laneModel). A lane's Stats are byte-identical to its cell's alone in
-// a one-cell call (pinned by TestGoldenStatsBatched and
-// TestRunSpecsCanonicalLanes).
+// bytes) tuple — and runs each group as one pipeline.Batch fed by one
+// live run of the program, so a whole sweep costs one drain per
+// distinct architectural execution and geometry instead of one per
+// cell. Geometry is part of the key because the batch's shared
+// precomputed icache bits are only sound for lanes whose cache shape
+// matches (pipeline.Batch falls back to private caches otherwise,
+// which is correct but forfeits the sharing); models may differ per
+// lane in every other axis. Within a group, cells whose machines the
+// program cannot tell apart share a lane outright (laneModel). A lane's
+// Stats are byte-identical to its cell's alone in a one-cell call
+// (pinned by TestGoldenStatsBatched and TestRunSpecsCanonicalLanes).
 
 // batchLane is one timing simulation shared by every spec index whose
 // cell has the same canonical machine (laneModel) within a subgroup.
@@ -36,21 +37,22 @@ type batchLane struct {
 	cache    *statsKey // where Done stores the lane's Stats; nil: not cached
 }
 
-// batchGroup is one trace drain: all lanes replaying the same
-// (workload, program) architectural execution with one icache geometry.
+// batchGroup is one drain: all lanes timing the same (workload,
+// program) architectural execution with one icache geometry.
 type batchGroup struct {
 	w     Workload
-	p     *prog.Program // nil: w's base program (see Runner.traceFor)
-	fp    uint64        // p's fingerprint (w's base program's when p is nil)
-	work  int64         // estimated events × lanes, for admission order
+	p     *prog.Program   // nil: w's base program (see Runner.codeOf)
+	prog  *program        // the program's cache entry
+	m     *interp.Machine // the drain's source, from openGroup; idle again after Done
+	work  int64           // estimated events × lanes, for admission order
 	lanes []*batchLane
 	byKey map[string]*batchLane
 }
 
-// groupKey folds the trace identity with the icache geometry (see the
-// package comment above on why geometry splits drains).
+// groupKey folds the program identity with the icache geometry (see
+// the package comment above on why geometry splits drains).
 type groupKey struct {
-	traceKey
+	programKey
 	icBytes   int
 	lineBytes int
 }
@@ -79,11 +81,11 @@ func laneModel(m *machine.Model, s Scheme, entries, bound int) *machine.Model {
 	return c
 }
 
-// TraceDrains returns how many times a packed trace has been decoded
-// into timing simulations (a group of N lanes costs one drain, a
-// one-cell call one drain of one lane). Together with SimLanes it
-// makes batching efficiency observable: lanes/drain is the
-// amortization factor.
+// TraceDrains returns how many drains have fed timing simulations:
+// each is one live run of a program's committed-event trace into its
+// lanes (a group of N lanes costs one drain, a one-cell call one drain
+// of one lane). Together with SimLanes it makes batching efficiency
+// observable: lanes/drain is the amortization factor.
 func (r *Runner) TraceDrains() int64 { return r.traceDrains.Load() }
 
 // SimLanes returns how many timing simulations have been fed by those
@@ -122,13 +124,13 @@ func (r *Runner) addSkip(sk pipeline.SkipStats, lanes ...pipeline.Stats) {
 	}
 }
 
-// RunSpecs simulates every Spec, batching cells that replay the same
-// trace into one lockstep pipeline.Batch. Results are returned in spec
-// order, and each is byte-identical to its cell's in a one-cell call;
-// only the cost model changes — one trace decode and one dependence
-// pre-pass per (workload, program) group, amortized over all of its
-// lanes, and one lane per machine the program can tell apart: cells
-// differing only in predictor settings it never reads (a perfect
+// RunSpecs simulates every Spec, batching cells that run the same
+// program into one lockstep pipeline.Batch. Results are returned in
+// spec order, and each is byte-identical to its cell's in a one-cell
+// call; only the cost model changes — one architectural run and one
+// dependence pre-pass per (workload, program) group, amortized over all
+// of its lanes, and one lane per machine the program can tell apart:
+// cells differing only in predictor settings it never reads (a perfect
 // cell's table, a 2-bit table's history, sizes past its branch-index
 // span) share one.
 //
@@ -136,14 +138,14 @@ func (r *Runner) addSkip(sk pipeline.SkipStats, lanes ...pipeline.Stats) {
 // loop, so a timed-out or abandoned call stops within microseconds of
 // simulated work. Cache entries are never poisoned by cancellation: a
 // cancelled call leaves the caches as a never-started one would, except
-// that a capture already begun runs to completion (architectural runs
-// are not abandoned halfway, so concurrent waiters still get it).
-// Timing-only variations (Entries, Model) hit the trace cache and
-// perform no new architectural run; a cell on the Runner's own
-// configuration whose program was already simulated hits the Stats
-// cache and adds no lane, and a completed lane with such a cell among
-// its members is stored. The optimizer still runs for Proposed cells,
-// because its output's fingerprint is part of the key.
+// that a profiling run already begun runs to completion (concurrent
+// waiters still get it), and a drain it stopped drops its machine
+// rather than leave it idle half-run. Timing-only variations (Entries,
+// Model) reuse the program's predecode and its idle machines; a cell
+// on the Runner's own configuration whose program was already simulated
+// hits the Stats cache and adds no lane, and a completed lane with such
+// a cell among its members is stored. The optimizer still runs for
+// Proposed cells, because its output's fingerprint is part of the key.
 func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 	out := make([]Result, len(specs))
 	if len(specs) == 0 {
@@ -157,7 +159,7 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 	// Phase 1 (serial, cheap next to the timing loops): resolve each
 	// spec to its exact program, profile and — for Proposed cells — the
 	// optimizer report, deduplicating optimizer runs by (workload,
-	// options) and folding the cells into trace groups and lanes.
+	// options) and folding the cells into program groups and lanes.
 	type optKey struct {
 		workload string
 		model    string // "" for the Runner's model
@@ -214,20 +216,21 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 			return nil, fmt.Errorf("bench: unknown scheme %d", spec.Scheme)
 		}
 
-		gk := groupKey{traceKey{w.Name, fp}, m.ICacheBytes, m.CacheLineBytes}
-		sk := r.statsKey(spec, gk.traceKey, entries)
+		gk := groupKey{programKey{w.Name, fp}, m.ICacheBytes, m.CacheLineBytes}
+		sk := r.statsKey(spec, gk.programKey, entries)
 		if stats, ok := r.cachedStats(sk); ok {
 			out[i].Stats = stats
 			continue
 		}
-		lm := laneModel(m, spec.Scheme, entries, r.boundOf(gk.traceKey, w, p))
+		e := entry(r, r.programs, gk.programKey)
+		lm := laneModel(m, spec.Scheme, entries, r.boundOf(e, w, p))
 		lk := lm.Key()
 		g := groups[gk]
 		if g == nil || g.byKey[lk] == nil && len(g.lanes) == pipeline.MaxBatchLanes {
 			// A new group, or a new lane for a full subgroup: open a
 			// fresh drain, bounding the lane state one drain holds.
 			// Lane dedup applies within a drain.
-			g = &batchGroup{w: w, p: p, fp: fp, byKey: map[string]*batchLane{}}
+			g = &batchGroup{w: w, p: p, prog: e, byKey: map[string]*batchLane{}}
 			groups[gk] = g
 			order = append(order, g)
 		}
@@ -254,7 +257,8 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 	// Phase 2: every group is one drain, and one lane-level scheduler
 	// runs them all on at most one worker per lane, so even a single hot
 	// drain spreads over every core and a one-lane call stays on the
-	// calling goroutine.
+	// calling goroutine. Done runs only for a drain that ran its program
+	// to the end, so only such a drain's machine goes back idle.
 	drains := make([]pipeline.Drain, len(order))
 	for i, g := range order {
 		drains[i] = pipeline.Drain{
@@ -266,6 +270,7 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 				r.simLanes.Add(int64(len(g.lanes)))
 				r.addSkip(b.SkipStats(), stats...)
 				b.Release() // Stats and SkipStats read: the next drain's lanes reuse these
+				r.release(g.prog, g.m)
 				for j, ln := range g.lanes {
 					r.storeStats(ln.cache, stats[j])
 					for _, i := range ln.specIdxs {
@@ -289,35 +294,38 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 // calls.
 var indexBound = predict.IndexBound
 
-// boundOf returns the branch-index span (predict.IndexBound) of the
-// program tk names — p, or w's base program when p is nil — computing
-// it once per trace entry: the base program must be built and laid out
-// for it, which would otherwise cost every one-cell call as much as its
+// boundOf returns the branch-index span (predict.IndexBound) of e's
+// program — p, or w's base program when p is nil — computing it once
+// per program entry: the base program must be built and laid out for
+// it, which would otherwise cost every one-cell call as much as its
 // lane setup.
-func (r *Runner) boundOf(tk traceKey, w Workload, p *prog.Program) int {
-	te := entry(r, r.traces, tk)
-	te.boundOnce.Do(func() {
+func (r *Runner) boundOf(e *program, w Workload, p *prog.Program) int {
+	e.boundOnce.Do(func() {
 		if p == nil {
 			p = w.Build()
 		}
-		te.bound = indexBound(p)
+		e.bound = indexBound(p)
 	})
-	return te.bound
+	return e.bound
 }
 
-// openGroup builds one group's lanes over its trace. TwoBit lanes get
-// their counter tables carved out of a single contiguous backing array,
-// in lane order, so the batch's predictor state stays dense; gshare and
-// oracle lanes build their own predictors. Each lane simulates on its
-// canonical model (pipeline.Batch supports heterogeneous lane models;
-// the shared icache bits apply because the group key pinned the
-// geometry).
+// openGroup builds one group's lanes and its source: a machine of the
+// group's program (Runner.machine), which the drain runs live. TwoBit
+// lanes get their counter tables carved out of a single contiguous
+// backing array, in lane order, so the batch's predictor state stays
+// dense; gshare and oracle lanes build their own predictors. Each lane
+// simulates on its canonical model (pipeline.Batch supports
+// heterogeneous lane models; the shared icache bits apply because the
+// group key pinned the geometry).
 func (r *Runner) openGroup(ctx context.Context, g *batchGroup) (*pipeline.Batch, pipeline.Source, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	tr, err := r.traceFor(g.w, g.p, g.fp)
+	code, err := r.codeOf(g.prog, g.w, g.p)
 	if err != nil {
+		return nil, nil, err
+	}
+	if g.m, err = r.machine(g.prog, code, g.w); err != nil {
 		return nil, nil, err
 	}
 
@@ -346,5 +354,5 @@ func (r *Runner) openGroup(ctx context.Context, g *batchGroup) (*pipeline.Batch,
 	if err != nil {
 		return nil, nil, err
 	}
-	return batch, tr.NewReader(), nil
+	return batch, g.m, nil
 }

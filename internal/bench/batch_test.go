@@ -11,9 +11,9 @@ import (
 	"testing"
 
 	"specguard/internal/core"
+	"specguard/internal/interp"
 	"specguard/internal/machine"
 	"specguard/internal/pipeline"
-	"specguard/internal/prog"
 )
 
 // goldenSpecs is the 12-cell matrix in golden_stats.json order
@@ -89,7 +89,7 @@ func sweepSpecs24() []Spec {
 // 24-cell sweep: two trace drains per workload (original program +
 // optimized program), lanes deduplicated across table sizes the
 // program cannot tell apart, and no extra architectural runs beyond
-// the 8 captures.
+// the 8 machines (one per program).
 func TestRunSpecsDrainAccounting(t *testing.T) {
 	r := NewRunner()
 	ctx := context.Background()
@@ -371,13 +371,14 @@ func TestRunSpecsUnknownScheme(t *testing.T) {
 // rawStats is the reference a canonical lane must match: spec's cell
 // simulated alone on its own model, predictor family and table size —
 // not on the canonical lane machine RunSpecs builds (laneModel) — by
-// one Pipeline replaying r's trace of the cell's program.
+// one Pipeline fed by a fresh machine of the cell's program, built and
+// initialized here rather than taken from r's program cache. r supplies
+// the profile a Proposed cell's optimizer reads.
 func rawStats(t *testing.T, r *Runner, spec Spec) pipeline.Stats {
 	t.Helper()
 	w := spec.Workload
 	m := r.specModel(spec)
-	var p *prog.Program // nil: the base program
-	fp := w.Fingerprint()
+	p := w.Build()
 	if spec.Scheme == SchemeProposed {
 		prof, err := r.ProfileOf(w)
 		if err != nil {
@@ -387,21 +388,23 @@ func rawStats(t *testing.T, r *Runner, spec Spec) pipeline.Stats {
 		if spec.Opt != nil {
 			opts = *spec.Opt
 		}
-		p = w.Build()
 		if _, err := core.Optimize(p, prof, m, opts); err != nil {
 			t.Fatal(err)
 		}
-		fp = p.Fingerprint()
 	}
-	tr, err := r.traceFor(w, p, fp)
+	code, err := interp.Predecode(p, nil)
 	if err != nil {
+		t.Fatal(err)
+	}
+	mach := code.NewMachine(interp.Options{})
+	if err := w.Init(mach); err != nil {
 		t.Fatal(err)
 	}
 	pipe, err := pipeline.New(pipeline.Config{Model: m, Predictor: buildPredictor(m, spec.Scheme, r.specEntries(spec, m))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := pipe.Run(tr.NewReader())
+	st, err := pipe.Run(mach)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,9 +507,9 @@ func TestRunSpecsCanonicalLanes(t *testing.T) {
 
 // TestOneCellRunSpecAllocation: a warm one-cell call on a per-spec model,
 // which the Stats cache never holds, so every call simulates, allocates
-// at most 6 KB: its trace comes from the trace cache, and its lane and
-// decode window from the free lists the previous call's drain released
-// them to. A lane built anew costs ~30 KB.
+// at most 6 KB: its machine comes idle from the program cache, and its
+// lane and decode window from the free lists the previous call's drain
+// released them to. A lane built anew costs ~30 KB.
 func TestOneCellRunSpecAllocation(t *testing.T) {
 	if raceDetectorOn {
 		t.Skip("the race detector allocates on its own account")

@@ -15,7 +15,6 @@ import (
 	"specguard/internal/predict"
 	"specguard/internal/profile"
 	"specguard/internal/prog"
-	"specguard/internal/trace"
 )
 
 // Scheme is one of the paper's three evaluated configurations (§6).
@@ -63,32 +62,30 @@ type Result struct {
 //     instrumented profiling pass), one per workload;
 //   - images, keyed by workload name like profiles: the workload's input,
 //     Init run once into an empty memory and frozen as an interp.Image.
-//     Every architectural run of the workload — the profiling capture,
-//     every trace capture and RunLeak's taint machine — starts from it
+//     Every architectural run of the workload — the profiling run, every
+//     drain's machine and RunLeak's taint machine — starts from it
 //     copy-on-write, so an input is generated and paged in once per
 //     Runner, however many programs run over it;
-//   - traces, keyed by (workload, program fingerprint): the packed
-//     committed-event trace of one architectural execution, captured
-//     once per distinct program and replayed into every timing
-//     simulation of that program;
-//   - stats, keyed by trace, predictor shape and Model.Key: the Stats
+//   - programs, keyed by (workload, program fingerprint): the predecoded
+//     program, its predict.IndexBound (the branch-index span canonical
+//     lanes are sized by, laneModel) and the idle interp.Machines that
+//     have run it over the workload's image;
+//   - stats, keyed by program, predictor shape and Model.Key: the Stats
 //     of each timing simulation on the Runner's own model and predictor
 //     size, so a cell whose optimizer rewrite reproduces an already
 //     simulated program (an ablation row that leaves a kernel as the
 //     table's Proposed cell has it) costs no timing run.
 //
-// Each trace entry also keeps its program's predict.IndexBound, the
-// branch-index span that canonical lanes are sized by (laneModel), so a
-// repeated one-cell call does not rebuild and lay out the program.
-//
-// The 2-bitBP and PerfectBP schemes simulate the original program, so
-// they share one trace — which is captured during the profiling run
-// itself (one execution fills both caches). The Proposed scheme's
-// optimizer rewrite has its own fingerprint and hence its own capture.
-// Predictor-entry ablations and table sweeps change only the timing
-// configuration, so they hit the trace cache and perform no new
-// architectural runs at all; ArchRuns counts the captures for tests
-// and benchmark reports.
+// Every drain runs its program live: the machine that executes it is
+// the drain's pipeline.Source, so the program runs architecturally once
+// per drain, however many lanes the drain feeds. A drain takes an idle
+// machine of its program, reset, or builds one; a drain that completes
+// returns its machine, and one that fails or is cancelled drops it, so
+// no half-run machine is ever idle. The profiling run leaves its
+// machine for the base program's drains. ArchRuns counts the machines
+// built: a drain that reuses one adds none, so a predictor-entry
+// ablation or table sweep rebuilds nothing, and a full three-scheme
+// table builds 2 machines per workload (one per distinct program).
 //
 // Every timing simulation goes through RunSpecs: the single-cell entry
 // points (Run, RunProposedOpts, RunSpec) are one-cell calls and the
@@ -96,8 +93,9 @@ type Result struct {
 // table's 2-bitBP and PerfectBP cells of one workload share a drain.
 //
 // A Runner is safe for concurrent calls: cache entries are per-key
-// sync.Onces or map slots behind a mutex, and every simulation builds
-// its own predictor, pipeline and trace reader.
+// sync.Onces or map slots behind a mutex, a machine serves one drain
+// at a time, and every simulation builds its own predictor and
+// pipeline.
 type Runner struct {
 	Model *machine.Model
 	// PredictorEntries overrides the 2-bit table size (ablations);
@@ -112,12 +110,12 @@ type Runner struct {
 	mu       sync.Mutex
 	profiles map[string]*cached[*profile.Profile]
 	images   map[string]*cached[*interp.Image]
-	traces   map[traceKey]*traceEntry
+	programs map[programKey]*program
 	stats    map[statsKey]pipeline.Stats
 	archRuns atomic.Int64
-	// traceDrains counts timing-side decodes of a packed trace;
-	// simLanes counts the simulations those drains fed: (1, numLanes)
-	// per drain.
+	// traceDrains counts drains, each one run of a program's event
+	// stream into timing lanes; simLanes counts the simulations those
+	// drains fed: (1, numLanes) per drain.
 	traceDrains atomic.Int64
 	simLanes    atomic.Int64
 	// skippedCycles/fastForwards aggregate the quiescence fast-forward
@@ -157,26 +155,30 @@ func entry[K comparable, E any](r *Runner, m map[K]*E, k K) *E {
 	return e
 }
 
-// traceKey identifies one architectural execution: the workload names
-// the input image (Init), the fingerprint names the exact program.
-type traceKey struct {
+// programKey identifies one architectural execution: the workload
+// names the input image (Init), the fingerprint names the exact
+// program.
+type programKey struct {
 	workload string
 	fp       uint64
 }
 
-type traceEntry struct {
-	cached[*trace.Trace]
+// program is one program-cache entry.
+type program struct {
+	code cached[*interp.Code]
 
 	boundOnce sync.Once
 	bound     int // the program's predict.IndexBound (Runner.boundOf)
+
+	idle []*interp.Machine // halted machines that ran it; guarded by Runner.mu
 }
 
 // statsKey identifies one timing simulation on the Runner's own model:
-// the trace it replays, its predictor shape (perfect, or the raw table
+// the program it runs, its predictor shape (perfect, or the raw table
 // size, not a lane's canonical one) and the model's Key, so an in-place
 // edit of Runner.Model misses instead of hitting a stale entry.
 type statsKey struct {
-	traceKey
+	programKey
 	perfect bool
 	entries int // 0 for perfect cells
 	model   string
@@ -188,7 +190,7 @@ func NewRunner() *Runner {
 		Model:    machine.R10000(),
 		profiles: map[string]*cached[*profile.Profile]{},
 		images:   map[string]*cached[*interp.Image]{},
-		traces:   map[traceKey]*traceEntry{},
+		programs: map[programKey]*program{},
 		stats:    map[statsKey]pipeline.Stats{},
 	}
 }
@@ -200,10 +202,12 @@ func (r *Runner) entries() int {
 	return r.Model.PredictorEntries
 }
 
-// ArchRuns returns how many architectural executions (trace captures)
-// this Runner has performed — the quantity the trace cache exists to
-// minimize. A full three-scheme table is 2 captures per workload; a
-// predictor sweep adds none.
+// ArchRuns returns how many machines this Runner has built to run
+// programs architecturally — the quantity the program cache exists to
+// minimize. A drain that reuses an idle machine adds none: a full
+// three-scheme table is 2 per workload, and a predictor sweep adds
+// none. Drains of one program that run at once each need their own
+// machine, so concurrent calls may build more.
 func (r *Runner) ArchRuns() int64 { return r.archRuns.Load() }
 
 // newImage is interp.NewImage, a variable so tests can count image
@@ -219,52 +223,10 @@ func (r *Runner) imageOf(w Workload) (*interp.Image, error) {
 	})
 }
 
-// capture performs one architectural execution of code from the
-// workload's input image, producing its packed trace.
-func (r *Runner) capture(code *interp.Code, w Workload, visit func(*interp.Event)) (*trace.Trace, interp.Result, error) {
-	img, err := r.imageOf(w)
-	if err != nil {
-		return nil, interp.Result{}, err
-	}
-	r.archRuns.Add(1)
-	return trace.Capture(code, interp.Options{Image: img}, nil, visit)
-}
-
-// ProfileOf returns (building if needed) the workload's feedback
-// profile — the paper's instrumented run. The same execution that
-// collects the profile also captures the original program's packed
-// trace, seeding the trace cache for the non-optimized schemes.
-func (r *Runner) ProfileOf(w Workload) (*profile.Profile, error) {
-	return entry(r, r.profiles, w.Name).get(func() (*profile.Profile, error) { return r.collectProfile(w) })
-}
-
-func (r *Runner) collectProfile(w Workload) (*profile.Profile, error) {
-	p := w.Build()
-	code, err := interp.Predecode(p, nil)
-	if err != nil {
-		return nil, fmt.Errorf("bench: predecoding %s: %w", w.Name, err)
-	}
-	prof := profile.NewProfile()
-	tr, res, err := r.capture(code, w, func(ev *interp.Event) {
-		if ev.Branch {
-			prof.Record(ev.BranchSite, ev.Taken)
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("bench: profiling %s: %w", w.Name, err)
-	}
-	prof.DynInstrs = res.DynInstrs
-	prof.Annulled = res.Annulled
-	entry(r, r.traces, traceKey{w.Name, w.Fingerprint()}).get(func() (*trace.Trace, error) { return tr, nil })
-	return prof, nil
-}
-
-// traceFor returns (capturing if needed) the packed trace of p, whose
-// fingerprint the caller has already computed as fp, under w's input
-// image. A nil p names w's unmodified base program, built only if the
-// trace must be captured.
-func (r *Runner) traceFor(w Workload, p *prog.Program, fp uint64) (*trace.Trace, error) {
-	return entry(r, r.traces, traceKey{w.Name, fp}).get(func() (*trace.Trace, error) {
+// codeOf returns (predecoding if needed) the entry's program: p, or
+// w's base program when p is nil, built only if it must be predecoded.
+func (r *Runner) codeOf(e *program, w Workload, p *prog.Program) (*interp.Code, error) {
+	return e.code.get(func() (*interp.Code, error) {
 		if p == nil {
 			p = w.Build()
 		}
@@ -272,9 +234,79 @@ func (r *Runner) traceFor(w Workload, p *prog.Program, fp uint64) (*trace.Trace,
 		if err != nil {
 			return nil, fmt.Errorf("bench: predecoding %s: %w", w.Name, err)
 		}
-		tr, _, err := r.capture(code, w, nil)
-		return tr, err
+		return code, nil
 	})
+}
+
+// machine returns an idle machine of the entry's program, reset, or a
+// new one over w's input image. The caller owns it until it hands it
+// back with release.
+func (r *Runner) machine(e *program, code *interp.Code, w Workload) (*interp.Machine, error) {
+	r.mu.Lock()
+	if n := len(e.idle); n > 0 {
+		m := e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+		r.mu.Unlock()
+		m.Reset()
+		return m, nil
+	}
+	r.mu.Unlock()
+	img, err := r.imageOf(w)
+	if err != nil {
+		return nil, err
+	}
+	r.archRuns.Add(1)
+	return code.NewMachine(interp.Options{Image: img}), nil
+}
+
+// release makes m, which has run e's program to its end, idle for the
+// next drain of it. A machine stopped part-way is never released.
+func (r *Runner) release(e *program, m *interp.Machine) {
+	r.mu.Lock()
+	e.idle = append(e.idle, m)
+	r.mu.Unlock()
+}
+
+// ProfileOf returns (building if needed) the workload's feedback
+// profile — the paper's instrumented run. The machine that runs it is
+// left idle for the base program's drains.
+func (r *Runner) ProfileOf(w Workload) (*profile.Profile, error) {
+	return entry(r, r.profiles, w.Name).get(func() (*profile.Profile, error) { return r.collectProfile(w) })
+}
+
+// yieldEvents spaces the profiling run's yields: it is a long loop that
+// holds its processor, so every 2^16 events it lets other goroutines
+// (HTTP handlers, timers) run.
+const yieldEvents = 1 << 16
+
+func (r *Runner) collectProfile(w Workload) (*profile.Profile, error) {
+	e := entry(r, r.programs, programKey{w.Name, w.Fingerprint()})
+	code, err := r.codeOf(e, w, nil)
+	if err != nil {
+		return nil, err
+	}
+	m, err := r.machine(e, code, w)
+	if err != nil {
+		return nil, fmt.Errorf("bench: profiling %s: %w", w.Name, err)
+	}
+	prof := profile.NewProfile()
+	var events int64
+	res, err := m.Run(func(ev *interp.Event) {
+		if events++; events&(yieldEvents-1) == 0 {
+			runtime.Gosched()
+		}
+		if ev.Branch {
+			prof.Record(ev.BranchSite, ev.Taken)
+		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bench: profiling %s: %w", w.Name, err)
+	}
+	r.release(e, m)
+	prof.DynInstrs = res.DynInstrs
+	prof.Annulled = res.Annulled
+	return prof, nil
 }
 
 // prefetchProfiles builds the feedback profile of every distinct
@@ -338,7 +370,7 @@ func (r *Runner) RunProposedOptsContext(ctx context.Context, w Workload, opts co
 // fields unset), and callers that serve heterogeneous requests from one
 // shared Runner (internal/serve) set them: unlike the PredictorEntries
 // field, a Spec does not mutate Runner state, so concurrent Specs with
-// different predictor sizes still share the profile and trace caches.
+// different predictor sizes still share the profile and program caches.
 type Spec struct {
 	Workload Workload
 	Scheme   Scheme
@@ -353,7 +385,7 @@ type Spec struct {
 	// (Model.Predictor; SchemePerfect still forces the oracle) all come
 	// from it. Callers must pass Validate-clean models built through
 	// Clone — a sweep cell must never alias the Runner's model. Cells
-	// with different models still share the profile and trace caches:
+	// with different models still share the profile and program caches:
 	// the architectural run is model-independent.
 	Model *machine.Model
 }
@@ -396,19 +428,19 @@ func buildPredictor(m *machine.Model, s Scheme, entries int) predict.Predictor {
 	return predict.NewTwoBit(entries)
 }
 
-// statsKey returns the Stats-cache key of a cell replaying tk with
+// statsKey returns the Stats-cache key of a cell running pk with
 // predictor size entries, or nil for a cell the cache never holds: one
 // on a per-spec model, or a predicted (not perfect) cell at a size
 // other than the Runner's. Only the Runner's own configuration is
 // stored, so the cache holds at most two Stats (predicted and perfect)
-// per trace for a given Model and size, however many models or sizes a
-// sweep explores.
-func (r *Runner) statsKey(spec Spec, tk traceKey, entries int) *statsKey {
+// per program for a given Model and size, however many models or sizes
+// a sweep explores.
+func (r *Runner) statsKey(spec Spec, pk programKey, entries int) *statsKey {
 	perfect := spec.Scheme == SchemePerfect
 	if spec.Model != nil || !perfect && entries != r.entries() {
 		return nil
 	}
-	k := &statsKey{traceKey: tk, perfect: perfect, model: r.Model.Key()}
+	k := &statsKey{programKey: pk, perfect: perfect, model: r.Model.Key()}
 	if !perfect {
 		k.entries = entries
 	}

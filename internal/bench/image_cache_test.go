@@ -12,7 +12,7 @@ import (
 // TestImageBuiltOncePerWorkload: a fresh Runner evaluating what sgbench
 // prints — RunAll, then the seven ablation rows — builds each
 // workload's input image once, however many programs run over it: 4
-// builds for 18 captures. Every capture needs its workload's image, so
+// builds for 18 machines. Every machine needs its workload's image, so
 // four builds over four workloads is one each.
 func TestImageBuiltOncePerWorkload(t *testing.T) {
 	orig := newImage
@@ -36,15 +36,15 @@ func TestImageBuiltOncePerWorkload(t *testing.T) {
 		}
 	}
 	if got := builds.Load(); got != 4 || r.ArchRuns() != wantRuns {
-		t.Errorf("%d image builds for %d captures, want 4 for %d", got, r.ArchRuns(), wantRuns)
+		t.Errorf("%d image builds for %d machines, want 4 for %d", got, r.ArchRuns(), wantRuns)
 	}
 }
 
 // TestFailingInitFailsEveryRun: a workload whose Init fails fails every
 // architectural run the Runner would make of it — the profiling
-// capture behind each scheme's cell, and RunLeak's taint machine —
+// run behind each scheme's cell, and RunLeak's taint machine —
 // with Init's error, from one Init call cached like a failing profile,
-// and no capture runs.
+// and no machine is built.
 func TestFailingInitFailsEveryRun(t *testing.T) {
 	errInit := errors.New("input generator failed")
 	calls := 0
@@ -62,12 +62,12 @@ func TestFailingInitFailsEveryRun(t *testing.T) {
 		}
 	}
 	if calls != 1 || r.ArchRuns() != 0 {
-		t.Errorf("Init ran %d times and %d captures ran, want 1 and 0", calls, r.ArchRuns())
+		t.Errorf("Init ran %d times and %d machines were built, want 1 and 0", calls, r.ArchRuns())
 	}
 }
 
 // TestInitRunsOncePerRunner: every architectural run the Runner makes
-// of a workload — the profiling capture, the Proposed program's capture
+// of a workload — the profiling run, the Proposed program's machine
 // and RunLeak's taint machine — starts from its one image, so Init runs
 // once, and the cells' Stats are the registered workload's.
 func TestInitRunsOncePerRunner(t *testing.T) {
@@ -94,6 +94,6 @@ func TestInitRunsOncePerRunner(t *testing.T) {
 		t.Fatal(err)
 	}
 	if calls != 1 || r.ArchRuns() != 2 {
-		t.Errorf("Init ran %d times over %d captures and a leak run, want once over 2", calls, r.ArchRuns())
+		t.Errorf("Init ran %d times over %d machines and a leak run, want once over 2", calls, r.ArchRuns())
 	}
 }

@@ -168,11 +168,12 @@ type LeakResult struct {
 }
 
 // RunLeak simulates one (workload, scheme) cell with leak tracking.
-// Unlike Run it always feeds the pipeline from a live taint-tracking
-// machine, started from the workload's cached input image — the packed
-// trace cache stores only architectural events, which carry no taint —
-// and runs the static leak rules over the same program for the
-// cross-check.
+// Unlike Run it feeds the pipeline from its own taint-tracking machine,
+// not a pooled interp.Machine, whose events carry no taint. The machine
+// starts from the workload's cached input image and walks each wrong
+// path as far as the model's speculative window (Model.SpecWindow), so
+// every wrong-path access the pipeline may count is seen. RunLeak also
+// runs the static leak rules over the same program for the cross-check.
 func (r *Runner) RunLeak(w Workload, s Scheme) (LeakResult, error) {
 	return r.RunLeakContext(context.Background(), w, s)
 }
@@ -215,7 +216,8 @@ func (r *Runner) RunLeakContext(ctx context.Context, w Workload, s Scheme) (Leak
 	if err != nil {
 		return out, fmt.Errorf("bench: initializing %s: %w", w.Name, err)
 	}
-	tm := code.NewTaintMachine(interp.Options{Image: img}, interp.TaintOptions{})
+	// The wrong-path walk must reach as far as the pipeline counts.
+	tm := code.NewTaintMachine(interp.Options{Image: img}, interp.TaintOptions{Horizon: r.Model.SpecWindow()})
 
 	pipe, err := pipeline.New(pipeline.Config{
 		Model:      r.Model,

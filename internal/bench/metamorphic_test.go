@@ -3,15 +3,20 @@ package bench
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
+	"specguard/internal/analysis"
 	"specguard/internal/machine"
 )
 
 // Model-derived metamorphic relations, run through the one timing path.
-// Which instructions commit or annul is architectural: the trace fixes
-// it, so no machine that times the trace may change it. And an oracle
-// predictor never mispredicts, on any machine. These hold by the
+// Which instructions commit or annul is architectural: the program and
+// its input fix it, so no machine that times the run may change it. An
+// oracle predictor never mispredicts, on any machine. And a wrong-path
+// access is speculative exactly when it lies within the model's
+// speculative window (Model.SpecWindow) of its branch, for the static
+// taint pass and the dynamic leak count alike. These hold by the
 // definition of the model, not by agreement with an earlier output.
 
 // expandGrid returns the points of a machine.Expand grid over the
@@ -98,8 +103,8 @@ func TestMetamorphicModelRelations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.ArchRuns(); got != int64(2*len(ws)) {
-		t.Errorf("ArchRuns = %d, want %d: every Proposed model must yield one program per workload", got, 2*len(ws))
+	if got := len(r.programs); got != 2*len(ws) {
+		t.Errorf("%d programs ran, want %d: every Proposed model must yield one program per workload", got, 2*len(ws))
 	}
 
 	first := map[string]int{} // first original / Proposed cell per workload
@@ -127,6 +132,65 @@ func TestMetamorphicModelRelations(t *testing.T) {
 		}
 		if spec.Scheme == SchemeProposed && !reflect.DeepEqual(c.Report, ref.Report) {
 			t.Errorf("%s/Proposed on %s: the optimizer decided differently than on %s", c.Workload, spec.Model.Key(), specs[j].Model.Key())
+		}
+	}
+}
+
+// TestMetamorphicSpecDistance: over a grid of the axes SpecWindow reads
+// (fetch width, mispredict penalty, active list), the static taint pass
+// flags spec-secret-load at exactly the wrong-path secret loads within
+// the model's window of their branch, and RunLeak under 2-bit
+// prediction counts exactly those loads, once each: probeVictim's one
+// branch mispredicts once, and its wrong path holds a secret-indexed
+// load at each window the grid spans (6 to 56) and one past it.
+func TestMetamorphicSpecDistance(t *testing.T) {
+	const length = 70
+	dists := []int{1, 6, 7, 12, 13, 16, 17, 24, 25, 28, 29, 32, 33, 56, 57, 70}
+	w := probeVictim(dists, length)
+	windows := map[int]bool{}
+	for _, pt := range expandGrid(t, []machine.Axis{
+		{Name: "fetch_width", Values: []int{2, 4}},
+		{Name: "mispredict_penalty", Values: []int{1, 4, 12}},
+		{Name: "active_list", Values: []int{16, 32, 64}},
+	}) {
+		m := pt.Model
+		win := m.SpecWindow()
+		windows[win] = true
+		var want []int // block positions of the loads within the window
+		for _, d := range dists {
+			if d <= win {
+				want = append(want, d-1)
+			}
+		}
+
+		var got []int
+		for _, d := range analysis.Analyze(w.Build(), analysis.Options{Model: m}).Diags {
+			if d.Rule == analysis.RuleSpecSecretLoad {
+				if d.Block != "body" {
+					t.Fatalf("window %d: spec-secret-load at %s.%s[%d], outside the wrong path", win, d.Func, d.Block, d.Index)
+				}
+				got = append(got, d.Index)
+			}
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s (window %d): spec-secret-load at body positions %v, want %v", m.Key(), win, got, want)
+		}
+
+		r := NewRunner()
+		r.Model = m
+		res, err := r.RunLeak(w, SchemeTwoBit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := res.Stats; st.Mispredicts != 1 || st.SpecSecretAccesses != int64(len(want)) || res.StaticSpec != len(want) {
+			t.Errorf("%s (window %d): %d mispredicts, %d wrong-path secret accesses, %d static sites; want 1, %d and %d",
+				m.Key(), win, st.Mispredicts, st.SpecSecretAccesses, res.StaticSpec, len(want), len(want))
+		}
+	}
+	for _, win := range []int{6, 12, 16, 24, 28, 32, 56} {
+		if !windows[win] {
+			t.Errorf("no grid point has window %d", win)
 		}
 	}
 }

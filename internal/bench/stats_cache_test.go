@@ -93,7 +93,7 @@ func TestRunMatchesRunSpecOnGShare(t *testing.T) {
 // TestStatsCacheDedup: one Runner evaluates what sgbench prints — the
 // 12 table cells, then the seven ablation rows — and simulates each
 // distinct (trace, timing configuration) once: 40 cells cost 22 lanes
-// over 18 captures, and every cell's Stats equal the same cell on a
+// over 18 machines built, and every cell's Stats equal the same cell on a
 // fresh Runner. The table is one RunSpecs call, so each workload's
 // 2-bitBP and PerfectBP lanes share a drain: 18 drains, not 22.
 func TestStatsCacheDedup(t *testing.T) {
@@ -143,7 +143,7 @@ func TestStatsCacheDedup(t *testing.T) {
 // never stored — a per-spec Model, even a Clone with the Runner's Key,
 // and a predictor size other than the Runner's each cost a drain every
 // time, through RunSpec and RunSpecs alike — so the cache holds at most
-// two Stats per trace.
+// two Stats per program.
 func TestStatsCacheBound(t *testing.T) {
 	r := NewRunner()
 	w := Grep()
@@ -176,10 +176,10 @@ func TestStatsCacheBound(t *testing.T) {
 			}
 		}
 	}
-	// The base trace holds 2-bit and perfect Stats, the optimized one
+	// The base program holds 2-bit and perfect Stats, the optimized one
 	// 2-bit only.
-	if len(r.stats) != 3 || len(r.stats) > 2*len(r.traces) {
-		t.Errorf("cache holds %d Stats over %d traces, want 3 over 2", len(r.stats), len(r.traces))
+	if len(r.stats) != 3 || len(r.stats) > 2*len(r.programs) {
+		t.Errorf("cache holds %d Stats over %d programs, want 3 over 2", len(r.stats), len(r.programs))
 	}
 }
 

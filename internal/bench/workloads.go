@@ -41,7 +41,7 @@ type Workload struct {
 // Fingerprint returns the fingerprint of the program Build returns.
 // The built-in kernels compute it once per process with their
 // prototype, sparing every caller that only names the base program
-// (trace-cache and store keys) a deep clone and a full rendering.
+// (program-cache and store keys) a deep clone and a full rendering.
 func (w Workload) Fingerprint() uint64 {
 	if w.proto != nil {
 		return w.proto.load().fp

@@ -349,7 +349,7 @@ func (c *Coordinator) Shard(req serve.RunRequest) (*ShardInfo, error) {
 
 // DoExplore proxies one design-space sweep. The whole grid is one
 // idempotent unit placed by the hash of its canonical body, so a
-// repeated grid lands on the same backend and reuses its trace caches.
+// repeated grid lands on the same backend and reuses its program cache.
 func (c *Coordinator) DoExplore(ctx context.Context, clientID string, body []byte) (*Upstream, error) {
 	sum := sha256.Sum256(body)
 	key := "explore|" + hex.EncodeToString(sum[:])

@@ -78,7 +78,9 @@ type Report struct {
 
 	// Batching economics of this sweep (deltas on the runner's
 	// counters): Cells = len(Points)×len(Workloads) cells served by
-	// SimLanes timing simulations on TraceDrains trace decodes. Cells
+	// SimLanes timing simulations on TraceDrains drains, each one live
+	// run of a program; ArchRuns counts the machines built to run them
+	// (drains reuse idle ones, so a warm runner builds none). Cells
 	// whose machines a program cannot tell apart (bench.RunSpecs) share
 	// a lane. LanesPerDrain ≥ 1 is the amortization batching buys.
 	Cells         int     `json:"cells"`
@@ -155,7 +157,7 @@ func Precheck(req Request) error {
 // Run expands the grid and simulates every (point, workload) cell
 // through the batched runner. Cells are grouped by (workload, program,
 // icache geometry) inside bench.RunSpecs, so the whole sweep costs one
-// trace drain per group (capped at pipeline.MaxBatchLanes lanes each), not
+// drain per group (capped at pipeline.MaxBatchLanes lanes each), not
 // one per cell.
 func Run(ctx context.Context, r *bench.Runner, req Request) (*Report, error) {
 	points, err := expand(req)

@@ -56,7 +56,7 @@ func (o *Oracle) CheckFrontEnd(p *prog.Program) error {
 			return fail("frontend-predecode", "step %d: Flat hint %d does not name the executed instruction", i, ev.Flat)
 		}
 		ev.Flat = evR.Flat
-		if !sameEvent(&evR, &ev) {
+		if !evR.SameArch(&ev) {
 			return fail("frontend-predecode", "step %d: events differ:\ninterp:  %+v\nmachine: %+v", i, evR, ev)
 		}
 		if ref.Halted() != m.Halted() {
@@ -118,7 +118,7 @@ func (o *Oracle) CheckFrontEnd(p *prog.Program) error {
 			return fail("frontend-replay", "step %d: Flat hint %d does not name the executed instruction", i, rev.Flat)
 		}
 		rev.Flat = evR.Flat
-		if !sameEvent(&evR, &rev) {
+		if !evR.SameArch(&rev) {
 			return fail("frontend-replay", "step %d: events differ:\ninterp: %+v\nreplay: %+v", i, evR, rev)
 		}
 		if ref2.Halted() {
@@ -132,15 +132,4 @@ func (o *Oracle) CheckFrontEnd(p *prog.Program) error {
 		return fail("frontend-replay", "trace records %d events, reference executed %d", tr.Events(), ref2.Steps())
 	}
 	return nil
-}
-
-// sameEvent compares the architectural event fields. The leak-tracking
-// fields (AddrSecret, WrongPath) are excluded: only a TaintMachine
-// source populates them, never the front ends compared here, and the
-// WrongPath slice makes whole-struct comparison illegal anyway.
-func sameEvent(a, b *interp.Event) bool {
-	return a.Fn == b.Fn && a.Block == b.Block && a.Index == b.Index &&
-		a.Instr == b.Instr && a.Addr == b.Addr && a.Flat == b.Flat &&
-		a.Branch == b.Branch && a.Taken == b.Taken && a.BranchSite == b.BranchSite &&
-		a.Annulled == b.Annulled && a.MemAddr == b.MemAddr && a.IsMem == b.IsMem
 }

@@ -109,6 +109,41 @@ exit:
 	}
 }
 
+// TestLeakSoundnessReachesSpecWindow: on a model whose speculative
+// window is 88 instructions, the stage walks each wrong path that far,
+// so the secret-indexed exit load 70 instructions past the loop branch
+// is dynamically flagged and checked against static coverage.
+func TestLeakSoundnessReachesSpecWindow(t *testing.T) {
+	src := `
+.region sec 8256 64 secret
+
+func main:
+entry:
+	li r5, 8256
+	lw r6, 0(r5)
+	li r1, 0
+loop:
+	add r1, r1, 1
+	blt r1, 100, loop
+exit:
+` + strings.Repeat("\tadd r2, r2, 1\n", 69) + `	lw r9, 0(r6)
+	halt
+`
+	o := NewOracle()
+	o.Model = machine.R10000()
+	o.Model.MispredictPenalty, o.Model.ActiveList = 20, 128
+	if w := o.Model.SpecWindow(); w != 88 {
+		t.Fatalf("SpecWindow = %d, want 88", w)
+	}
+	n, err := o.leakSoundness(asm.MustParse(src))
+	if err != nil {
+		t.Fatalf("leak-soundness failed on a statically covered program: %v", err)
+	}
+	if n == 0 {
+		t.Fatal("the exit-block secret load 70 instructions down the loop branch's wrong path was never flagged")
+	}
+}
+
 // brokenHoist is a deliberately unsound "speculation" pass: it moves
 // the first instruction of a hammock side above the branch without
 // renaming its destination, so the move is architecturally visible

@@ -63,8 +63,8 @@ func (o *Oracle) leakSoundness(p *prog.Program) (int, error) {
 	if err != nil {
 		return 0, nil // construction failures belong to the front-end oracle
 	}
-	tm := code.NewTaintMachine(o.interpOpts(), interp.TaintOptions{})
 	w := int32(o.Model.SpecWindow())
+	tm := code.NewTaintMachine(o.interpOpts(), interp.TaintOptions{Horizon: int(w)})
 
 	flagged := 0
 	var failure error

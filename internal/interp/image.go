@@ -127,15 +127,18 @@ func (m *image) word(addr int64) int64 {
 	return 0
 }
 
-// reset restores the starting contents: a page the memory copied points
-// back at its Image's page, and a page the Image lacks is zeroed in
-// place and kept for the next run.
+// reset restores the starting contents in place: a page the memory
+// copied from its Image gets the Image page's contents back, and a page
+// the Image lacks is zeroed. Both stay the memory's own, so a memory
+// reset between runs of one program allocates nothing on the next.
 func (m *image) reset() {
 	for i, pg := range m.pages {
 		switch {
 		case pg == nil:
 		case m.base != nil && m.base[i] != nil:
-			m.pages[i] = m.base[i]
+			if pg != m.base[i] {
+				*pg = *m.base[i]
+			}
 		default:
 			*pg = [pageWords]int64{}
 		}

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -186,28 +187,43 @@ func TestImageWritesThatCopyNothing(t *testing.T) {
 	}
 }
 
-// TestImageReset: Reset restores the image's contents: a copied page
-// points back at the image's, and a page the image lacks reads zero
-// again.
+// TestImageReset: Reset restores the image's contents in place: a
+// copied page stays the machine's own, with the image page's words
+// back, and a page the image lacks reads zero again. Neither the reset
+// nor the same writes after it allocate, and the image is untouched.
 func TestImageReset(t *testing.T) {
 	img := testImage(t)
 	m := haltCode(t).NewMachine(Options{Image: img})
-	for _, w := range []struct{ addr, v int64 }{{0, 99}, {2*pageWords*8 + 16, 0}, {pageWords*8 + 8, 5}} {
-		if err := m.WriteWord(w.addr, w.v); err != nil {
-			t.Fatal(err)
+	writes := []struct{ addr, v int64 }{{0, 99}, {2*pageWords*8 + 16, 0}, {pageWords*8 + 8, 5}}
+	write := func() {
+		for _, w := range writes {
+			if err := m.WriteWord(w.addr, w.v); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	m.Reset()
-	for i := range m.pages {
-		if img.mem.pages[i] != nil && m.pages[i] != img.mem.pages[i] {
-			t.Errorf("after Reset page %d is not the image's", i)
+	write()
+	for i := 0; i < 3; i++ {
+		if m.pages[i] == nil || m.pages[i] == img.mem.pages[i] {
+			t.Fatalf("after the writes page %d is not the machine's own", i)
 		}
+	}
+	owned := slices.Clone(m.pages)
+	m.Reset()
+	if !slices.Equal(m.pages, owned) {
+		t.Error("Reset changed the page table; copied pages must stay the machine's")
 	}
 	for addr := int64(0); addr < imgBytes; addr += 8 {
 		want, _ := img.mem.ReadWord(addr)
 		if v, err := m.ReadWord(addr); v != want || err != nil {
 			t.Fatalf("after Reset the word at %#x reads %d, %v; want the image's %d", addr, v, err, want)
 		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { m.Reset(); write() }); allocs != 0 {
+		t.Errorf("Reset and the same writes allocated %.0f objects, want 0", allocs)
+	}
+	if v, _ := img.mem.ReadWord(0); v != 1 {
+		t.Errorf("the image's word 0 reads %d after the runs, want its input 1", v)
 	}
 }
 

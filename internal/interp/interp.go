@@ -73,6 +73,18 @@ type Event struct {
 	WrongPath []WrongPathAccess
 }
 
+// SameArch reports whether ev and o are the same architectural event:
+// every field but the leak-tracking ones (AddrSecret, WrongPath), which
+// only a TaintMachine populates and whose slice makes whole-struct
+// comparison illegal. The front ends that must agree event for event
+// (Interp, Machine, trace replay) are compared with it.
+func (ev *Event) SameArch(o *Event) bool {
+	return ev.Fn == o.Fn && ev.Block == o.Block && ev.Index == o.Index &&
+		ev.Instr == o.Instr && ev.Addr == o.Addr && ev.Flat == o.Flat &&
+		ev.Branch == o.Branch && ev.Taken == o.Taken && ev.BranchSite == o.BranchSite &&
+		ev.Annulled == o.Annulled && ev.MemAddr == o.MemAddr && ev.IsMem == o.IsMem
+}
+
 // WrongPathAccess is one secret-indexed memory access on the wrong path
 // of a conditional branch.
 type WrongPathAccess struct {

@@ -46,7 +46,7 @@ func checkLockstep(t *testing.T, p *prog.Program, opts Options) {
 			t.Fatalf("step %d: Flat hint %d does not name the executed instruction", i, ev.Flat)
 		}
 		ev.Flat = evR.Flat
-		if !sameArchEvent(&evR, &ev) {
+		if !evR.SameArch(&ev) {
 			t.Fatalf("step %d: events differ:\nref:     %+v\nmachine: %+v", i, evR, ev)
 		}
 		if ref.Halted() != m.Halted() {
@@ -64,16 +64,6 @@ func checkLockstep(t *testing.T, p *prog.Program, opts Options) {
 			t.Errorf("final r%d: ref %d, machine %d", r, a, b)
 		}
 	}
-}
-
-// sameArchEvent compares the architectural event fields, excluding the
-// leak-tracking fields only a TaintMachine populates (the WrongPath
-// slice makes whole-struct comparison illegal).
-func sameArchEvent(a, b *Event) bool {
-	return a.Fn == b.Fn && a.Block == b.Block && a.Index == b.Index &&
-		a.Instr == b.Instr && a.Addr == b.Addr && a.Flat == b.Flat &&
-		a.Branch == b.Branch && a.Taken == b.Taken && a.BranchSite == b.BranchSite &&
-		a.Annulled == b.Annulled && a.MemAddr == b.MemAddr && a.IsMem == b.IsMem
 }
 
 func lockstepSrc(t *testing.T, src string) {

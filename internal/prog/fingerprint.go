@@ -5,7 +5,7 @@ import "hash/fnv"
 // Fingerprint returns a digest of the program's entry point and full
 // printed IR. Two programs with equal fingerprints execute identically
 // (the printer is a faithful round-trippable rendering), which is what
-// the experiment harness keys its packed-trace cache on: the original
+// the experiment harness keys its program cache on: the original
 // program produces one fingerprint across every predictor
 // configuration, while each optimizer rewrite produces its own.
 func (p *Program) Fingerprint() uint64 {

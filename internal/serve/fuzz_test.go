@@ -2,10 +2,15 @@ package serve
 
 import (
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"specguard/internal/core"
+	"specguard/internal/explore"
 	"specguard/internal/machine"
 )
 
@@ -75,6 +80,115 @@ func FuzzNormalizeRequest(f *testing.F) {
 		}
 		if spec.Opt != nil && *spec.Opt != (core.Options{DisableGuarding: true}) {
 			t.Fatalf("optimizer options %+v, want the request's", *spec.Opt)
+		}
+	})
+}
+
+// fuzzMethods are the request methods FuzzParseRunRequest picks from:
+// the two the parser accepts and two it must reject.
+var fuzzMethods = []string{http.MethodGet, http.MethodPost, http.MethodPut, http.MethodDelete}
+
+// FuzzParseRunRequest drives ParseRunRequest, the wire decoding of
+// /v1/run shared by sgserved and sgcoord, with arbitrary POST bodies
+// and GET queries built through httptest.NewRequest. It must never
+// panic and must reject only with an *ErrBadRequest, and a request it
+// accepts must be one NormalizeRequest accepts or rejects the same way.
+//
+// `make fuzz-smoke` fuzzes it for 10 s; `go test` runs the seeds.
+func FuzzParseRunRequest(f *testing.F) {
+	f.Add(uint8(0), "", "workload=grep&scheme=2bit")
+	f.Add(uint8(0), "", "workload=espresso&scheme=proposed&entries=1024&timeout_ms=500&delay_ms=20")
+	f.Add(uint8(0), "", "entries=abc")
+	f.Add(uint8(0), "", "timeout_ms=99999999999999999999")
+	f.Add(uint8(0), "", "workload=%zz&scheme=;&&==")
+	f.Add(uint8(1), `{"workload":"grep","scheme":"2-bitBP"}`, "")
+	f.Add(uint8(1), `{"workload":"xlisp","scheme":"perfect","predictor":"gshare","predictor_entries":64,"machine":{"fetch_width":2,"history_bits":8}}`, "")
+	f.Add(uint8(1), `{"workload":"compress","scheme":"Proposed","opt":{"disable_guarding":true}}`, "")
+	f.Add(uint8(1), `{"workload":"grep","unknown":1}`, "")
+	f.Add(uint8(1), `{"workload":`, "")
+	f.Add(uint8(1), `[1,2,3]`, "")
+	f.Add(uint8(1), `{"machine":{"active_list":1073741824}}`, "")
+	f.Add(uint8(2), `{"workload":"grep"}`, "workload=grep")
+	f.Add(uint8(3), "", "")
+
+	base := machine.R10000()
+	f.Fuzz(func(t *testing.T, method uint8, body, query string) {
+		m := fuzzMethods[int(method)%len(fuzzMethods)]
+		r := httptest.NewRequest(m, "/v1/run", strings.NewReader(body))
+		r.URL.RawQuery = query
+		req, err := ParseRunRequest(r)
+		if err != nil {
+			var bad *ErrBadRequest
+			if !errors.As(err, &bad) {
+				t.Fatalf("rejection %v (%T) is not an *ErrBadRequest", err, err)
+			}
+			return
+		}
+		if m != http.MethodGet && m != http.MethodPost {
+			t.Fatalf("accepted a %s request", m)
+		}
+		if _, _, err := NormalizeRequest(&req, base); err != nil {
+			var bad *ErrBadRequest
+			if !errors.As(err, &bad) {
+				t.Fatalf("normalizing accepted request %+v: %v (%T) is not an *ErrBadRequest", req, err, err)
+			}
+		}
+	})
+}
+
+// FuzzParseExploreRequest drives ParseExploreRequest, the decoding of a
+// /v1/explore body, with arbitrary bodies. It must never panic and must
+// reject only with an *ErrBadRequest. An accepted grid must pass
+// explore.Precheck, its MaxPoints must lie in [1, DefaultMaxPoints],
+// and it must expand to at most MaxPoints models, each of which passes
+// Validate: the handler commits a worker slot to it.
+//
+// `make fuzz-smoke` fuzzes it for 10 s; `go test` runs the seeds.
+func FuzzParseExploreRequest(f *testing.F) {
+	f.Add(`{"axes":[{"name":"fetch_width","values":[2,4]},{"name":"active_list","values":[16,32]}],"workloads":["grep"],"scheme":"2bit"}`)
+	f.Add(`{"axes":[{"name":"predictor","values":[0,1,2]},{"name":"entries","values":[16,1024]}],"scheme":"perfect","max_points":6}`)
+	f.Add(`{"axes":[{"name":"fetch_width","values":[1,2,3,4]}],"max_points":3}`)
+	f.Add(`{"axes":[{"name":"fetch_width","values":[2]},{"name":"fetch_width","values":[4]}]}`)
+	f.Add(`{"axes":[{"name":"warp_factor","values":[9]}]}`)
+	f.Add(`{"axes":[{"name":"int_queue","values":[]}]}`)
+	f.Add(`{"axes":[{"name":"int_queue","values":[1]}],"workloads":["nope"]}`)
+	f.Add(`{"axes":[],"scheme":"bogus"}`)
+	f.Add(`{"axes":[{"name":"miss_penalty","values":[-1]}],"max_points":-5}`)
+	f.Add(`{"axes":null,"max_points":99999999}`)
+	f.Add(`{"axes":[{"name":"entries","values":[0]}],"extra":true}`)
+	f.Add(`{"axes":`)
+	for _, o := range oversized {
+		f.Add(fmt.Sprintf(`{"axes":[{"name":%q,"values":[%d]}]}`, o.axis, o.value))
+	}
+
+	base := machine.R10000()
+	f.Fuzz(func(t *testing.T, body string) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/explore", strings.NewReader(body))
+		req, err := ParseExploreRequest(r)
+		if err != nil {
+			var bad *ErrBadRequest
+			if !errors.As(err, &bad) {
+				t.Fatalf("rejection %v (%T) is not an *ErrBadRequest", err, err)
+			}
+			return
+		}
+		if err := explore.Precheck(req); err != nil {
+			t.Fatalf("accepted grid %+v fails Precheck: %v", req.Axes, err)
+		}
+		if req.MaxPoints < 1 || req.MaxPoints > explore.DefaultMaxPoints {
+			t.Fatalf("accepted MaxPoints %d, want it in [1, %d]", req.MaxPoints, explore.DefaultMaxPoints)
+		}
+		points, err := machine.Expand(base, req.Axes)
+		if err != nil {
+			t.Fatalf("accepted grid %+v does not expand: %v", req.Axes, err)
+		}
+		if len(points) > req.MaxPoints {
+			t.Fatalf("accepted grid expands to %d points, over MaxPoints %d", len(points), req.MaxPoints)
+		}
+		for _, pt := range points {
+			if err := pt.Model.Validate(); err != nil {
+				t.Fatalf("accepted grid point %v fails Validate: %v", pt.Coords, err)
+			}
 		}
 	})
 }

@@ -294,6 +294,45 @@ type exploreSummary struct {
 	LanesPerDrain float64  `json:"lanes_per_drain"`
 }
 
+// ParseExploreRequest decodes a /v1/explore body (an ExploreRequest)
+// into the sweep it asks for: its axes over the paper's base model, its
+// workloads resolved by name, its scheme, and max_points tightened to,
+// never widened past, explore.DefaultMaxPoints. It prechecks the grid
+// (explore.Precheck), so an accepted request expands to at most
+// MaxPoints Validate-clean models. A malformed body, an unknown scheme,
+// workload or axis, an invalid point and an oversized grid are each an
+// *ErrBadRequest.
+func ParseExploreRequest(r *http.Request) (explore.Request, error) {
+	var hreq ExploreRequest
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&hreq); err != nil {
+		return explore.Request{}, &ErrBadRequest{fmt.Errorf("decoding request body: %w", err)}
+	}
+	req := explore.Request{Axes: hreq.Axes, MaxPoints: hreq.MaxPoints}
+	if req.MaxPoints <= 0 || req.MaxPoints > explore.DefaultMaxPoints {
+		req.MaxPoints = explore.DefaultMaxPoints
+	}
+	if hreq.Scheme != "" {
+		scheme, err := ParseScheme(hreq.Scheme)
+		if err != nil {
+			return explore.Request{}, &ErrBadRequest{err}
+		}
+		req.Scheme = scheme
+	}
+	for _, name := range hreq.Workloads {
+		wl, err := bench.ByName(name)
+		if err != nil {
+			return explore.Request{}, &ErrBadRequest{err}
+		}
+		req.Workloads = append(req.Workloads, wl)
+	}
+	if err := explore.Precheck(req); err != nil {
+		return explore.Request{}, &ErrBadRequest{err}
+	}
+	return req, nil
+}
+
 // handleExplore runs a design-space sweep and streams the result as
 // NDJSON: one "point" line per grid cell (coordinates, cost, IPC,
 // Pareto flag, per-workload stats) and a final "report" line with the
@@ -307,38 +346,12 @@ func (s *Service) handleExplore(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	var hreq ExploreRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&hreq); err != nil {
+	req, err := ParseExploreRequest(r)
+	if err != nil {
 		s.metrics.Requests.Add(1)
 		s.metrics.BadRequests.Add(1)
-		writeErr(w, &ErrBadRequest{fmt.Errorf("decoding request body: %w", err)})
+		writeErr(w, err)
 		return
-	}
-	req := explore.Request{Axes: hreq.Axes, MaxPoints: hreq.MaxPoints}
-	if req.MaxPoints <= 0 || req.MaxPoints > explore.DefaultMaxPoints {
-		req.MaxPoints = explore.DefaultMaxPoints
-	}
-	if hreq.Scheme != "" {
-		scheme, err := ParseScheme(hreq.Scheme)
-		if err != nil {
-			s.metrics.Requests.Add(1)
-			s.metrics.BadRequests.Add(1)
-			writeErr(w, &ErrBadRequest{err})
-			return
-		}
-		req.Scheme = scheme
-	}
-	for _, name := range hreq.Workloads {
-		wl, err := bench.ByName(name)
-		if err != nil {
-			s.metrics.Requests.Add(1)
-			s.metrics.BadRequests.Add(1)
-			writeErr(w, &ErrBadRequest{err})
-			return
-		}
-		req.Workloads = append(req.Workloads, wl)
 	}
 
 	for {

@@ -155,7 +155,7 @@ func TestHTTPStream(t *testing.T) {
 }
 
 // TestHTTPSweep: the sweep endpoint streams all 12 cells, and a repeat
-// sweep is answered entirely from the store with no new captures.
+// sweep is answered entirely from the store with no new machines.
 func TestHTTPSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in -short mode")
@@ -209,7 +209,7 @@ func TestHTTPSweep(t *testing.T) {
 		}
 	}
 	if got := s.runner.ArchRuns(); got != captures {
-		t.Errorf("repeat sweep added captures: %d → %d", captures, got)
+		t.Errorf("repeat sweep built machines: %d → %d", captures, got)
 	}
 	if got := s.runner.TraceDrains(); got != 8 {
 		t.Errorf("repeat sweep added drains: %d, want 8", got)
@@ -251,7 +251,7 @@ func TestHTTPSweepEntriesValidation(t *testing.T) {
 		}
 	}
 	if runs, drains := s.runner.ArchRuns(), s.runner.TraceDrains(); runs != 0 || drains != 0 {
-		t.Errorf("rejected sweeps ran %d captures and %d drains, want none", runs, drains)
+		t.Errorf("rejected sweeps built %d machines and ran %d drains, want none", runs, drains)
 	}
 	if got := s.metrics.BadRequests.Load(); got != 3 {
 		t.Errorf("bad_requests = %d, want 3", got)

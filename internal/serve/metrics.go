@@ -86,10 +86,11 @@ var metricRows = []metricRow{
 // counters so the caching AND batching invariants are provable from
 // one endpoint.
 type RunnerStats struct {
-	// ArchRuns counts architectural executions (trace captures).
+	// ArchRuns counts the machines the Runner built to run programs
+	// architecturally; a drain that reuses an idle one adds none.
 	ArchRuns int64
-	// TraceDrains counts packed-trace decodes into timing simulations;
-	// one batched drain can feed many lanes.
+	// TraceDrains counts drains: live runs of a program's event stream
+	// into timing simulations; one batched drain can feed many lanes.
 	TraceDrains int64
 	// SimLanes counts the timing-simulation lanes those drains fed.
 	SimLanes int64
@@ -110,9 +111,9 @@ func (m *Metrics) WritePrometheus(w io.Writer, rs RunnerStats) {
 		name, help string
 		value      int64
 	}{
-		{"sgserved_arch_runs_total", "Architectural executions (trace captures) performed by the shared Runner.", rs.ArchRuns},
-		{"sgserved_trace_drains_total", "Packed-trace drains decoded into timing simulations by the shared Runner (a batched drain feeds many lanes).", rs.TraceDrains},
-		{"sgserved_sim_lanes_total", "Timing-simulation lanes fed by those trace drains.", rs.SimLanes},
+		{"sgserved_arch_runs_total", "Machines the shared Runner built to run programs architecturally (a drain that reuses an idle machine adds none).", rs.ArchRuns},
+		{"sgserved_trace_drains_total", "Drains run by the shared Runner: live runs of a program's committed-event stream into timing simulations (a batched drain feeds many lanes).", rs.TraceDrains},
+		{"sgserved_sim_lanes_total", "Timing-simulation lanes fed by those drains.", rs.SimLanes},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
 			rr.name, rr.help, rr.name, rr.name, rr.value)
@@ -121,7 +122,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, rs RunnerStats) {
 	if rs.TraceDrains > 0 {
 		lanesPerDrain = float64(rs.SimLanes) / float64(rs.TraceDrains)
 	}
-	fmt.Fprintf(w, "# HELP sgserved_lanes_per_drain Mean simulation lanes per trace drain (sim_lanes/trace_drains); above 1 means batching is amortizing decode cost.\n")
+	fmt.Fprintf(w, "# HELP sgserved_lanes_per_drain Mean simulation lanes per drain (sim_lanes/trace_drains); above 1 means batching is amortizing the architectural run and decode.\n")
 	fmt.Fprintf(w, "# TYPE sgserved_lanes_per_drain gauge\n")
 	fmt.Fprintf(w, "sgserved_lanes_per_drain %g\n", lanesPerDrain)
 

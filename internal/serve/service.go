@@ -6,14 +6,15 @@
 // content-addressed on-disk store so repeated sweeps are served from
 // disk without re-simulation.
 //
-// The coalescing identity is the same one the Runner's trace cache
-// uses — (workload, program fingerprint, scheme, predictor config) —
-// extended with the optimizer options that select the Proposed program
-// variant. Three layers of dedup therefore cooperate, outermost first:
+// The coalescing identity is the same one the Runner's program and
+// Stats caches use — (workload, program fingerprint, scheme, predictor
+// config) — extended with the optimizer options that select the
+// Proposed program variant. Three layers of dedup therefore cooperate,
+// outermost first:
 //
 //	store     cross-restart   identical request already completed
 //	coalesce  in-flight       identical request currently running
-//	traces    per-process     distinct timing configs of one program
+//	programs  per-process     distinct timing configs of one program
 package serve
 
 import (
@@ -150,7 +151,7 @@ func ParseScheme(s string) (bench.Scheme, error) {
 // Config assembles a Service.
 type Config struct {
 	// Runner executes the simulations; required. The Service shares
-	// its profile and trace caches across all requests.
+	// its profile and program caches across all requests.
 	Runner *bench.Runner
 	// Store persists completed results; nil disables persistence.
 	Store *Store
@@ -223,7 +224,7 @@ type flight struct {
 	// slot runs the whole grid through explore.Run, whose batched
 	// RunSpecs call does its own geometry grouping. Like a group
 	// leader it is never in s.flights — two identical grids re-expand
-	// (the per-cell trace caches still amortize the real cost).
+	// (the Runner's program cache still amortizes the real cost).
 	explore    *explore.Request
 	exploreRep *explore.Report
 
@@ -367,7 +368,7 @@ func NormalizeRequest(req *RunRequest, base *machine.Model) (bench.Spec, string,
 		opts := req.Opt.options()
 		spec.Opt = &opts
 	}
-	// The identity the trace cache uses — (workload, fingerprint,
+	// The identity the program cache uses — (workload, fingerprint,
 	// scheme, predictor) — plus the optimizer options that select the
 	// Proposed variant. The fingerprint is the *base* program's: the
 	// optimizer is deterministic, so base fingerprint + options

@@ -119,7 +119,7 @@ func TestCoalescing(t *testing.T) {
 		}
 	}
 	if got := s.runner.ArchRuns(); got != 1 {
-		t.Errorf("ArchRuns = %d, want 1 (one capture for n identical requests)", got)
+		t.Errorf("ArchRuns = %d, want 1 (one machine for n identical requests)", got)
 	}
 	if got := s.metrics.SimRuns.Load(); got != 1 {
 		t.Errorf("SimRuns = %d, want 1", got)
@@ -168,7 +168,7 @@ func TestStoreHitAcrossRestart(t *testing.T) {
 		t.Fatalf("first request source = %q, want sim", first.Source)
 	}
 
-	s2 := open() // fresh runner: no profiles, no traces
+	s2 := open() // fresh runner: no profiles, no programs
 	second, err := s2.Do(context.Background(), req, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestStoreHitAcrossRestart(t *testing.T) {
 }
 
 // TestTimingVariantsShareTraces: distinct predictor sizes are distinct
-// identities (no false sharing) but reuse the architectural trace.
+// identities (no false sharing) but reuse the program's machine.
 func TestTimingVariantsShareTraces(t *testing.T) {
 	s := newTestService(t, nil)
 	for _, entries := range []int{0, 4, 64} {
@@ -198,7 +198,7 @@ func TestTimingVariantsShareTraces(t *testing.T) {
 		}
 	}
 	if got := s.runner.ArchRuns(); got != 1 {
-		t.Errorf("ArchRuns = %d, want 1 (timing sweep must reuse the trace)", got)
+		t.Errorf("ArchRuns = %d, want 1 (timing sweep must reuse the machine)", got)
 	}
 	if got := s.metrics.SimRuns.Load(); got != 3 {
 		t.Errorf("SimRuns = %d, want 3 (one per table size)", got)

@@ -124,7 +124,7 @@ func checkReplay(t *testing.T, tr *Trace, code *interp.Code) {
 			t.Fatalf("event %d: Flat hint %d does not name the executed instruction", i, ev.Flat)
 		}
 		ev.Flat = evR.Flat
-		if !sameArchEvent(&evR, &ev) {
+		if !evR.SameArch(&ev) {
 			t.Fatalf("event %d differs:\nlive:   %+v\nreplay: %+v", i, evR, ev)
 		}
 	}
@@ -332,7 +332,7 @@ func TestCorruptTraceDetected(t *testing.T) {
 			t.Fatal(errR)
 		}
 		ev.Flat = evR.Flat // hint field, excluded from identity (see TestReplayMatchesLive)
-		if !sameArchEvent(&evR, &ev) {
+		if !evR.SameArch(&ev) {
 			return // divergence detected
 		}
 	}
@@ -379,15 +379,4 @@ func BenchmarkTraceReplay(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(tr.Events())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
-}
-
-// sameArchEvent compares the architectural event fields, excluding the
-// leak-tracking fields only a TaintMachine populates (packed traces do
-// not carry them, and the WrongPath slice makes whole-struct comparison
-// illegal).
-func sameArchEvent(a, b *interp.Event) bool {
-	return a.Fn == b.Fn && a.Block == b.Block && a.Index == b.Index &&
-		a.Instr == b.Instr && a.Addr == b.Addr && a.Flat == b.Flat &&
-		a.Branch == b.Branch && a.Taken == b.Taken && a.BranchSite == b.BranchSite &&
-		a.Annulled == b.Annulled && a.MemAddr == b.MemAddr && a.IsMem == b.IsMem
 }
