@@ -33,7 +33,9 @@ test:
 # machine pool it is built on (TestConcurrentCallsDrainOwnMachines:
 # concurrent calls of one program each drain their own machine) — plus
 # the batch golden tests (many lanes over one shared decode window),
-# the lane scheduler's tests (RunDrains, the
+# the lane scheduler's tests (RunDrains, including
+# TestRunDrainsReleasesLanes: every lane a call builds goes back to the
+# free list whether it completes, fails or is cancelled; the
 # fuzz oracle with its two-drain batch split) and the free lists of
 # decode windows and lanes shared by concurrent Runs and drains
 # (bounds, recycled lanes matching new ones, concurrent release and

@@ -6,6 +6,7 @@
 package specguard_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -33,7 +34,7 @@ func BenchmarkTable1Characteristics(b *testing.B) {
 			var rows []bench.Table1Row
 			for i := 0; i < b.N; i++ {
 				r := bench.NewRunner()
-				res, err := r.Run(w, bench.SchemeTwoBit)
+				res, err := r.RunSpec(context.Background(), bench.Spec{Workload: w, Scheme: bench.SchemeTwoBit})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -57,7 +58,7 @@ func BenchmarkTable3ReservationStations(b *testing.B) {
 				var st pipeline.Stats
 				for i := 0; i < b.N; i++ {
 					r := bench.NewRunner()
-					res, err := r.Run(w, s)
+					res, err := r.RunSpec(context.Background(), bench.Spec{Workload: w, Scheme: s})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -81,7 +82,7 @@ func BenchmarkTable4FunctionalUnitsIPC(b *testing.B) {
 				var st pipeline.Stats
 				for i := 0; i < b.N; i++ {
 					r := bench.NewRunner()
-					res, err := r.Run(w, s)
+					res, err := r.RunSpec(context.Background(), bench.Spec{Workload: w, Scheme: s})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -192,11 +193,11 @@ func BenchmarkAblationPHT(b *testing.B) {
 				r.PredictorEntries = entries
 				pb, pp := 1.0, 1.0
 				for _, w := range bench.All() {
-					base, err := r.Run(w, bench.SchemeTwoBit)
+					base, err := r.RunSpec(context.Background(), bench.Spec{Workload: w, Scheme: bench.SchemeTwoBit})
 					if err != nil {
 						b.Fatal(err)
 					}
-					prop, err := r.Run(w, bench.SchemeProposed)
+					prop, err := r.RunSpec(context.Background(), bench.Spec{Workload: w, Scheme: bench.SchemeProposed})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -224,7 +225,7 @@ func BenchmarkAblationQueues(b *testing.B) {
 				r := bench.NewRunner()
 				r.Model = machine.R10000()
 				r.Model.BranchStack = depth
-				res, err := r.Run(w, bench.SchemePerfect)
+				res, err := r.RunSpec(context.Background(), bench.Spec{Workload: w, Scheme: bench.SchemePerfect})
 				if err != nil {
 					b.Fatal(err)
 				}

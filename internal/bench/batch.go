@@ -15,12 +15,12 @@ import (
 // Batched execution: RunSpecs is the Runner's one timing path. It groups
 // heterogeneous Specs by the program they run and their I-cache
 // geometry — the (workload, program fingerprint, icache bytes, line
-// bytes) tuple — and runs each group as one pipeline.Batch fed by one
+// bytes) tuple — and runs each group as one pipeline.Drain fed by one
 // live run of the program, so a whole sweep costs one drain per
 // distinct architectural execution and geometry instead of one per
-// cell. Geometry is part of the key because the batch's shared
+// cell. Geometry is part of the key because the drain's shared
 // precomputed icache bits are only sound for lanes whose cache shape
-// matches (pipeline.Batch falls back to private caches otherwise,
+// matches (a drain's other lanes fall back to private caches,
 // which is correct but forfeits the sharing); models may differ per
 // lane in every other axis. Within a group, cells whose machines the
 // program cannot tell apart share a lane outright (laneModel). A lane's
@@ -125,7 +125,7 @@ func (r *Runner) addSkip(sk pipeline.SkipStats, lanes ...pipeline.Stats) {
 }
 
 // RunSpecs simulates every Spec, batching cells that run the same
-// program into one lockstep pipeline.Batch. Results are returned in
+// program into the lanes of one drain. Results are returned in
 // spec order, and each is byte-identical to its cell's in a one-cell
 // call; only the cost model changes — one architectural run and one
 // dependence pre-pass per (workload, program) group, amortized over all
@@ -264,12 +264,11 @@ func (r *Runner) RunSpecs(ctx context.Context, specs []Spec) ([]Result, error) {
 		drains[i] = pipeline.Drain{
 			Name: "bench: simulating " + g.w.Name,
 			Work: g.work,
-			Open: func() (*pipeline.Batch, pipeline.Source, error) { return r.openGroup(ctx, g) },
-			Done: func(b *pipeline.Batch, stats []pipeline.Stats) {
+			Open: func() (pipeline.Source, []pipeline.Config, error) { return r.openGroup(ctx, g) },
+			Done: func(stats []pipeline.Stats, skip pipeline.SkipStats) {
 				r.traceDrains.Add(1)
 				r.simLanes.Add(int64(len(g.lanes)))
-				r.addSkip(b.SkipStats(), stats...)
-				b.Release() // Stats and SkipStats read: the next drain's lanes reuse these
+				r.addSkip(skip, stats...)
 				r.release(g.prog, g.m)
 				for j, ln := range g.lanes {
 					r.storeStats(ln.cache, stats[j])
@@ -309,15 +308,15 @@ func (r *Runner) boundOf(e *program, w Workload, p *prog.Program) int {
 	return e.bound
 }
 
-// openGroup builds one group's lanes and its source: a machine of the
-// group's program (Runner.machine), which the drain runs live. TwoBit
-// lanes get their counter tables carved out of a single contiguous
-// backing array, in lane order, so the batch's predictor state stays
-// dense; gshare and oracle lanes build their own predictors. Each lane
-// simulates on its canonical model (pipeline.Batch supports
-// heterogeneous lane models; the shared icache bits apply because the
-// group key pinned the geometry).
-func (r *Runner) openGroup(ctx context.Context, g *batchGroup) (*pipeline.Batch, pipeline.Source, error) {
+// openGroup returns one group's source, a machine of the group's
+// program (Runner.machine) that the drain runs live, and its lanes'
+// configs. TwoBit lanes get their counter tables carved out of a single
+// contiguous backing array, in lane order, so the drain's predictor
+// state stays dense; gshare and oracle lanes build their own predictors.
+// Each lane simulates on its canonical model (a drain's lanes may differ
+// in model; the shared icache bits apply because the group key pinned
+// the geometry).
+func (r *Runner) openGroup(ctx context.Context, g *batchGroup) (pipeline.Source, []pipeline.Config, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -350,9 +349,5 @@ func (r *Runner) openGroup(ctx context.Context, g *batchGroup) (*pipeline.Batch,
 		}
 		cfgs[i] = pipeline.Config{Model: ln.model, Predictor: ln.pred, Context: ctx}
 	}
-	batch, err := pipeline.NewBatch(cfgs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return batch, g.m, nil
+	return g.m, cfgs, nil
 }

@@ -87,10 +87,10 @@ type Result struct {
 // ablation or table sweep rebuilds nothing, and a full three-scheme
 // table builds 2 machines per workload (one per distinct program).
 //
-// Every timing simulation goes through RunSpecs: the single-cell entry
-// points (Run, RunProposedOpts, RunSpec) are one-cell calls and the
-// table helpers (RunAll, RunProposedOptsAll) one call each, so a
-// table's 2-bitBP and PerfectBP cells of one workload share a drain.
+// Every timing simulation goes through RunSpecs: RunSpec is a one-cell
+// call and the table helpers (RunAll, RunProposedOptsAll) one call
+// each, so a table's 2-bitBP and PerfectBP cells of one workload share
+// a drain.
 //
 // A Runner is safe for concurrent calls: cache entries are per-key
 // sync.Onces or map slots behind a mutex, a machine serves one drain
@@ -275,11 +275,6 @@ func (r *Runner) ProfileOf(w Workload) (*profile.Profile, error) {
 	return entry(r, r.profiles, w.Name).get(func() (*profile.Profile, error) { return r.collectProfile(w) })
 }
 
-// yieldEvents spaces the profiling run's yields: it is a long loop that
-// holds its processor, so every 2^16 events it lets other goroutines
-// (HTTP handlers, timers) run.
-const yieldEvents = 1 << 16
-
 func (r *Runner) collectProfile(w Workload) (*profile.Profile, error) {
 	e := entry(r, r.programs, programKey{w.Name, w.Fingerprint()})
 	code, err := r.codeOf(e, w, nil)
@@ -291,11 +286,7 @@ func (r *Runner) collectProfile(w Workload) (*profile.Profile, error) {
 		return nil, fmt.Errorf("bench: profiling %s: %w", w.Name, err)
 	}
 	prof := profile.NewProfile()
-	var events int64
 	res, err := m.Run(func(ev *interp.Event) {
-		if events++; events&(yieldEvents-1) == 0 {
-			runtime.Gosched()
-		}
 		if ev.Branch {
 			prof.Record(ev.BranchSite, ev.Taken)
 		}
@@ -340,37 +331,13 @@ func (r *Runner) prefetchProfiles(specs []Spec) {
 	wg.Wait()
 }
 
-// Run simulates one workload under one scheme.
-func (r *Runner) Run(w Workload, s Scheme) (Result, error) {
-	return r.RunContext(context.Background(), w, s)
-}
-
-// RunContext is Run with cancellation: RunSpec of the (w, s) cell on
-// the Runner's own model and predictor size.
-func (r *Runner) RunContext(ctx context.Context, w Workload, s Scheme) (Result, error) {
-	return r.RunSpec(ctx, Spec{Workload: w, Scheme: s})
-}
-
-// RunProposedOpts simulates the proposed scheme with explicit optimizer
-// options — the ablation entry point (the title's "individual/combined
-// effects": disable one arm at a time).
-func (r *Runner) RunProposedOpts(w Workload, opts core.Options) (Result, error) {
-	return r.RunProposedOptsContext(context.Background(), w, opts)
-}
-
-// RunProposedOptsContext is RunProposedOpts with cancellation: RunSpec
-// of the Proposed cell with opts.
-func (r *Runner) RunProposedOptsContext(ctx context.Context, w Workload, opts core.Options) (Result, error) {
-	return r.RunSpec(ctx, Spec{Workload: w, Scheme: SchemeProposed, Opt: &opts})
-}
-
 // Spec fully describes one simulation: the (workload, scheme) pair
-// plus per-call timing and optimizer configuration. Every single-cell
-// entry point runs one (Run and RunProposedOpts leave the per-call
-// fields unset), and callers that serve heterogeneous requests from one
-// shared Runner (internal/serve) set them: unlike the PredictorEntries
-// field, a Spec does not mutate Runner state, so concurrent Specs with
-// different predictor sizes still share the profile and program caches.
+// plus per-call timing and optimizer configuration. RunAll leaves the
+// per-call fields unset, and callers that serve heterogeneous requests
+// from one shared Runner (internal/serve) set them: unlike the
+// PredictorEntries field, a Spec does not mutate Runner state, so
+// concurrent Specs with different predictor sizes still share the
+// profile and program caches.
 type Spec struct {
 	Workload Workload
 	Scheme   Scheme
@@ -482,56 +449,27 @@ func (r *Runner) RunSpec(ctx context.Context, spec Spec) (Result, error) {
 // RunAll simulates every workload under every scheme and returns the
 // results in table order: one RunSpecs call, so each workload's
 // 2-bitBP and PerfectBP cells share one drain and the lanes of every
-// drain spread over Parallelism workers. Stats are identical to
-// RunAllSerial's.
+// drain spread over Parallelism workers.
 func (r *Runner) RunAll() ([]Result, error) {
-	return r.RunAllContext(context.Background())
-}
-
-// RunAllContext is RunAll with cancellation: no new simulation starts
-// after ctx is done, in-flight ones abort cooperatively, and the first
-// error wins (a cancelled sweep reports ctx.Err(), not a partial
-// table).
-func (r *Runner) RunAllContext(ctx context.Context) ([]Result, error) {
 	var specs []Spec
 	for _, w := range All() {
 		for _, s := range []Scheme{SchemeTwoBit, SchemeProposed, SchemePerfect} {
 			specs = append(specs, Spec{Workload: w, Scheme: s})
 		}
 	}
-	return r.RunSpecs(ctx, specs)
+	return r.RunSpecs(context.Background(), specs)
 }
 
-// RunAllSerial is the single-goroutine reference path for RunAll; the
-// determinism test pins the parallel path to it bit-for-bit.
-func (r *Runner) RunAllSerial() ([]Result, error) {
-	var out []Result
-	for _, w := range All() {
-		for _, s := range []Scheme{SchemeTwoBit, SchemeProposed, SchemePerfect} {
-			res, err := r.Run(w, s)
-			if err != nil {
-				return out, err
-			}
-			out = append(out, res)
-		}
-	}
-	return out, nil
-}
-
-// RunProposedOptsAll runs RunProposedOpts for every workload, in
-// registry order, as one RunSpecs call — one ablation row.
+// RunProposedOptsAll simulates the proposed scheme with explicit
+// optimizer options for every workload, in registry order, as one
+// RunSpecs call — one ablation row (the title's "individual/combined
+// effects": disable one arm at a time).
 func (r *Runner) RunProposedOptsAll(opts core.Options) ([]Result, error) {
-	return r.RunProposedOptsAllContext(context.Background(), opts)
-}
-
-// RunProposedOptsAllContext is RunProposedOptsAll with cancellation
-// (see RunAllContext).
-func (r *Runner) RunProposedOptsAllContext(ctx context.Context, opts core.Options) ([]Result, error) {
 	var specs []Spec
 	for _, w := range All() {
 		specs = append(specs, Spec{Workload: w, Scheme: SchemeProposed, Opt: &opts})
 	}
-	return r.RunSpecs(ctx, specs)
+	return r.RunSpecs(context.Background(), specs)
 }
 
 // workers returns how many goroutines n independent jobs get:

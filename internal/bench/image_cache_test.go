@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sync/atomic"
@@ -54,10 +55,10 @@ func TestFailingInitFailsEveryRun(t *testing.T) {
 	}}
 	r := NewRunner()
 	for _, s := range []Scheme{SchemeTwoBit, SchemeProposed, SchemePerfect} {
-		if _, err := r.Run(w, s); !errors.Is(err, errInit) {
+		if _, err := r.RunSpec(context.Background(), Spec{Workload: w, Scheme: s}); !errors.Is(err, errInit) {
 			t.Errorf("%s cell: %v, want Init's error", s, err)
 		}
-		if _, err := r.RunLeak(w, s); !errors.Is(err, errInit) {
+		if _, err := r.RunLeak(context.Background(), w, s); !errors.Is(err, errInit) {
 			t.Errorf("%s leak cell: %v, want Init's error", s, err)
 		}
 	}
@@ -80,7 +81,7 @@ func TestInitRunsOncePerRunner(t *testing.T) {
 	r := NewRunner()
 	want := allResults(t)
 	for _, s := range []Scheme{SchemeTwoBit, SchemeProposed, SchemePerfect} {
-		got, err := r.Run(w, s)
+		got, err := r.RunSpec(context.Background(), Spec{Workload: w, Scheme: s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestInitRunsOncePerRunner(t *testing.T) {
 			}
 		}
 	}
-	if _, err := r.RunLeak(w, SchemeTwoBit); err != nil {
+	if _, err := r.RunLeak(context.Background(), w, SchemeTwoBit); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 || r.ArchRuns() != 2 {

@@ -168,18 +168,14 @@ type LeakResult struct {
 }
 
 // RunLeak simulates one (workload, scheme) cell with leak tracking.
-// Unlike Run it feeds the pipeline from its own taint-tracking machine,
-// not a pooled interp.Machine, whose events carry no taint. The machine
-// starts from the workload's cached input image and walks each wrong
-// path as far as the model's speculative window (Model.SpecWindow), so
-// every wrong-path access the pipeline may count is seen. RunLeak also
-// runs the static leak rules over the same program for the cross-check.
-func (r *Runner) RunLeak(w Workload, s Scheme) (LeakResult, error) {
-	return r.RunLeakContext(context.Background(), w, s)
-}
-
-// RunLeakContext is RunLeak with cancellation.
-func (r *Runner) RunLeakContext(ctx context.Context, w Workload, s Scheme) (LeakResult, error) {
+// Unlike RunSpec it feeds the pipeline from its own taint-tracking
+// machine, not a pooled interp.Machine, whose events carry no taint. The
+// machine starts from the workload's cached input image and walks each
+// wrong path as far as the model's speculative window
+// (Model.SpecWindow), so every wrong-path access the pipeline may count
+// is seen. RunLeak also runs the static leak rules over the same program
+// for the cross-check.
+func (r *Runner) RunLeak(ctx context.Context, w Workload, s Scheme) (LeakResult, error) {
 	out := LeakResult{Workload: w.Name, Scheme: s}
 	if err := ctx.Err(); err != nil {
 		return out, err
@@ -217,7 +213,7 @@ func (r *Runner) RunLeakContext(ctx context.Context, w Workload, s Scheme) (Leak
 		return out, fmt.Errorf("bench: initializing %s: %w", w.Name, err)
 	}
 	// The wrong-path walk must reach as far as the pipeline counts.
-	tm := code.NewTaintMachine(interp.Options{Image: img}, interp.TaintOptions{Horizon: r.Model.SpecWindow()})
+	tm := code.NewTaintMachine(interp.Options{Image: img}, r.Model.SpecWindow())
 
 	pipe, err := pipeline.New(pipeline.Config{
 		Model:      r.Model,
@@ -242,7 +238,7 @@ func (r *Runner) RunLeakAll() ([]LeakResult, error) {
 	var out []LeakResult
 	for _, w := range LeakWorkloads() {
 		for _, s := range []Scheme{SchemeTwoBit, SchemeProposed, SchemePerfect} {
-			res, err := r.RunLeak(w, s)
+			res, err := r.RunLeak(context.Background(), w, s)
 			if err != nil {
 				return out, err
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 func TestVictimLeaks(t *testing.T) {
 	r := NewRunner()
 
-	res, err := r.RunLeak(Victim(), SchemeTwoBit)
+	res, err := r.RunLeak(context.Background(), Victim(), SchemeTwoBit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestVictimLeaks(t *testing.T) {
 		t.Error("victim/2-bit: no wrong-path secret accesses; the victim does not leak")
 	}
 
-	res, err = r.RunLeak(Victim(), SchemePerfect)
+	res, err = r.RunLeak(context.Background(), Victim(), SchemePerfect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestVictimLeaks(t *testing.T) {
 			res.Stats.SpecSecretAccesses)
 	}
 
-	res, err = r.RunLeak(VictimGuarded(), SchemeTwoBit)
+	res, err = r.RunLeak(context.Background(), VictimGuarded(), SchemeTwoBit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestVictimLeaks(t *testing.T) {
 // dyn-spec > 0) and stay quiet on the annotated paper kernels.
 func TestVictimStaticCoverage(t *testing.T) {
 	r := NewRunner()
-	res, err := r.RunLeak(Victim(), SchemeTwoBit)
+	res, err := r.RunLeak(context.Background(), Victim(), SchemeTwoBit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestLeakCountReachesSpecWindow(t *testing.T) {
 	if w := r.Model.SpecWindow(); w != 88 {
 		t.Fatalf("SpecWindow = %d, want 88", w)
 	}
-	res, err := r.RunLeak(probeVictim([]int{3, 65, 70, 88, 89, 100}, 100), SchemeTwoBit)
+	res, err := r.RunLeak(context.Background(), probeVictim([]int{3, 65, 70, 88, 89, 100}, 100), SchemeTwoBit)
 	if err != nil {
 		t.Fatal(err)
 	}

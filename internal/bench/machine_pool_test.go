@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"specguard/internal/core"
 	"specguard/internal/interp"
 )
 
@@ -59,7 +58,7 @@ func drainAll(t *testing.T, m *interp.Machine) {
 func TestRecycledMachineMatchesFresh(t *testing.T) {
 	for _, w := range All() {
 		r := NewRunner()
-		if _, err := r.Run(w, SchemeTwoBit); err != nil {
+		if _, err := r.RunSpec(context.Background(), Spec{Workload: w, Scheme: SchemeTwoBit}); err != nil {
 			t.Fatal(err)
 		}
 		e, code := baseEntry(t, r, w)
@@ -199,29 +198,34 @@ func TestCancelledDrainDropsMachine(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelled: an already-cancelled context aborts before
-// any architectural or timing work, and a subsequent un-cancelled call
-// still succeeds (cancellation must not poison the caches).
+// TestRunContextCancelled: an already-cancelled context aborts a
+// one-cell and a table-sized call before any architectural or timing
+// work, and a subsequent un-cancelled call still succeeds (cancellation
+// must not poison the caches).
 func TestRunContextCancelled(t *testing.T) {
 	r := NewRunner()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.RunContext(ctx, Grep(), SchemeTwoBit); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext with cancelled ctx = %v, want context.Canceled", err)
+	one := Spec{Workload: Grep(), Scheme: SchemeTwoBit}
+	if _, err := r.RunSpec(ctx, one); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunSpec with cancelled ctx = %v, want context.Canceled", err)
+	}
+	var table []Spec
+	for _, w := range All() {
+		for _, s := range []Scheme{SchemeTwoBit, SchemeProposed, SchemePerfect} {
+			table = append(table, Spec{Workload: w, Scheme: s})
+		}
+	}
+	if _, err := r.RunSpecs(ctx, table); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunSpecs with cancelled ctx = %v, want context.Canceled", err)
 	}
 	if got := r.ArchRuns(); got != 0 {
-		t.Errorf("cancelled call built %d machines", got)
-	}
-	if _, err := r.RunAllContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunAllContext with cancelled ctx = %v, want context.Canceled", err)
-	}
-	if _, err := r.RunProposedOptsAllContext(ctx, core.Options{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunProposedOptsAllContext with cancelled ctx = %v, want context.Canceled", err)
+		t.Errorf("cancelled calls built %d machines", got)
 	}
 
-	res, err := r.Run(Grep(), SchemeTwoBit)
+	res, err := r.RunSpec(context.Background(), one)
 	if err != nil {
-		t.Fatalf("Run after cancelled RunContext: %v", err)
+		t.Fatalf("RunSpec after cancelled calls: %v", err)
 	}
 	if res.Stats.Cycles == 0 {
 		t.Error("post-cancellation run produced empty Stats")

@@ -179,7 +179,7 @@ func TestMetamorphicSpecDistance(t *testing.T) {
 
 		r := NewRunner()
 		r.Model = m
-		res, err := r.RunLeak(w, SchemeTwoBit)
+		res, err := r.RunLeak(context.Background(), w, SchemeTwoBit)
 		if err != nil {
 			t.Fatal(err)
 		}

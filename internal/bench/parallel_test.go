@@ -8,15 +8,15 @@ import (
 )
 
 // TestParallelRunAllMatchesSerial pins the harness's core guarantee:
-// fanning the 4 kernels × 3 schemes across goroutines must produce
-// Stats byte-identical to the serial reference path. Nothing mutable
-// may be shared between simulations — each builds its own program,
-// predictor, interpreter and pipeline (with private caches) — so a
-// mismatch here means a simulation leaked state across goroutines.
+// RunAll on four lane-scheduler workers must produce Stats
+// byte-identical to RunAll on one. Nothing mutable may be shared
+// between simulations — each builds its own program, predictor,
+// machine and lanes (with private caches) — so a mismatch here means a
+// simulation leaked state across goroutines.
 func TestParallelRunAllMatchesSerial(t *testing.T) {
 	serialRunner := NewRunner()
 	serialRunner.Parallelism = 1
-	serial, err := serialRunner.RunAllSerial()
+	serial, err := serialRunner.RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}

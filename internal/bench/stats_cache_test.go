@@ -61,11 +61,12 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
-// TestRunMatchesRunSpecOnGShare: Run and RunProposedOpts take the
-// predictor family from the Runner's model like every other entry
-// point, so on a gshare model each equals its cell simulated alone on
-// that model's gshare predictor (rawStats). The reference runs on its
-// own Runner, so the Stats cache cannot make them agree.
+// TestRunMatchesRunSpecOnGShare: a cell on the Runner's own model (no
+// Spec.Model) takes the predictor family from that model, so on a
+// gshare model a 2-bitBP and a Proposed cell each equal the cell
+// simulated alone on that model's gshare predictor (rawStats). The
+// reference runs on its own Runner, so the Stats cache cannot make them
+// agree.
 func TestRunMatchesRunSpecOnGShare(t *testing.T) {
 	gshare := func() *Runner {
 		r := NewRunner()
@@ -74,19 +75,19 @@ func TestRunMatchesRunSpecOnGShare(t *testing.T) {
 		return r
 	}
 	w := Grep()
-	run, err := gshare().Run(w, SchemeTwoBit)
+	run, err := gshare().RunSpec(context.Background(), Spec{Workload: w, Scheme: SchemeTwoBit})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := rawStats(t, gshare(), Spec{Workload: w, Scheme: SchemeTwoBit}); !reflect.DeepEqual(run.Stats, want) {
-		t.Errorf("Run = %d cycles, the cell alone on gshare = %d cycles", run.Stats.Cycles, want.Cycles)
+		t.Errorf("2-bitBP cell = %d cycles, the cell alone on gshare = %d cycles", run.Stats.Cycles, want.Cycles)
 	}
-	opt, err := gshare().RunProposedOpts(w, w.Opt)
+	opt, err := gshare().RunSpec(context.Background(), Spec{Workload: w, Scheme: SchemeProposed, Opt: &w.Opt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := rawStats(t, gshare(), Spec{Workload: w, Scheme: SchemeProposed, Opt: &w.Opt}); !reflect.DeepEqual(opt.Stats, want) {
-		t.Errorf("RunProposedOpts = %d cycles, the cell alone on gshare = %d cycles", opt.Stats.Cycles, want.Cycles)
+		t.Errorf("Proposed cell = %d cycles, the cell alone on gshare = %d cycles", opt.Stats.Cycles, want.Cycles)
 	}
 }
 
@@ -171,7 +172,7 @@ func TestStatsCacheBound(t *testing.T) {
 	}
 	for _, s := range []Scheme{SchemeTwoBit, SchemeProposed, SchemePerfect} {
 		for i := 0; i < 2; i++ {
-			if _, err := r.Run(w, s); err != nil {
+			if _, err := r.RunSpec(context.Background(), Spec{Workload: w, Scheme: s}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -248,18 +249,18 @@ func TestStatsCacheCancellation(t *testing.T) {
 func TestStatsCacheFollowsModelEdits(t *testing.T) {
 	w := Grep()
 	r := NewRunner()
-	before, err := r.Run(w, SchemeTwoBit)
+	before, err := r.RunSpec(context.Background(), Spec{Workload: w, Scheme: SchemeTwoBit})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Model.MispredictPenalty += 4
-	after, err := r.Run(w, SchemeTwoBit)
+	after, err := r.RunSpec(context.Background(), Spec{Workload: w, Scheme: SchemeTwoBit})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := NewRunner()
 	fresh.Model.MispredictPenalty = r.Model.MispredictPenalty
-	want, err := fresh.Run(w, SchemeTwoBit)
+	want, err := fresh.RunSpec(context.Background(), Spec{Workload: w, Scheme: SchemeTwoBit})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -256,33 +256,35 @@ func retryAfterDuration(v string) time.Duration {
 }
 
 // runLeader builds the singleflight leader body for one /v1/run
-// exchange. admit=false is the sweep-cell path: the enclosing sweep
-// already holds a batch admission slot, so its cells must not consume
-// more (that is exactly how a greedy sweeper would starve everyone).
-func (c *Coordinator) runLeader(clientID, key string, body []byte, admit, interactive, retryShed bool) func() (*Upstream, error) {
+// exchange. A sweep cell takes no admission slot of its own (the
+// enclosing sweep already holds a batch one, and a cell taking more is
+// exactly how a greedy sweeper would starve everyone) and absorbs
+// upstream 429s by honoring Retry-After; any other request is admitted
+// in the interactive class and propagates them.
+func (c *Coordinator) runLeader(clientID, key string, body []byte, sweepCell bool) func() (*Upstream, error) {
 	return func() (*Upstream, error) {
 		// The leader runs under the coordinator's context, not the
 		// client's: waiters coalesced onto this exchange must still get
 		// the result if the leader's client disconnects.
 		lctx, lcancel := context.WithTimeout(c.baseCtx, c.cfg.ExchangeTimeout)
 		defer lcancel()
-		if admit {
-			release, err := c.adm.Acquire(lctx, clientID, interactive)
+		if !sweepCell {
+			release, err := c.adm.Acquire(lctx, clientID, true)
 			if err != nil {
 				return nil, err
 			}
 			defer release()
 		}
-		return c.exchange(lctx, http.MethodPost, "/v1/run", body, "application/json", key, retryShed)
+		return c.exchange(lctx, http.MethodPost, "/v1/run", body, "application/json", key, sweepCell)
 	}
 }
 
 // DoRun executes one /v1/run request cluster-wide: normalize to the
 // canonical key, coalesce with any identical in-flight exchange, admit
-// (interactive class), and proxy to the key's shard with replica
-// retry. The second return reports whether this caller shared another
-// caller's exchange.
-func (c *Coordinator) DoRun(ctx context.Context, clientID string, req serve.RunRequest) (*Upstream, bool, error) {
+// (interactive class, unless it is a sweep cell: see runLeader), and
+// proxy to the key's shard with replica retry. The second return
+// reports whether this caller shared another caller's exchange.
+func (c *Coordinator) DoRun(ctx context.Context, clientID string, req serve.RunRequest, sweepCell bool) (*Upstream, bool, error) {
 	_, key, err := serve.NormalizeRequest(&req, c.cfg.BaseModel)
 	if err != nil {
 		return nil, false, err
@@ -291,27 +293,7 @@ func (c *Coordinator) DoRun(ctx context.Context, clientID string, req serve.RunR
 	if err != nil {
 		return nil, false, err
 	}
-	up, shared, err := c.flights.Do(ctx, key, c.runLeader(clientID, key, body, true, true, false))
-	if shared {
-		c.metrics.Coalesced.Add(1)
-	}
-	return up, shared, err
-}
-
-// DoSweepCell executes one cell of a sweep: like DoRun but in the
-// batch class, without its own admission slot (the sweep holds one),
-// and absorbing upstream 429s by honoring Retry-After instead of
-// propagating them.
-func (c *Coordinator) DoSweepCell(ctx context.Context, clientID string, req serve.RunRequest) (*Upstream, bool, error) {
-	_, key, err := serve.NormalizeRequest(&req, c.cfg.BaseModel)
-	if err != nil {
-		return nil, false, err
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, false, err
-	}
-	up, shared, err := c.flights.Do(ctx, key, c.runLeader(clientID, key, body, false, false, true))
+	up, shared, err := c.flights.Do(ctx, key, c.runLeader(clientID, key, body, sweepCell))
 	if shared {
 		c.metrics.Coalesced.Add(1)
 	}

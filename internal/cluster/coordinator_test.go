@@ -102,7 +102,7 @@ func TestClusterSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			up, _, err := c.DoRun(context.Background(), fmt.Sprintf("client-%d", i%4),
-				serve.RunRequest{Workload: "grep", Scheme: "2bit"})
+				serve.RunRequest{Workload: "grep", Scheme: "2bit"}, false)
 			errs[i] = err
 			if err == nil {
 				bodies[i] = string(up.Body)
@@ -144,7 +144,7 @@ func TestRerouteOnDeadBackend(t *testing.T) {
 	}
 	primary.ts.Close() // connection refused from here on
 
-	up, _, err := c.DoRun(context.Background(), "client", req)
+	up, _, err := c.DoRun(context.Background(), "client", req, false)
 	if err != nil {
 		t.Fatalf("request failed instead of re-routing: %v", err)
 	}
@@ -186,7 +186,7 @@ func TestAllReplicasShedPropagates429(t *testing.T) {
 	fb2.retryAfter = "3"
 	c := newTestCoordinator(t, []string{fb1.ts.URL, fb2.ts.URL}, nil)
 
-	up, _, err := c.DoRun(context.Background(), "client", serve.RunRequest{Workload: "grep", Scheme: "2bit"})
+	up, _, err := c.DoRun(context.Background(), "client", serve.RunRequest{Workload: "grep", Scheme: "2bit"}, false)
 	if err != nil {
 		t.Fatalf("DoRun: %v", err)
 	}
@@ -216,7 +216,7 @@ func TestSweepCellRetriesShed(t *testing.T) {
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	up, _, err := c.DoSweepCell(ctx, "client", serve.RunRequest{Workload: "grep", Scheme: "2bit"})
+	up, _, err := c.DoRun(ctx, "client", serve.RunRequest{Workload: "grep", Scheme: "2bit"}, true)
 	if err != nil {
 		t.Fatalf("sweep cell: %v", err)
 	}

@@ -109,11 +109,20 @@ func writeUpstream(w http.ResponseWriter, up *Upstream, shared bool) {
 	w.Write(up.Body)
 }
 
-func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
+// refuseDraining counts a request and, while the coordinator drains,
+// answers it 503 with Retry-After: 10 and reports true.
+func (c *Coordinator) refuseDraining(w http.ResponseWriter) bool {
 	c.metrics.Requests.Add(1)
-	if c.Draining() {
-		w.Header().Set("Retry-After", "10")
-		serve.HTTPError(w, http.StatusServiceUnavailable, "coordinator is draining")
+	if !c.Draining() {
+		return false
+	}
+	w.Header().Set("Retry-After", "10")
+	serve.HTTPError(w, http.StatusServiceUnavailable, "coordinator is draining")
+	return true
+}
+
+func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
+	if c.refuseDraining(w) {
 		return
 	}
 	req, err := serve.ParseRunRequest(r)
@@ -121,7 +130,7 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		c.writeErr(w, err)
 		return
 	}
-	up, shared, err := c.DoRun(r.Context(), ClientID(r), req)
+	up, shared, err := c.DoRun(r.Context(), ClientID(r), req, false)
 	if err != nil {
 		c.writeErr(w, err)
 		return
@@ -145,10 +154,7 @@ type sweepEvent struct {
 // take more, which is what keeps a sweeping client from monopolizing
 // admission against interactive callers.
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	c.metrics.Requests.Add(1)
-	if c.Draining() {
-		w.Header().Set("Retry-After", "10")
-		serve.HTTPError(w, http.StatusServiceUnavailable, "coordinator is draining")
+	if c.refuseDraining(w) {
 		return
 	}
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
@@ -176,7 +182,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	out := make(chan cell, len(reqs))
 	for _, req := range reqs {
 		go func(req serve.RunRequest) {
-			up, _, err := c.DoSweepCell(r.Context(), client, req)
+			up, _, err := c.DoRun(r.Context(), client, req, true)
 			out <- cell{up, err}
 		}(req)
 	}
@@ -201,10 +207,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleExplore(w http.ResponseWriter, r *http.Request) {
-	c.metrics.Requests.Add(1)
-	if c.Draining() {
-		w.Header().Set("Retry-After", "10")
-		serve.HTTPError(w, http.StatusServiceUnavailable, "coordinator is draining")
+	if c.refuseDraining(w) {
 		return
 	}
 	if r.Method != http.MethodPost {

@@ -13,8 +13,8 @@ import (
 	"specguard/internal/trace"
 )
 
-// CheckBatch is the lane-isolation oracle: a pipeline.Batch over one
-// packed-trace drain must produce, for every lane, Stats byte-identical
+// CheckBatch is the lane-isolation oracle: the lanes of one drain of a
+// packed trace (pipeline.RunLanes) must produce, each, Stats byte-identical
 // to a one-lane Run of the same configuration over a fresh drain of the
 // same trace — N lanes sharing a window against one. The lane
 // count (2–4), the mix of predictor configurations (two-bit table
@@ -111,17 +111,13 @@ func (o *Oracle) CheckBatch(p *prog.Program) error {
 	for i, pred := range newPreds() {
 		cfgs[i] = config(i, pred)
 	}
-	batch, err := pipeline.NewBatch(cfgs)
-	if err != nil {
-		return fail("batch-run", "%v", err)
-	}
-	got, err := batch.Run(tr.NewReader())
+	got, err := pipeline.RunLanes(cfgs, tr.NewReader())
 	if err != nil {
 		return fail("batch-run", "lanes=%v: %v", kinds, err)
 	}
-	// Released lanes are rebuilt by the next New calls, so the reference
-	// runs below and later seeds simulate on recycled lanes.
-	batch.Release()
+	// The drain released its lanes, and the next New calls rebuild them,
+	// so the reference runs below and later seeds simulate on recycled
+	// lanes.
 
 	// Reference: each configuration standalone, fresh predictor state,
 	// fresh trace cursor.
@@ -149,18 +145,14 @@ func (o *Oracle) CheckBatch(p *prog.Program) error {
 	drains := make([]pipeline.Drain, 2)
 	for d := range drains {
 		drains[d] = pipeline.Drain{
-			Open: func() (*pipeline.Batch, pipeline.Source, error) {
+			Open: func() (pipeline.Source, []pipeline.Config, error) {
 				var cfgs []pipeline.Config
 				for i := bounds[d]; i < bounds[d+1]; i++ {
 					cfgs = append(cfgs, config(i, preds[i]))
 				}
-				b, err := pipeline.NewBatch(cfgs)
-				return b, tr.NewReader(), err
+				return tr.NewReader(), cfgs, nil
 			},
-			Done: func(b *pipeline.Batch, st []pipeline.Stats) {
-				split[d] = st
-				b.Release()
-			},
+			Done: func(st []pipeline.Stats, _ pipeline.SkipStats) { split[d] = st },
 		}
 	}
 	if err := pipeline.RunDrains(context.Background(), drains, 2); err != nil {

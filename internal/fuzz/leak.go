@@ -64,7 +64,7 @@ func (o *Oracle) leakSoundness(p *prog.Program) (int, error) {
 		return 0, nil // construction failures belong to the front-end oracle
 	}
 	w := int32(o.Model.SpecWindow())
-	tm := code.NewTaintMachine(o.interpOpts(), interp.TaintOptions{Horizon: int(w)})
+	tm := code.NewTaintMachine(o.interpOpts(), int(w))
 
 	flagged := 0
 	var failure error

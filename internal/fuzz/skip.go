@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 
@@ -14,7 +15,7 @@ import (
 // CheckSkip is the quiescence fast-forward oracle: every Stats a
 // pipeline produces with cycle skipping enabled (the default) must be
 // byte-identical to the same configuration run cycle by cycle under
-// Config.NoCycleSkip. It runs a small lane mix in one Batch both ways:
+// Config.NoCycleSkip. It runs a small lane mix in one drain both ways:
 // lane 1 carries a machine-model variant biased toward quiescence
 // (throttled fetch, stretched divide latency, shallow rename pool — the
 // shapes with the longest dead stretches), the other lanes the base
@@ -85,13 +86,12 @@ func (o *Oracle) CheckSkip(p *prog.Program) error {
 				Model: m, Predictor: tb[i], SelfCheck: true, NoCycleSkip: noSkip,
 			}
 		}
-		b, err := pipeline.NewBatch(cfgs)
-		if err != nil {
-			return nil, pipeline.SkipStats{}, err
-		}
-		st, err := b.Run(tr.NewReader())
-		sk := b.SkipStats()
-		b.Release()
+		var st []pipeline.Stats
+		var sk pipeline.SkipStats
+		err := pipeline.RunDrains(context.Background(), []pipeline.Drain{{
+			Open: func() (pipeline.Source, []pipeline.Config, error) { return tr.NewReader(), cfgs, nil },
+			Done: func(stats []pipeline.Stats, skip pipeline.SkipStats) { st, sk = stats, skip },
+		}}, 1)
 		return st, sk, err
 	}
 	got, sk, err := run(false)

@@ -62,15 +62,10 @@ func (o *Oracle) CheckSpan(p *prog.Program) error {
 		}
 		cfgs[i] = pipeline.Config{Model: o.Model, Predictor: pred, SelfCheck: true}
 	}
-	batch, err := pipeline.NewBatch(cfgs)
-	if err != nil {
-		return fail("%v", err)
-	}
-	got, err := batch.Run(tr.NewReader())
+	got, err := pipeline.RunLanes(cfgs, tr.NewReader())
 	if err != nil {
 		return fail("bound %d, history %d: %v", bound, hist, err)
 	}
-	batch.Release()
 	for i := 1; i < len(lanes); i++ {
 		a, b := lanes[i-1], lanes[i]
 		if a.gshare != b.gshare {

@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"specguard/internal/isa"
 )
@@ -347,29 +348,41 @@ func (m *Machine) condBranch(ev *Event, in *FlatInstr, taken bool) int32 {
 	return in.Next
 }
 
+// yieldEvents spaces a run's yields: an architectural run is a long
+// loop that holds its processor, so every 2^16 events it lets other
+// goroutines (HTTP handlers, timers) run.
+const yieldEvents = 1 << 16
+
+// yield is runtime.Gosched, a variable so tests can count its calls.
+var yield = runtime.Gosched
+
 // Run executes the program to completion, invoking visit (if non-nil)
-// with a reused Event record for every dynamic instruction. The Event
-// pointer is only valid during the callback.
+// with a reused Event record for every dynamic instruction, Halt
+// included, and yielding every yieldEvents events. The Event pointer is
+// only valid during the callback.
 func (m *Machine) Run(visit func(*Event)) (Result, error) {
+	return runStream(m, m, visit)
+}
+
+// runStream is the run loop of Machine.Run and TaintMachine.Run (and so
+// of trace.Capture): it drains src, the event stream of machine m,
+// counting and visiting every event, and reads the final registers from
+// m.
+func runStream(src interface{ NextInto(*Event) (bool, error) }, m *Machine, visit func(*Event)) (Result, error) {
 	var res Result
 	var ev Event
 	for {
-		err := m.Step(&ev)
-		if err == ErrHalted || m.halted && err == nil {
-			if err == nil {
-				// Count the Halt event itself.
-				res.DynInstrs++
-				if visit != nil {
-					visit(&ev)
-				}
-			}
-			res.FinalStateR = m.r
-			return res, nil
-		}
+		ok, err := src.NextInto(&ev)
 		if err != nil {
 			return res, err
 		}
-		res.DynInstrs++
+		if !ok {
+			res.FinalStateR = m.r
+			return res, nil
+		}
+		if res.DynInstrs++; res.DynInstrs&(yieldEvents-1) == 0 {
+			yield()
+		}
 		if ev.Annulled {
 			res.Annulled++
 		}

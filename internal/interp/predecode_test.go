@@ -390,3 +390,35 @@ func BenchmarkInterpStep(b *testing.B) {
 		b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 	})
 }
+
+// TestMachineRunYields: a run yields its processor once every 2^16
+// events, on a Machine and a TaintMachine alike.
+func TestMachineRunYields(t *testing.T) {
+	orig := yield
+	defer func() { yield = orig }()
+	n := int64(0)
+	yield = func() { n++ }
+	code, err := Predecode(asm.MustParse(`
+func main:
+entry:
+	li r1, 0
+loop:
+	add r1, r1, 1
+	blt r1, 150000, loop
+exit:
+	halt
+`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []func(func(*Event)) (Result, error){code.NewMachine(Options{}).Run, code.NewTaintMachine(Options{}, 64).Run} {
+		n = 0
+		res, err := run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := res.DynInstrs / yieldEvents; want < 4 || n != want {
+			t.Errorf("%d yields over %d events, want %d", n, res.DynInstrs, want)
+		}
+	}
+}

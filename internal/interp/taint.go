@@ -6,20 +6,6 @@ import (
 	"specguard/internal/isa"
 )
 
-// TaintOptions configures a TaintMachine.
-type TaintOptions struct {
-	// Horizon bounds the wrong-path walk past each conditional branch.
-	// It must be at least the largest machine.Model.SpecWindow the
-	// event stream will be simulated under; distances beyond the window
-	// are discarded by the consumer, so a generous bound costs only
-	// walker time. Defaults to 64.
-	Horizon int
-}
-
-// DefaultTaintHorizon is the default wrong-path walk bound — 2.6× the
-// R10000 speculative window, with headroom for sweep variants.
-const DefaultTaintHorizon = 64
-
 // taintState is the register-file taint image: one bit per register,
 // set when the register's value is derived from a secret memory region.
 type taintState struct {
@@ -89,8 +75,8 @@ func (t *taintState) setRegTaint(r isa.Reg, v bool) {
 // (single-lane or batched) regardless of predictor, which is what makes
 // batched and single-lane leak counts agree exactly.
 type TaintMachine struct {
-	m    *Machine
-	opts TaintOptions
+	m       *Machine
+	horizon int // wrong-path walk bound past each conditional branch
 
 	t      taintState
 	shadow []uint64 // one taint bit per 8-byte data word
@@ -105,15 +91,16 @@ type TaintMachine struct {
 // Taint comes from the region annotations, not from who wrote a word,
 // so the input needs no shadow of its own. A program with no secret
 // regions yields an ordinary event stream with every leak field zero.
-func (c *Code) NewTaintMachine(opts Options, topts TaintOptions) *TaintMachine {
-	if topts.Horizon <= 0 {
-		topts.Horizon = DefaultTaintHorizon
-	}
+// horizon bounds the wrong-path walk past each conditional branch: it
+// must be at least the largest machine.Model.SpecWindow the stream will
+// be simulated under, since the pipeline counts a wrong-path access only
+// within its window and the walk reports none beyond horizon.
+func (c *Code) NewTaintMachine(opts Options, horizon int) *TaintMachine {
 	m := c.NewMachine(opts)
 	tm := &TaintMachine{
-		m:      m,
-		opts:   topts,
-		shadow: make([]uint64, (m.words+63)/64),
+		m:       m,
+		horizon: horizon,
+		shadow:  make([]uint64, (m.words+63)/64),
 	}
 	tm.seedShadow()
 	return tm
@@ -216,40 +203,7 @@ func (tm *TaintMachine) NextInto(ev *Event) (ok bool, err error) {
 
 // Run executes to completion like Machine.Run.
 func (tm *TaintMachine) Run(visit func(*Event)) (Result, error) {
-	var res Result
-	var ev Event
-	for {
-		err := tm.Step(&ev)
-		if err == ErrHalted || tm.m.halted && err == nil {
-			if err == nil {
-				res.DynInstrs++
-				if visit != nil {
-					visit(&ev)
-				}
-			}
-			res.FinalStateR = tm.m.r
-			return res, nil
-		}
-		if err != nil {
-			return res, err
-		}
-		res.DynInstrs++
-		if ev.Annulled {
-			res.Annulled++
-		}
-		if ev.Branch {
-			res.Branches++
-			if ev.Taken {
-				res.TakenCount++
-			}
-		}
-		if ev.IsMem {
-			res.MemOps++
-		}
-		if visit != nil {
-			visit(&ev)
-		}
-	}
+	return runStream(tm, tm.m, visit)
 }
 
 // walker is the reusable wrong-path execution state: private copies of
@@ -316,7 +270,7 @@ func (tm *TaintMachine) loadWord(w *walker, addr int64) (int64, bool) {
 }
 
 // wrongPath executes the not-actually-taken successor of the
-// conditional branch at branchFlat for up to Horizon instructions and
+// conditional branch at branchFlat for up to horizon instructions and
 // returns every secret-indexed memory access encountered (nil when
 // there are none — the common case — so the per-branch cost of a quiet
 // program is zero allocations).
@@ -334,7 +288,7 @@ func (tm *TaintMachine) wrongPath(branchFlat int32, taken bool) []WrongPathAcces
 	w.stores = w.stores[:0]
 
 	var out []WrongPathAccess
-	for dist := int32(1); dist <= int32(tm.opts.Horizon); dist++ {
+	for dist := int32(1); dist <= int32(tm.horizon); dist++ {
 		if pc < 0 {
 			break // fell off the end of a function
 		}

@@ -72,7 +72,7 @@ func drainTaint(t *testing.T, tm *TaintMachine) (secret int, wps [][]WrongPathAc
 
 func TestTaintMachineLeakFields(t *testing.T) {
 	code := taintCode(t, leakProg(t))
-	tm := code.NewTaintMachine(Options{}, TaintOptions{})
+	tm := code.NewTaintMachine(Options{}, 64)
 
 	secret, wps := drainTaint(t, tm)
 	if secret != 1 {
@@ -101,7 +101,7 @@ func TestTaintMachineNoRegions(t *testing.T) {
 	p := leakProg(t)
 	p.Regions = nil
 	code := taintCode(t, p)
-	tm := code.NewTaintMachine(Options{}, TaintOptions{})
+	tm := code.NewTaintMachine(Options{}, 64)
 	secret, wps := drainTaint(t, tm)
 	if secret != 0 {
 		t.Errorf("secret accesses = %d without secret regions", secret)
@@ -135,7 +135,7 @@ func TestTaintGuardAnnulsWrongPathAccess(t *testing.T) {
 	p.AddFunc(b.Func())
 	p.MustAddRegion(prog.Region{Name: "sec", Base: 8256, Len: 64, Secret: true})
 
-	tm := taintCode(t, p).NewTaintMachine(Options{}, TaintOptions{})
+	tm := taintCode(t, p).NewTaintMachine(Options{}, 64)
 	_, wps := drainTaint(t, tm)
 	for _, wp := range wps {
 		if len(wp) != 0 {
@@ -160,7 +160,7 @@ func TestTaintStoreUntaints(t *testing.T) {
 	p.AddFunc(b.Func())
 	p.MustAddRegion(prog.Region{Name: "sec", Base: 8256, Len: 8, Secret: true})
 
-	tm := taintCode(t, p).NewTaintMachine(Options{}, TaintOptions{})
+	tm := taintCode(t, p).NewTaintMachine(Options{}, 64)
 	secret, _ := drainTaint(t, tm)
 	if secret != 0 {
 		t.Fatalf("%d accesses flagged secret after the word was overwritten public", secret)
@@ -171,7 +171,7 @@ func TestTaintStoreUntaints(t *testing.T) {
 // architectural results equal the plain Machine's.
 func TestTaintMatchesMachine(t *testing.T) {
 	code := taintCode(t, leakProg(t))
-	tm := code.NewTaintMachine(Options{}, TaintOptions{})
+	tm := code.NewTaintMachine(Options{}, 64)
 	m := code.NewMachine(Options{})
 
 	resT, errT := tm.Run(nil)

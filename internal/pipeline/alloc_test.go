@@ -4,10 +4,8 @@ import (
 	"context"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 	"unsafe"
 
 	"specguard/internal/asm"
@@ -165,22 +163,21 @@ func TestRunReusesReleasedWindow(t *testing.T) {
 	}
 }
 
-// TestNewReusesReleasedLane: New takes a released lane's buffers
-// instead of allocating a lane, so a warm one-lane cycle of New, Run and
-// release allocates nothing at all, the window and the lane both coming
-// from their free lists.
+// TestNewReusesReleasedLane: New takes the buffers of a lane a drain
+// released instead of allocating a lane, so a warm one-lane cycle of
+// New, Run and release allocates nothing at all, the window and the lane
+// both coming from their free lists.
 func TestNewReusesReleasedLane(t *testing.T) {
 	src := recordTrace(t, allocKernel).NewReader()
 	cfg := Config{Model: machine.R10000(), Predictor: predict.NewTwoBit(512)}
-	b, err := NewBatch([]Config{cfg})
-	if err != nil {
+	DropFreeLanes()
+	if _, err := RunLanes([]Config{cfg}, src); err != nil {
 		t.Fatal(err)
 	}
-	lane := b.lanes[0]
-	if _, err := b.Run(src); err != nil {
-		t.Fatal(err)
+	if n := FreeLanes(); n != 1 {
+		t.Fatalf("%d lanes free after a one-lane drain, want 1", n)
 	}
-	b.Release()
+	lane := freeLanes.items[0]
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -201,29 +198,6 @@ func TestNewReusesReleasedLane(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("New and Run on a released lane allocated %.1f objects, want 0", allocs)
-	}
-}
-
-// TestReleasedBatchRunFails: a released Batch has no lanes, and running
-// it again is an error, not a drain whose round never ends.
-func TestReleasedBatchRunFails(t *testing.T) {
-	b, err := NewBatch(batchCases(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Release()
-	done := make(chan error, 1)
-	go func() {
-		_, err := b.Run(kernelSource(10)(t))
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "released Batch") {
-			t.Errorf("Run on a released Batch = %v, want an error naming it", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Run on a released Batch did not return")
 	}
 }
 
@@ -258,11 +232,11 @@ func TestFreeListsBounded(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = Config{Model: machine.R10000(), Predictor: predict.NewTwoBit(16)}
 	}
-	b, err := NewBatch(cfgs)
+	lanes, err := newLanes(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Release()
+	releaseLanes(lanes)
 	if w, l := held(); w != n || l != n*MaxBatchLanes {
 		t.Fatalf("after releasing %d windows and %d lanes the free lists hold %d and %d, want GOMAXPROCS = %d and %d",
 			len(ws), len(cfgs), w, l, n, n*MaxBatchLanes)
@@ -289,11 +263,7 @@ func TestFreeListsBounded(t *testing.T) {
 	}
 	ds := make([]Drain, 2*n+1)
 	for i := range ds {
-		ds[i].Open = func() (*Batch, Source, error) {
-			b, err := NewBatch(batchCases(false))
-			return b, src(t), err
-		}
-		ds[i].Done = func(b *Batch, _ []Stats) { b.Release() }
+		ds[i].Open = func() (Source, []Config, error) { return src(t), batchCases(false), nil }
 	}
 	if err := RunDrains(context.Background(), ds, 2*n); err != nil {
 		t.Fatal(err)
@@ -304,17 +274,14 @@ func TestFreeListsBounded(t *testing.T) {
 	}
 }
 
-// TestFreeListConcurrentReleaseAndNew: drains that release their lanes
-// while other workers build new ones from the same list each get Stats
-// identical to a never-recycled batch's. Run under -race, it pins that
+// TestFreeListConcurrentReleaseAndNew: drains whose lanes go back to
+// the free list while other workers build new ones from it each get
+// Stats identical to a drain on new lanes. Run under -race, it pins that
 // a lane is handed to one drain at a time.
 func TestFreeListConcurrentReleaseAndNew(t *testing.T) {
 	src := kernelSource(300)
-	ref, err := NewBatch(batchCases(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Run(src(t))
+	DropFreeLanes()
+	want, err := RunLanes(batchCases(true), src(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,12 +290,8 @@ func TestFreeListConcurrentReleaseAndNew(t *testing.T) {
 	var got [][]Stats
 	ds := make([]Drain, 4*n)
 	for i := range ds {
-		ds[i].Open = func() (*Batch, Source, error) {
-			b, err := NewBatch(batchCases(true))
-			return b, src(t), err
-		}
-		ds[i].Done = func(b *Batch, stats []Stats) {
-			b.Release()
+		ds[i].Open = func() (Source, []Config, error) { return src(t), batchCases(true), nil }
+		ds[i].Done = func(stats []Stats, _ SkipStats) {
 			mu.Lock()
 			got = append(got, stats)
 			mu.Unlock()

@@ -1,9 +1,6 @@
 package pipeline
 
-import (
-	"context"
-	"fmt"
-)
+import "context"
 
 // MaxBatchLanes caps the lanes bench folds into one drain. Lanes, not
 // drains, are the unit of parallel work (RunDrains), so the cap does not
@@ -11,52 +8,22 @@ import (
 // worker is live at once, and with it the lane free list (freeLanes).
 const MaxBatchLanes = 32
 
-// Batch is a drain with N independently configured pipeline lanes: one
-// Source replayed through one decode window, each lane reading it
-// through its own cursor. Each lane's Stats are byte-identical to what
-// Run with the same Config over the same stream produces (pinned by
-// the golden tests and the fuzz batch-vs-single oracle), so a sweep
-// pays the decode and dependence pre-pass once per trace, not per cell.
-type Batch struct {
-	lanes []*Pipeline
-}
-
-// NewBatch builds one lane per Config. Lane configs may differ in
-// predictor, cache enables, fetch-buffer size — anything but the event
-// stream.
-func NewBatch(cfgs []Config) (*Batch, error) {
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("pipeline: NewBatch needs at least one Config")
-	}
-	b := &Batch{lanes: make([]*Pipeline, len(cfgs))}
-	for i, cfg := range cfgs {
-		p, err := New(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: batch lane %d: %w", i, err)
-		}
-		b.lanes[i] = p
-	}
-	return b, nil
-}
-
-// Lanes returns the number of lanes.
-func (b *Batch) Lanes() int { return len(b.lanes) }
-
 // geometry sizes the decode window of a drain with these lanes so a
 // refill can never overwrite a slot still referenced by any lane: a
 // lane's oldest live reference (ROB front or fetch-buffer front) trails
-// its cursor by at most ActiveList + FetchBufferSize events, refills
-// happen only when every live lane's cursor sits at the frontier, and
-// the ring keeps two chunks so the previous chunk stays intact through
-// the next refill. The floor of 512 events sets the scheduler's grain
-// (one lane's run between refills, RunDrains) and makes nearly every
-// drain's window the same size, so released windows fit the next one.
+// its cursor by at most ActiveList plus its fetch buffer (2 × IssueWidth)
+// events, refills happen only when every live lane's cursor sits at the
+// frontier, and the ring keeps two chunks so the previous chunk stays
+// intact through the next refill. The floor of 512 events sets the
+// scheduler's grain (one lane's run between refills, RunDrains) and
+// makes nearly every drain's window the same size, so released windows
+// fit the next one.
 // horizon is the largest lane ActiveList, the reach of batchDispatch's
 // minLive filter.
 func geometry(lanes ...*Pipeline) (chunk, horizon int64) {
 	need := 0
 	for _, p := range lanes {
-		if n := p.model.ActiveList + p.cfg.FetchBufferSize + p.model.IssueWidth; n > need {
+		if n := p.model.ActiveList + 3*p.model.IssueWidth; n > need {
 			need = n
 		}
 		horizon = max(horizon, int64(p.model.ActiveList))
@@ -96,38 +63,22 @@ func start(src Source, lanes ...*Pipeline) *window {
 	return w
 }
 
-// Run drains src once and returns one Stats per lane, in lane order. It
-// is the one-drain, one-worker case of RunDrains.
-func (b *Batch) Run(src Source) ([]Stats, error) {
+// RunLanes drains src once into one lane per Config and returns each
+// lane's Stats, in Config order: RunDrains of that one drain on one
+// worker, so a one-lane call runs as Pipeline.Run. Lane configs may
+// differ in predictor, model, cache enables — anything but the event
+// stream — and each lane's Stats are byte-identical to a Pipeline.Run
+// of its Config over the same stream (pinned by the golden tests and the
+// fuzz batch-vs-single oracle), so a sweep pays the decode and
+// dependence pre-pass once per trace, not per cell.
+func RunLanes(cfgs []Config, src Source) ([]Stats, error) {
 	var out []Stats
 	err := RunDrains(context.Background(), []Drain{{
-		Open: func() (*Batch, Source, error) { return b, src, nil },
-		Done: func(_ *Batch, stats []Stats) { out = stats },
+		Open: func() (Source, []Config, error) { return src, cfgs, nil },
+		Done: func(stats []Stats, _ SkipStats) { out = stats },
 	}}, 1)
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Release returns the batch's lanes to the lane free list, for New to
-// reuse their buffers. Call it once the drain's Stats and SkipStats have
-// been read; the lanes must not be used afterwards, and running the
-// Batch again is an error. A Pipeline that is never released keeps its
-// state.
-func (b *Batch) Release() {
-	for _, p := range b.lanes {
-		p.release()
-	}
-	b.lanes = nil
-}
-
-// SkipStats sums the quiescence fast-forward counters over all lanes
-// of the last drain.
-func (b *Batch) SkipStats() SkipStats {
-	var t SkipStats
-	for _, p := range b.lanes {
-		t.Add(p.SkipStats())
-	}
-	return t
 }

@@ -71,8 +71,8 @@ func freshSource(t testing.TB, p *prog.Program) *interp.Machine {
 
 // batchCases are the mixed lane configurations the lockstep tests run:
 // different table sizes (including shared-backing lanes from
-// NewTwoBitLanes), a perfect lane, a duplicate config, a ideal-dcache
-// lane and a deeper fetch buffer.
+// NewTwoBitLanes), a perfect lane, a duplicate config, an ideal-dcache
+// lane and a lane whose table has its own backing array.
 func batchCases(selfCheck bool) []Config {
 	model := machine.R10000()
 	preds := predict.NewTwoBitLanes([]int{512, 64, 512, 16})
@@ -82,7 +82,7 @@ func batchCases(selfCheck bool) []Config {
 		{Model: model, Predictor: predict.NewPerfect(), SelfCheck: selfCheck},
 		{Model: model, Predictor: preds[2], SelfCheck: selfCheck}, // duplicate of lane 0
 		{Model: model, Predictor: preds[3], SelfCheck: selfCheck, DisableDCache: true},
-		{Model: model, Predictor: predict.NewTwoBit(512), SelfCheck: selfCheck, FetchBufferSize: 16},
+		{Model: model, Predictor: predict.NewTwoBit(512), SelfCheck: selfCheck},
 	}
 	return cfgs
 }
@@ -97,7 +97,7 @@ func singleConfigs(selfCheck bool) []Config {
 		{Model: model, Predictor: predict.NewPerfect(), SelfCheck: selfCheck},
 		{Model: model, Predictor: predict.NewTwoBit(512), SelfCheck: selfCheck},
 		{Model: model, Predictor: predict.NewTwoBit(16), SelfCheck: selfCheck, DisableDCache: true},
-		{Model: model, Predictor: predict.NewTwoBit(512), SelfCheck: selfCheck, FetchBufferSize: 16},
+		{Model: model, Predictor: predict.NewTwoBit(512), SelfCheck: selfCheck},
 	}
 }
 
@@ -110,14 +110,11 @@ func singleConfigs(selfCheck bool) []Config {
 func TestBatchMatchesSingle(t *testing.T) {
 	p := batchProgram(t)
 
-	batch, err := NewBatch(batchCases(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch.Lanes() < 2 {
+	cfgs := batchCases(true)
+	if len(cfgs) < 2 {
 		t.Fatal("batch golden test needs ≥2 lanes")
 	}
-	got, err := batch.Run(freshSource(t, p))
+	got, err := RunLanes(cfgs, freshSource(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +162,10 @@ func TestOneLaneBatchPrivateICache(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 2} {
-		b, err := NewBatch(cfgs(n))
+		windowIC, shared, err := StartICache(cfgs(n), freshSource(t, p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		windowIC, shared := StartICache(b, freshSource(t, p))
 		if windowIC != (n > 1) {
 			t.Errorf("%d lanes: window icache built = %v, want %v", n, windowIC, n > 1)
 		}
@@ -178,10 +174,7 @@ func TestOneLaneBatchPrivateICache(t *testing.T) {
 				t.Errorf("%d lanes: lane %d reads the shared icache = %v, want %v", n, i, sh, n > 1)
 			}
 		}
-		if b, err = NewBatch(cfgs(n)); err != nil {
-			t.Fatal(err)
-		}
-		got, err := b.Run(freshSource(t, p))
+		got, err := RunLanes(cfgs(n), freshSource(t, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,21 +192,19 @@ func TestBatchCancellation(t *testing.T) {
 	p := batchProgram(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	batch, err := NewBatch([]Config{
+	_, err := RunLanes([]Config{
 		{Model: machine.R10000(), Predictor: predict.NewTwoBit(512), Context: ctx},
 		{Model: machine.R10000(), Predictor: predict.NewPerfect(), Context: ctx},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := batch.Run(freshSource(t, p)); err == nil {
+	}, freshSource(t, p))
+	if err == nil {
 		t.Fatal("cancelled batch run did not fail")
 	}
 }
 
-// TestBatchEmpty pins the validation error.
+// TestBatchEmpty pins the validation error: a drain with no lanes would
+// never end its first round.
 func TestBatchEmpty(t *testing.T) {
-	if _, err := NewBatch(nil); err == nil {
-		t.Fatal("NewBatch(nil) did not fail")
+	if _, err := RunLanes(nil, freshSource(t, batchProgram(t))); err == nil {
+		t.Fatal("RunLanes(nil) did not fail")
 	}
 }

@@ -38,7 +38,7 @@ func leakSource(t testing.TB) *interp.TaintMachine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return code.NewTaintMachine(interp.Options{}, interp.TaintOptions{})
+	return code.NewTaintMachine(interp.Options{}, 64)
 }
 
 // TestPipelineLeakCounts pins the dynamic flagging semantics: the one
@@ -93,11 +93,7 @@ func TestBatchLeakMatchesSingle(t *testing.T) {
 		}
 	}
 
-	batch, err := NewBatch(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := batch.Run(leakSource(t))
+	got, err := RunLanes(mk(), leakSource(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +133,7 @@ func TestTrackLeaksOffNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaTaint, err := pipe.Run(code.NewTaintMachine(interp.Options{}, interp.TaintOptions{}))
+	viaTaint, err := pipe.Run(code.NewTaintMachine(interp.Options{}, 64))
 	if err != nil {
 		t.Fatal(err)
 	}

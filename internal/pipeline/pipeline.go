@@ -36,9 +36,6 @@ type Config struct {
 	// and ablations; the paper's runs keep both enabled).
 	DisableICache bool
 	DisableDCache bool
-	// FetchBufferSize is the decoupling buffer between fetch and
-	// dispatch; defaults to 2× issue width.
-	FetchBufferSize int
 	// Watchdog aborts if no instruction commits for this many cycles
 	// (simulator-bug backstop). Defaults to 100000.
 	Watchdog int64
@@ -194,7 +191,8 @@ type runState struct {
 
 // Pipeline is one configured simulator instance: one lane of a decode
 // window (window.go). Run drains a Source with the pipeline as the
-// window's only lane; a Batch attaches several pipelines to one window.
+// window's only lane; a multi-lane drain (RunDrains) attaches several
+// pipelines to one window.
 // The hot-loop machinery (ROB ring, fetch buffer, completion wheel,
 // ready queues) lives on the struct and is recycled across Run calls,
 // and Run takes its window from a shared free list, so a warmed
@@ -224,7 +222,7 @@ type Pipeline struct {
 }
 
 // New validates cfg and returns a simulator. It reuses the buffers of a
-// released lane (Batch.Release) when there is one, preferring one with
+// lane RunDrains has released when there is one, preferring one with
 // cfg's active list and cache geometry: its caches are reset cold, and
 // everything else a run reads is reset when the run attaches, so its
 // Stats are those of a new lane.
@@ -234,9 +232,6 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	if cfg.Predictor == nil {
 		return nil, fmt.Errorf("pipeline: Config.Predictor is required")
-	}
-	if cfg.FetchBufferSize == 0 {
-		cfg.FetchBufferSize = 2 * cfg.Model.IssueWidth
 	}
 	if cfg.Watchdog == 0 {
 		cfg.Watchdog = 100000
@@ -331,7 +326,7 @@ func (p *Pipeline) attach(w *window) {
 	} else {
 		p.rob.reset()
 	}
-	p.fbuf.init(p.cfg.FetchBufferSize)
+	p.fbuf.init(2 * m.IssueWidth) // the fetch-to-dispatch decoupling buffer
 	p.wheel.init(maxLatency(m))
 	for u := range p.ready {
 		p.ready[u].init(m.ActiveList)
@@ -384,11 +379,11 @@ func (p *Pipeline) depend(c *entry, prodSeq int64) {
 }
 
 // Run simulates the entire stream from src and returns the statistics.
-// It is the one-lane drain (RunDrains runs every one-lane Batch
+// It is the one-lane drain (RunDrains runs every one-lane drain
 // through it): the pipeline takes a decode window from the free list,
 // attaches as its only lane, and alternates window refills with its
 // lane loop until the trace ends. A fresh Pipeline's Stats are
-// byte-identical to those of the same Config's lane in any Batch over
+// byte-identical to those of the same Config's lane in any drain over
 // the same stream.
 //
 // The loop is event-driven: instead of scanning the whole active list
@@ -452,7 +447,7 @@ func (p *Pipeline) advance() (bool, error) {
 		// predicted-taken branches, stalls and I-cache misses. ----
 		if !rs.traceDone && rs.fetchStalledOn < 0 && rs.cycle >= rs.fetchResumeAt {
 			width := p.fetchWidth()
-			for ; rs.fetched < width && p.fbuf.len() < p.cfg.FetchBufferSize; rs.fetched++ {
+			for ; rs.fetched < width && !p.fbuf.full(); rs.fetched++ {
 				if p.cur == w.frontier {
 					if !w.eof {
 						// Park mid-fetch until the window refills.

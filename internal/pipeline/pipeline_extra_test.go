@@ -176,28 +176,6 @@ exit:
 	}
 }
 
-func TestFetchBufferSizeConfigurable(t *testing.T) {
-	src := `
-func main:
-B0:
-	li r1, 0
-loop:
-	add r2, r2, r1
-	add r1, r1, 1
-	blt r1, 500, loop
-exit:
-	halt
-`
-	small := simulate(t, src, twoBit(), func(c *Config) { c.FetchBufferSize = 1 })
-	normal := simulate(t, src, twoBit(), nil)
-	if small.Committed != normal.Committed {
-		t.Fatal("fetch buffer size must not change committed work")
-	}
-	if small.Cycles < normal.Cycles {
-		t.Error("a 1-entry fetch buffer cannot be faster")
-	}
-}
-
 func TestAnnulledMemOpSkipsDCache(t *testing.T) {
 	// A guarded load whose predicate is always false must not touch
 	// the D-cache.

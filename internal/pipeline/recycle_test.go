@@ -16,7 +16,7 @@ import (
 // another geometry (active list 64, 16 KB caches, gshare), and then from
 // released lanes of their own, give Stats byte-identical to new lanes on
 // each paper workload (grep alone under -race), in a multi-lane drain
-// and a one-lane Run.
+// and a one-lane drain (Pipeline.Run).
 func TestRecycledLanesMatchFresh(t *testing.T) {
 	a := machine.R10000()
 	a.ActiveList, a.ICacheBytes, a.DCacheBytes = 64, 16<<10, 16<<10
@@ -51,30 +51,11 @@ func TestRecycledLanesMatchFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func(cfgs []pipeline.Config, release bool) []byte {
+		run := func(cfgs []pipeline.Config) []byte {
 			t.Helper()
-			var stats []pipeline.Stats
-			if len(cfgs) == 1 {
-				p, err := pipeline.New(cfgs[0])
-				if err != nil {
-					t.Fatal(err)
-				}
-				st, err := p.Run(tr.NewReader())
-				if err != nil {
-					t.Fatal(err)
-				}
-				stats = append(stats, st)
-			} else {
-				bt, err := pipeline.NewBatch(cfgs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stats, err = bt.Run(tr.NewReader()); err != nil {
-					t.Fatal(err)
-				}
-				if release {
-					bt.Release()
-				}
+			stats, err := pipeline.RunLanes(cfgs, tr.NewReader())
+			if err != nil {
+				t.Fatal(err)
 			}
 			raw, err := json.Marshal(stats)
 			if err != nil {
@@ -83,23 +64,22 @@ func TestRecycledLanesMatchFresh(t *testing.T) {
 			return raw
 		}
 		pipeline.DropFreeLanes()
-		want := run(second(), false)
-		wantOne := run(second()[2:], false)
+		want := run(second())
+		pipeline.DropFreeLanes()
+		wantOne := run(second()[2:])
+		pipeline.DropFreeLanes()
 
-		run(first(), true)
+		run(first())
 		if n := pipeline.FreeLanes(); n != len(first()) {
 			t.Fatalf("%s: %d lanes free after releasing %d", w.Name, n, len(first()))
 		}
-		if got := run(second(), true); string(got) != string(want) {
+		if got := run(second()); string(got) != string(want) {
 			t.Errorf("%s: lanes recycled from another geometry diverge:\n got %s\nwant %s", w.Name, got, want)
 		}
-		if got := run(second(), true); string(got) != string(want) {
+		if got := run(second()); string(got) != string(want) {
 			t.Errorf("%s: lanes recycled from their own geometry diverge:\n got %s\nwant %s", w.Name, got, want)
 		}
-		if n := pipeline.FreeLanes(); n == 0 {
-			t.Fatalf("%s: no lane left to recycle for the one-lane run", w.Name)
-		}
-		if got := run(second()[2:], false); string(got) != string(wantOne) {
+		if got := run(second()[2:]); string(got) != string(wantOne) {
 			t.Errorf("%s: a one-lane run on a recycled lane diverges:\n got %s\nwant %s", w.Name, got, wantOne)
 		}
 	}

@@ -129,6 +129,8 @@ func (r *idxRing) init(capacity int) {
 
 func (r *idxRing) len() int { return r.count }
 
+func (r *idxRing) full() bool { return r.count == r.cap }
+
 func (r *idxRing) push(idx int64) {
 	if r.count == r.cap {
 		panic("pipeline: fetch buffer overflow")

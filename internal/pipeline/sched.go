@@ -9,8 +9,8 @@ import (
 )
 
 // Lane-level scheduling of batched drains (DESIGN.md §20). A drain is
-// one Source replayed through a shared decode window into the lanes of
-// one Batch. Lanes of a drain are independent between window refills,
+// one Source replayed through a shared decode window into a set of
+// timing lanes. Lanes of a drain are independent between window refills,
 // so the unit of work is not the drain but one lane's run up to the
 // window frontier: W workers each take any queued lane, run it until it
 // parks at the frontier or finishes, and take the next. The worker that
@@ -31,22 +31,28 @@ import (
 //
 // A one-lane drain has nothing to interleave: the worker that admits it
 // runs it as Pipeline.Run, the one-lane drain, without rounds.
+//
+// RunDrains owns the lanes: it builds each drain's with New when it
+// admits the drain and returns them to the lane free list (freeLanes),
+// for the next New to reuse, once the drain's Done has returned — or,
+// when the call fails or is cancelled, once every worker has exited.
 
-// A Drain is one Source replayed into the lanes of one Batch.
+// A Drain is one Source replayed into a set of timing lanes.
 type Drain struct {
 	// Name prefixes the drain's simulation errors.
 	Name string
 	// Work orders admission: drains start largest first. Trace events ×
 	// lanes is the intended measure; only the order matters.
 	Work int64
-	// Open returns the drain's lanes and its event source. A worker calls
-	// it when it admits the drain, so lane state, and whatever Open does
-	// to produce the source, exists only while the drain is live.
-	Open func() (*Batch, Source, error)
-	// Done, if set, receives the drain's Stats, one per lane in lane
-	// order, on the worker that finished the drain, with the Batch for
-	// its SkipStats.
-	Done func(b *Batch, stats []Stats)
+	// Open returns the drain's event source and one Config per lane. A
+	// worker calls it when it admits the drain and builds the lanes
+	// then, so lane state, and whatever Open does to produce the
+	// source, exists only while the drain is live.
+	Open func() (Source, []Config, error)
+	// Done, if set, receives the drain's Stats, one per lane in Config
+	// order, and the lanes' summed SkipStats, on the worker that
+	// finished the drain.
+	Done func(stats []Stats, skip SkipStats)
 }
 
 // RunDrains runs every drain to completion on up to workers goroutines
@@ -59,7 +65,8 @@ func RunDrains(ctx context.Context, drains []Drain, workers int) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := &scheduler{ctx: ctx, workers: workers, queues: make([]laneQueue, workers)}
+	s := &scheduler{ctx: ctx, workers: workers, queues: make([]laneQueue, workers),
+		admitted: make([]*liveDrain, 0, len(drains))}
 	s.wake.L = &s.mu
 	s.pending = make([]*Drain, len(drains))
 	for i := range drains {
@@ -77,6 +84,9 @@ func RunDrains(ctx context.Context, drains []Drain, workers int) error {
 	}
 	s.work(0)
 	wg.Wait()
+	for _, d := range s.admitted {
+		d.release() // the lanes of drains a failure or cancel cut short
+	}
 	return s.err
 }
 
@@ -129,7 +139,7 @@ func (q *laneQueue) popBack() laneRef {
 // retiring worker then owns the drain alone until it requeues it.
 type liveDrain struct {
 	spec    *Drain
-	b       *Batch
+	lanes   []*Pipeline // nil once released
 	w       *window
 	out     []Stats
 	done    []bool // lane finished
@@ -143,12 +153,13 @@ type scheduler struct {
 	wake    sync.Cond // an idle worker waits here for lanes, a drain to admit, or the end
 	waiting int
 
-	ctx     context.Context
-	workers int
-	queues  []laneQueue
-	pending []*Drain // not yet admitted, largest work first
-	live    int      // admitted, unfinished drains
-	err     error
+	ctx      context.Context
+	workers  int
+	queues   []laneQueue
+	pending  []*Drain     // not yet admitted, largest work first
+	admitted []*liveDrain // every drain admitted, for RunDrains to release
+	live     int          // admitted, unfinished drains
+	err      error
 }
 
 // work is one worker's loop: its own queue first, then a new drain while
@@ -204,55 +215,93 @@ func (s *scheduler) signal(n int) {
 	}
 }
 
-// admit opens the largest pending drain, primes its window and queues
-// every lane on worker id, or runs a one-lane drain outright. Called
-// with s.mu held; Open and the first refill run without it.
+// admit opens the largest pending drain, builds its lanes, primes its
+// window and queues every lane on worker id, or runs a one-lane drain
+// outright. Called with s.mu held; Open, the lanes' New and the first
+// refill run without it.
 func (s *scheduler) admit(id int) {
-	spec := s.pending[0]
+	d := &liveDrain{spec: s.pending[0]}
 	s.pending = s.pending[1:]
+	s.admitted = append(s.admitted, d)
 	s.live++
 	s.mu.Unlock()
-	b, src, err := spec.Open()
-	if err == nil && (b == nil || len(b.lanes) == 0) {
-		// A released Batch has no lanes; admitting it would start a
-		// round no lane ever ends.
-		err = fmt.Errorf("pipeline: drain %q opened no lanes (a nil or released Batch)", spec.Name)
-	}
-	if err == nil && len(b.lanes) == 1 {
-		s.runSolo(spec, b, src)
+	src, err := d.open()
+	if err == nil && len(d.lanes) == 1 {
+		s.runSolo(d, src)
 		return
 	}
-	var d *liveDrain
 	if err == nil {
-		n := len(b.lanes)
-		d = &liveDrain{spec: spec, b: b, w: start(src, b.lanes...), out: make([]Stats, n),
-			done: make([]bool, n), home: make([]int, n), live: make([]int, n)}
+		n := len(d.lanes)
+		d.w = start(src, d.lanes...)
+		d.out, d.done, d.home, d.live = make([]Stats, n), make([]bool, n), make([]int, n), make([]int, n)
 		for i := range d.live {
 			d.live[i], d.home[i] = i, id
 		}
 		d.w.refill()
-		err = spec.wrap(d.w.err)
+		err = d.w.err
 	}
 	s.mu.Lock()
 	if err != nil {
-		s.fail(err)
+		s.fail(d.spec.wrap(err))
 		return
 	}
 	s.requeue(d)
+}
+
+// open calls the drain's Open and builds one lane per Config.
+func (d *liveDrain) open() (Source, error) {
+	src, cfgs, err := d.spec.Open()
+	if err != nil {
+		return nil, err
+	}
+	if len(cfgs) == 0 {
+		// No lane would ever end the drain's first round.
+		return nil, fmt.Errorf("pipeline: a drain needs at least one Config")
+	}
+	d.lanes = make([]*Pipeline, 0, len(cfgs))
+	for i, cfg := range cfgs {
+		p, err := New(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: batch lane %d: %w", i, err)
+		}
+		d.lanes = append(d.lanes, p)
+	}
+	return src, nil
+}
+
+// finish hands a completed drain's Stats and its lanes' summed
+// SkipStats to Done, then releases the lanes.
+func (d *liveDrain) finish(stats []Stats) {
+	if d.spec.Done != nil {
+		var skip SkipStats
+		for _, p := range d.lanes {
+			skip.Add(p.SkipStats())
+		}
+		d.spec.Done(stats, skip)
+	}
+	d.release()
+}
+
+// release returns the drain's lanes to the lane free list.
+func (d *liveDrain) release() {
+	for _, p := range d.lanes {
+		p.release()
+	}
+	d.lanes = nil
 }
 
 // runSolo runs a one-lane drain to its end on the worker that admitted
 // it. With no other lane to interleave there are no rounds to schedule,
 // so the drain is Pipeline.Run itself; it stops early only at its
 // lane's Config.Context poll. Called without s.mu; returns with it held.
-func (s *scheduler) runSolo(spec *Drain, b *Batch, src Source) {
-	st, err := b.lanes[0].Run(src)
-	if err == nil && spec.Done != nil {
-		spec.Done(b, []Stats{st})
+func (s *scheduler) runSolo(d *liveDrain, src Source) {
+	st, err := d.lanes[0].Run(src)
+	if err == nil {
+		d.finish([]Stats{st})
 	}
 	s.mu.Lock()
 	if err != nil {
-		s.fail(spec.wrap(err))
+		s.fail(d.spec.wrap(err))
 		return
 	}
 	s.retire()
@@ -273,7 +322,7 @@ func (s *scheduler) requeue(d *liveDrain) {
 // without it.
 func (s *scheduler) runLane(id int, r laneRef) {
 	d := r.d
-	p := d.b.lanes[r.lane]
+	p := d.lanes[r.lane]
 	s.mu.Unlock()
 	fin, err := p.advance()
 	s.mu.Lock()
@@ -313,9 +362,7 @@ func (s *scheduler) endRound(d *liveDrain) {
 	d.live = d.live[:n]
 	if n == 0 {
 		putWindow(d.w)
-		if d.spec.Done != nil {
-			d.spec.Done(d.b, d.out)
-		}
+		d.finish(d.out)
 		s.mu.Lock()
 		s.retire()
 		return

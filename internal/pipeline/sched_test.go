@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -72,7 +73,7 @@ func schedDrains() []schedDrain {
 			}
 		}},
 		{kernelSource(1500), func() []Config {
-			return []Config{{Model: deep, Predictor: predict.NewTwoBit(32), SelfCheck: true, FetchBufferSize: 16}}
+			return []Config{{Model: deep, Predictor: predict.NewTwoBit(32), SelfCheck: true}}
 		}},
 	}
 }
@@ -86,11 +87,8 @@ func runSched(t *testing.T, drains []schedDrain, workers int) [][]Stats {
 	for i, d := range drains {
 		ds[i] = Drain{
 			Work: int64(i), // admit in reverse order of declaration
-			Open: func() (*Batch, Source, error) {
-				b, err := NewBatch(d.cfgs())
-				return b, d.src(t), err
-			},
-			Done: func(_ *Batch, stats []Stats) { out[i] = stats },
+			Open: func() (Source, []Config, error) { return d.src(t), d.cfgs(), nil },
+			Done: func(stats []Stats, _ SkipStats) { out[i] = stats },
 		}
 	}
 	if err := RunDrains(context.Background(), ds, workers); err != nil {
@@ -156,14 +154,13 @@ func longDrains(ctx context.Context, t *testing.T, n int, done *atomic.Int32) []
 	for i := range ds {
 		ds[i] = Drain{
 			Work: 1,
-			Open: func() (*Batch, Source, error) {
-				b, err := NewBatch([]Config{
+			Open: func() (Source, []Config, error) {
+				return kernelSource(200000)(t), []Config{
 					{Model: machine.R10000(), Predictor: predict.NewTwoBit(512), Context: ctx},
 					{Model: machine.R10000(), Predictor: predict.NewPerfect(), Context: ctx},
-				})
-				return b, kernelSource(200000)(t), err
+				}, nil
 			},
-			Done: func(*Batch, []Stats) { done.Add(1) },
+			Done: func([]Stats, SkipStats) { done.Add(1) },
 		}
 	}
 	return ds
@@ -180,13 +177,7 @@ func TestRunDrainsLaneError(t *testing.T) {
 		ds = append(ds, Drain{
 			Name: "failing",
 			Work: 2, // admitted first
-			Open: func() (*Batch, Source, error) {
-				b, err := NewBatch([]Config{
-					{Model: machine.R10000(), Predictor: predict.NewTwoBit(512)},
-					{Model: machine.R10000(), Predictor: predict.NewTwoBit(512), Watchdog: 1},
-				})
-				return b, kernelSource(200000)(t), err
-			},
+			Open: func() (Source, []Config, error) { return kernelSource(200000)(t), watchdogLanes(), nil },
 		})
 		err := RunDrains(context.Background(), ds, w)
 		if err == nil || !strings.HasPrefix(err.Error(), "failing: pipeline: batch lane 1: pipeline: no commit") {
@@ -197,6 +188,108 @@ func TestRunDrainsLaneError(t *testing.T) {
 	if n := done.Load(); n != 0 {
 		t.Errorf("%d long drains ran to completion after a lane failed", n)
 	}
+}
+
+// watchdogLanes are two lanes whose second fails in its first cycles:
+// its watchdog trips.
+func watchdogLanes() []Config {
+	return []Config{
+		{Model: machine.R10000(), Predictor: predict.NewTwoBit(512)},
+		{Model: machine.R10000(), Predictor: predict.NewTwoBit(512), Watchdog: 1},
+	}
+}
+
+// TestRunDrainsReleasesLanes: RunDrains returns every lane it builds to
+// the lane free list, whether the call completes, fails on a lane (or
+// on building one) or is cancelled, one-lane and multi-lane drains
+// alike, and the next New reuses one of them. No drain of a failing or
+// cancelled call completes, so no lane is reused inside the call and
+// the lanes built are the lanes the Opens asked for. `make test-race`
+// runs it under -race.
+func TestRunDrainsReleasesLanes(t *testing.T) {
+	long := kernelSource(200000)
+	// cancelling is a lane that cancels the call at its first
+	// prediction.
+	cancelling := func(cancel func()) Config {
+		cfg := batchCases(false)[0]
+		cfg.Predictor = cancelPredictor{cfg.Predictor, cancel}
+		return cfg
+	}
+	cases := []struct {
+		name    string
+		drains  func(ctx context.Context, cancel func(), open opener) []Drain
+		invalid int32 // configs New rejects: no lane is built for them
+		wantErr bool
+	}{
+		{"complete", func(_ context.Context, _ func(), open opener) []Drain {
+			return []Drain{{Open: open(kernelSource(300), batchCases(false))}}
+		}, 0, false},
+		{"complete-one-lane", func(_ context.Context, _ func(), open opener) []Drain {
+			return []Drain{{Open: open(kernelSource(300), batchCases(false)[:1])}}
+		}, 0, false},
+		{"lane-fails", func(_ context.Context, _ func(), open opener) []Drain {
+			return []Drain{{Work: 2, Open: open(long, watchdogLanes())}, {Work: 1, Open: open(long, batchCases(false))}}
+		}, 0, true},
+		{"new-fails", func(_ context.Context, _ func(), open opener) []Drain {
+			return []Drain{{Open: open(kernelSource(300), append(batchCases(false)[:2], Config{}))}}
+		}, 1, true},
+		{"cancelled", func(_ context.Context, cancel func(), open opener) []Drain {
+			return []Drain{
+				{Work: 2, Open: open(long, append([]Config{cancelling(cancel)}, batchCases(false)...))},
+				{Work: 1, Open: open(long, batchCases(false)[:2])},
+			}
+		}, 0, true},
+		{"cancelled-one-lane", func(ctx context.Context, cancel func(), open opener) []Drain {
+			cfg := cancelling(cancel)
+			cfg.Context = ctx // a one-lane drain sees the cancel only at its lane's poll
+			return []Drain{{Open: open(long, []Config{cfg})}}
+		}, 0, true},
+	}
+	for _, tc := range cases {
+		for _, w := range []int{1, 2} {
+			DropFreeLanes()
+			ctx, cancel := context.WithCancel(context.Background())
+			var opened atomic.Int32
+			open := func(src func(testing.TB) Source, cfgs []Config) func() (Source, []Config, error) {
+				return func() (Source, []Config, error) {
+					opened.Add(int32(len(cfgs)))
+					return src(t), cfgs, nil
+				}
+			}
+			err := RunDrains(ctx, tc.drains(ctx, cancel, open), w)
+			cancel()
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("%s, W=%d: err = %v, want an error: %v", tc.name, w, err, tc.wantErr)
+			}
+			built := int(opened.Load() - tc.invalid)
+			if n := FreeLanes(); built == 0 || n != built {
+				t.Fatalf("%s, W=%d: %d lanes free after a call that built %d", tc.name, w, n, built)
+			}
+			free := slices.Clone(freeLanes.items)
+			p, err := New(batchCases(false)[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Contains(free, p) {
+				t.Errorf("%s, W=%d: New built a lane while %d released ones were free", tc.name, w, len(free))
+			}
+		}
+	}
+}
+
+// opener makes a Drain's Open over a source and lane configs.
+type opener = func(func(testing.TB) Source, []Config) func() (Source, []Config, error)
+
+// cancelPredictor wraps a predictor and cancels a context at every
+// prediction.
+type cancelPredictor struct {
+	predict.Predictor
+	cancel func()
+}
+
+func (c cancelPredictor) Predict(pc uint64, op isa.Op, taken bool) predict.Outcome {
+	c.cancel()
+	return c.Predictor.Predict(pc, op, taken)
 }
 
 // errSource fails after n events.
@@ -221,9 +314,8 @@ func TestRunDrainsSourceError(t *testing.T) {
 	ds := append(longDrains(context.Background(), t, 2, &done), Drain{
 		Name: "broken",
 		Work: 2,
-		Open: func() (*Batch, Source, error) {
-			b, err := NewBatch([]Config{{Model: machine.R10000(), Predictor: predict.NewTwoBit(512)}})
-			return b, &errSource{kernelSource(4000)(t), 5000}, err
+		Open: func() (Source, []Config, error) {
+			return &errSource{kernelSource(4000)(t), 5000}, []Config{{Model: machine.R10000(), Predictor: predict.NewTwoBit(512)}}, nil
 		},
 	})
 	if err := RunDrains(context.Background(), ds, 2); err == nil || err.Error() != "broken: source broke" {
@@ -251,11 +343,10 @@ func TestRunDrainsCancel(t *testing.T) {
 			var done atomic.Int32
 			ds := append(longDrains(lc, t, 3, &done), Drain{
 				Work: 2,
-				Open: func() (*Batch, Source, error) {
-					b, err := NewBatch([]Config{{Model: machine.R10000(), Predictor: predict.NewTwoBit(512), Context: lc}})
-					return b, kernelSource(100)(t), err
+				Open: func() (Source, []Config, error) {
+					return kernelSource(100)(t), []Config{{Model: machine.R10000(), Predictor: predict.NewTwoBit(512), Context: lc}}, nil
 				},
-				Done: func(*Batch, []Stats) { cancel() },
+				Done: func([]Stats, SkipStats) { cancel() },
 			})
 			err := RunDrains(ctx, ds, w)
 			if !errors.Is(err, context.Canceled) {
@@ -331,17 +422,11 @@ func TestRunDrainsOneLaneDrainIsRun(t *testing.T) {
 		var got []Stats
 		ds := []Drain{{
 			Work: 1,
-			Open: func() (*Batch, Source, error) {
-				b, err := NewBatch([]Config{cfg(&solo)})
-				return b, kernelSource(2000)(t), err
-			},
-			Done: func(_ *Batch, st []Stats) { got = st },
+			Open: func() (Source, []Config, error) { return kernelSource(2000)(t), []Config{cfg(&solo)}, nil },
+			Done: func(st []Stats, _ SkipStats) { got = st },
 		}, {
 			Work: 2,
-			Open: func() (*Batch, Source, error) {
-				b, err := NewBatch([]Config{cfg(&pair), cfg(&pair)})
-				return b, kernelSource(2000)(t), err
-			},
+			Open: func() (Source, []Config, error) { return kernelSource(2000)(t), []Config{cfg(&pair), cfg(&pair)}, nil },
 		}}
 		if err := RunDrains(context.Background(), ds, w); err != nil {
 			t.Fatal(err)
@@ -365,7 +450,7 @@ func TestRunDrainsConcurrencyBound(t *testing.T) {
 		ds := make([]Drain, 3)
 		for i := range ds {
 			ds[i] = Drain{
-				Open: func() (*Batch, Source, error) {
+				Open: func() (Source, []Config, error) {
 					if n := int32(runtime.NumGoroutine()) - base; n > goroutines.Load() {
 						goroutines.Store(n)
 					}
@@ -373,8 +458,7 @@ func TestRunDrainsConcurrencyBound(t *testing.T) {
 					for j := range cfgs {
 						cfgs[j] = Config{Model: machine.R10000(), Predictor: gaugePredictor{predict.NewTwoBit(512), &active, &peak}}
 					}
-					b, err := NewBatch(cfgs)
-					return b, kernelSource(500)(t), err
+					return kernelSource(500)(t), cfgs, nil
 				},
 			}
 		}

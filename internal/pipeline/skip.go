@@ -86,7 +86,7 @@ func (p *Pipeline) fastForward() error {
 		case rs.cycle < rs.fetchResumeAt:
 			fetchStalled = true
 			fetchHorizon = rs.fetchResumeAt
-		case fbufLen < p.cfg.FetchBufferSize:
+		case fbufLen < p.fbuf.cap:
 			return nil // fetch would decode (or discover end of trace)
 		}
 	}

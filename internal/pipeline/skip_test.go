@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -155,7 +156,7 @@ func TestSkipWatchdogDeadlockIdentical(t *testing.T) {
 
 // TestSkipBatchMatchesNoSkip runs a mixed-config batch both ways over a
 // latency-bound trace: every lane's Stats must be byte-identical,
-// parked-lane fast-forwarding must engage, and the per-lane skip
+// parked-lane fast-forwarding must engage, and the drain's summed skip
 // counters must match one-lane Runs of the same configs (the in-lane
 // jump is the same code path, so the counters — not just the Stats —
 // agree across drivers).
@@ -178,30 +179,33 @@ func TestSkipBatchMatchesNoSkip(t *testing.T) {
 			{Model: model, Predictor: predict.NewTwoBit(512), SelfCheck: true, NoCycleSkip: off, DisableDCache: true},
 		}
 	}
-	runBatch := func(off bool) ([]Stats, *Batch) {
-		b, err := NewBatch(lanes(off))
+	runBatch := func(off bool) ([]Stats, SkipStats) {
+		var got []Stats
+		var skip SkipStats
+		err := RunDrains(context.Background(), []Drain{{
+			Open: func() (Source, []Config, error) { return freshSource(t, p), lanes(off), nil },
+			Done: func(stats []Stats, sk SkipStats) { got, skip = stats, sk },
+		}}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := b.Run(freshSource(t, p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got, b
+		return got, skip
 	}
-	got, b := runBatch(false)
+	got, skip := runBatch(false)
 	want, _ := runBatch(true)
 	for i := range got {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("lane %d diverged with skipping on:\nskip:   %+v\nnoskip: %+v", i, got[i], want[i])
 		}
 	}
-	if sk := b.SkipStats(); sk.SkippedCycles == 0 {
-		t.Errorf("batched lanes never fast-forwarded on a latency-bound trace: %+v", sk)
+	if skip.SkippedCycles == 0 {
+		t.Errorf("batched lanes never fast-forwarded on a latency-bound trace: %+v", skip)
 	}
 
-	// Driver parity: each batch lane's skip counters equal the
-	// single-lane run's for the same config.
+	// Parity across paths: each batch lane's Stats equal the single-lane
+	// run's for the same config, and the drain's summed skip counters
+	// the single-lane runs' sum.
+	var single SkipStats
 	for i, cfg := range lanes(false) {
 		pipe, err := New(cfg)
 		if err != nil {
@@ -214,8 +218,9 @@ func TestSkipBatchMatchesNoSkip(t *testing.T) {
 		if !reflect.DeepEqual(got[i], st) {
 			t.Errorf("lane %d batch vs single stats diverged", i)
 		}
-		if bsk, ssk := b.lanes[i].SkipStats(), pipe.SkipStats(); bsk != ssk {
-			t.Errorf("lane %d skip counters diverged: batch %+v single %+v", i, bsk, ssk)
-		}
+		single.Add(pipe.SkipStats())
+	}
+	if skip != single {
+		t.Errorf("skip counters diverged: batch %+v single %+v", skip, single)
 	}
 }

@@ -94,11 +94,7 @@ func BenchmarkBatchPipe(b *testing.B) {
 				for _, pr := range preds {
 					pr.Reset()
 				}
-				batch, err := NewBatch(cfgs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := batch.Run(tr.NewReader()); err != nil {
+				if _, err := RunLanes(cfgs, tr.NewReader()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -82,11 +82,7 @@ func TestThrottleBatchMatchesSingle(t *testing.T) {
 		return cfgs
 	}
 
-	batch, err := NewBatch(mkCfgs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := batch.Run(freshSource(t, p))
+	got, err := RunLanes(mkCfgs(), freshSource(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +130,7 @@ func TestBatchHeterogeneousModels(t *testing.T) {
 			{Model: wide, Predictor: predict.NewTwoBit(512), SelfCheck: true},
 		}
 	}
-	batch, err := NewBatch(mkCfgs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := batch.Run(freshSource(t, p))
+	got, err := RunLanes(mkCfgs(), freshSource(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"specguard/internal/predict"
 )
 
-// The decode window: every simulation — Run's one lane or a Batch's N —
+// The decode window: every simulation — Run's one lane or a drain's N —
 // reads its Source through one. The expensive per-event work — trace
 // decode, opcode-metadata lookups (unit class, queue, predictor class,
 // rename kind) and the program-order dependence pre-pass (last writer
@@ -99,7 +99,7 @@ type window struct {
 	// lanes whose geometry matches consume the bit, others (and
 	// DisableICache lanes) keep their private cache. Only a drain of two
 	// or more lanes sets it (start): a one-lane drain — Run, which
-	// RunDrains also uses for a one-lane Batch — keeps its private
+	// RunDrains also uses for a one-lane drain — keeps its private
 	// icache, which persists across runs like the predictor; sharing
 	// with no other lane would only allocate a second cache.
 	ic *cache.Cache

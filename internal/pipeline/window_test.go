@@ -79,20 +79,8 @@ exit:
 		for _, lanes := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/lanes=%d", tc.name, lanes), func(t *testing.T) {
 				src := &badFlat{Machine: code.NewMachine(interp.Options{}), seq: seq, flat: tc.flat}
-				var err error
-				if lanes == 1 {
-					var pipe *pipeline.Pipeline
-					if pipe, err = pipeline.New(cfg()); err != nil {
-						t.Fatal(err)
-					}
-					_, err = pipe.Run(src)
-				} else {
-					var b *pipeline.Batch
-					if b, err = pipeline.NewBatch([]pipeline.Config{cfg(), {Model: machine.R10000(), Predictor: predict.NewPerfect()}}); err != nil {
-						t.Fatal(err)
-					}
-					_, err = b.Run(src)
-				}
+				cfgs := []pipeline.Config{cfg(), {Model: machine.R10000(), Predictor: predict.NewPerfect()}}
+				_, err := pipeline.RunLanes(cfgs[:lanes], src)
 				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("event %d (", seq)) || !strings.Contains(err.Error(), tc.want) {
 					t.Fatalf("run with a bad Flat at event %d = %v, want an error naming the event (%q)", seq, err, tc.want)
 				}

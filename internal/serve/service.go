@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -732,8 +733,10 @@ type sweepCell struct {
 // RunSpecs call groups cells by shared trace — a full sweep costs one
 // trace drain per distinct (workload, program) instead of one per
 // cell. Returns cells aligned with reqs, or ErrOverloaded (with nil
-// cells) when the queue has no slot for the group job — the caller
-// may back off and retry the whole call; nothing is left enqueued.
+// cells) when the sweep needs a group job and the queue has no slot for
+// it — the caller may back off and retry the whole call; nothing is left
+// enqueued. A sweep whose every uncached cell is already in flight needs
+// no slot and is never shed.
 func (s *Service) DoSweep(ctx context.Context, reqs []RunRequest) ([]sweepCell, error) {
 	cells := make([]sweepCell, len(reqs))
 	type miss struct {
@@ -778,11 +781,15 @@ func (s *Service) DoSweep(ctx context.Context, reqs []RunRequest) ([]sweepCell, 
 		}
 		return cells, nil
 	}
-	// The whole group takes one queue slot; check before building any
-	// member so an overloaded return leaves no state behind.
-	if err := s.queueFull(); err != nil {
-		s.mu.Unlock()
-		return nil, err
+	// The whole group takes one queue slot, which it needs only when some
+	// cell has no in-flight twin to coalesce onto (as Do would); check
+	// before building any member so an overloaded return leaves no state
+	// behind.
+	if slices.ContainsFunc(misses, func(ms miss) bool { return s.flights[ms.key] == nil }) {
+		if err := s.queueFull(); err != nil {
+			s.mu.Unlock()
+			return nil, err
+		}
 	}
 	for _, ms := range misses {
 		if f, ok := s.flights[ms.key]; ok {

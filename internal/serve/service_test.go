@@ -226,6 +226,37 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
+// TestSweepOfInFlightCellsCoalesces: with the queue full, a sweep whose
+// every uncached cell is already running or queued coalesces onto those
+// flights, as Do does for one of them, instead of being shed.
+func TestSweepOfInFlightCellsCoalesces(t *testing.T) {
+	s := newTestService(t, func(c *Config) {
+		c.Workers = 1
+		c.QueueDepth = 1
+	})
+	wg := holdPool(t, s, 2000, func(req RunRequest) { s.Do(context.Background(), req, nil) })
+	defer wg.Wait()
+
+	cells, err := s.DoSweep(context.Background(), []RunRequest{
+		{Workload: "grep", Scheme: "2bit"},
+		{Workload: "grep", Scheme: "perfect"},
+	})
+	if err != nil {
+		t.Fatalf("sweep of in-flight cells = %v, want it coalesced", err)
+	}
+	for i, c := range cells {
+		if c.Err != nil || c.Res.Source != "coalesced" {
+			t.Errorf("cell %d: err %v, response %+v; want a coalesced result", i, c.Err, c.Res)
+		}
+	}
+	if got := s.metrics.Rejected.Load(); got != 0 {
+		t.Errorf("Rejected = %d, want 0", got)
+	}
+	if got := s.metrics.CoalescedHits.Load(); got != 2 {
+		t.Errorf("CoalescedHits = %d, want 2", got)
+	}
+}
+
 // holdPool fills a one-worker, one-slot service with two slow, distinct
 // requests sent through do, each held delayMS before it simulates. The
 // second goes only once the first is running: sent together, it can

@@ -24,7 +24,6 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"slices"
 
 	"specguard/internal/interp"
@@ -38,14 +37,6 @@ import (
 // at least 4, so a varint's worst case fits one block; a variable so
 // tests can cross block boundaries with small blocks.
 var blockShift uint = 12
-
-// yieldEvents spaces Capture's yields: an architectural run is a long
-// loop that holds its processor, so every 2^16 events it lets other
-// goroutines (HTTP handlers, timers) run.
-const yieldEvents = 1 << 16
-
-// yield is runtime.Gosched, a variable so tests can count its calls.
-var yield = runtime.Gosched
 
 // bits is an append-only packed bit stream in blocks of 1<<blockShift
 // bytes.
@@ -166,7 +157,6 @@ func (c *cursor) rest(s *varints) []byte {
 // safe for concurrent replay (each Reader carries its own cursor).
 type Trace struct {
 	code   *interp.Code
-	events int64
 	result interp.Result
 
 	branch bits    // taken bit per conditional-branch event
@@ -176,13 +166,14 @@ type Trace struct {
 }
 
 // Capture runs code to completion on a fresh Machine, recording the
-// packed trace. The machine starts from opts.Image when it is set, and
-// shares its pages copy-on-write, so a capture allocates only the pages
-// the program changes; init (if non-nil) then writes the input into the
-// machine's memory. visit (if non-nil) observes every Event with a
-// reused record, so the profiler can collect feedback from the same
-// architectural run that fills the trace — one execution serves both.
-// Every 2^16 events it yields its processor.
+// packed trace: it is Machine.Run with a visitor that appends each
+// event's stored fields to the four streams. The machine starts from
+// opts.Image when it is set, and shares its pages copy-on-write, so a
+// capture allocates only the pages the program changes; init (if
+// non-nil) then writes the input into the machine's memory. visit (if
+// non-nil) observes every Event with a reused record, so the profiler
+// can collect feedback from the same architectural run that fills the
+// trace — one execution serves both.
 func Capture(code *interp.Code, opts interp.Options, init func(interp.Memory) error, visit func(*interp.Event)) (*Trace, interp.Result, error) {
 	m := code.NewMachine(opts)
 	if init != nil {
@@ -191,31 +182,14 @@ func Capture(code *interp.Code, opts interp.Options, init func(interp.Memory) er
 		}
 	}
 	t := &Trace{code: code}
-	var res interp.Result
-	var ev interp.Event
 	var lastMem int64
-	for {
-		err := m.Step(&ev)
-		if err != nil {
-			return nil, res, err
-		}
-		res.DynInstrs++
-		t.events++
-		if t.events&(yieldEvents-1) == 0 {
-			yield()
-		}
+	res, err := m.Run(func(ev *interp.Event) {
 		if ev.Instr.Guarded() {
 			t.annul.append(ev.Annulled)
 		}
-		if ev.Annulled {
-			res.Annulled++
-		} else {
+		if !ev.Annulled {
 			switch {
 			case ev.Branch:
-				res.Branches++
-				if ev.Taken {
-					res.TakenCount++
-				}
 				t.branch.append(ev.Taken)
 			case ev.IsMem:
 				t.mem.putVarint(ev.MemAddr - lastMem)
@@ -224,29 +198,26 @@ func Capture(code *interp.Code, opts interp.Options, init func(interp.Memory) er
 				t.ctrl.putUvarint(uint64(m.PC()))
 			}
 		}
-		if ev.IsMem {
-			res.MemOps++
-		}
 		if visit != nil {
-			visit(&ev)
+			visit(ev)
 		}
-		if m.Halted() {
-			res.FinalStateR = m.IntRegs()
-			t.result = res
-			t.branch.trim()
-			t.annul.trim()
-			t.mem.trim()
-			t.ctrl.trim()
-			return t, res, nil
-		}
+	})
+	if err != nil {
+		return nil, res, err
 	}
+	t.result = res
+	t.branch.trim()
+	t.annul.trim()
+	t.mem.trim()
+	t.ctrl.trim()
+	return t, res, nil
 }
 
 // Code returns the predecoded program the trace replays over.
 func (t *Trace) Code() *interp.Code { return t.code }
 
 // Events returns the number of committed dynamic instructions.
-func (t *Trace) Events() int64 { return t.events }
+func (t *Trace) Events() int64 { return t.result.DynInstrs }
 
 // Result returns the architectural summary of the captured run.
 func (t *Trace) Result() interp.Result { return t.result }

@@ -255,26 +255,6 @@ func TestCaptureAllocatesItsSize(t *testing.T) {
 	}
 }
 
-// TestCaptureYields: a capture yields its processor once every 2^16
-// events.
-func TestCaptureYields(t *testing.T) {
-	orig := yield
-	defer func() { yield = orig }()
-	n := int64(0)
-	yield = func() { n++ }
-	code, err := interp.Predecode(asm.MustParse(replayKernel), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, _, err := Capture(code, interp.Options{}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := tr.Events() / yieldEvents; want < 4 || n != want {
-		t.Errorf("%d yields over %d events, want %d", n, tr.Events(), want)
-	}
-}
-
 func TestReaderReset(t *testing.T) {
 	tr, _ := captureSrc(t, traceSrc)
 	rd := tr.NewReader()
