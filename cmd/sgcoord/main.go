@@ -6,8 +6,8 @@
 // consecutive failures, jittered exponential-backoff re-probe), retries
 // idempotent requests on the next ring replica when a backend fails,
 // and admits work through a bounded priority queue in which interactive
-// /v1/run callers outrank batch sweeps and no client can hold more than
-// its fair share of slots.
+// /v1/run callers outrank batch sweeps and, within a class, the client
+// holding the fewest slots goes first.
 //
 // Usage:
 //

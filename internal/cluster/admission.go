@@ -29,13 +29,10 @@ type AdmissionConfig struct {
 	// youngest queued batch waiter (shedding IT) before giving up.
 	// Default 64.
 	MaxQueue int
-	// MaxPerClient caps one client's concurrently held slots, so a
-	// single token cannot occupy the whole cluster no matter how empty
-	// the queue is. Default MaxConcurrent (no extra cap).
-	MaxPerClient int
-	// RetryAfter is the backoff suggested on shed. Default 1s.
-	RetryAfter time.Duration
 }
+
+// shedRetryAfter is the backoff suggested on shed.
+const shedRetryAfter = time.Second
 
 // Admission is the coordinator's admission controller: a bounded
 // priority queue with per-client fair-share accounting. Two properties
@@ -74,12 +71,6 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 64
 	}
-	if cfg.MaxPerClient <= 0 || cfg.MaxPerClient > cfg.MaxConcurrent {
-		cfg.MaxPerClient = cfg.MaxConcurrent
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	return &Admission{cfg: cfg, held: map[string]int{}}
 }
 
@@ -88,7 +79,7 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 // once; it frees the slot and hands it to the best waiter.
 func (a *Admission) Acquire(ctx context.Context, client string, interactive bool) (release func(), err error) {
 	a.mu.Lock()
-	if a.running < a.cfg.MaxConcurrent && len(a.queue) == 0 && a.held[client] < a.cfg.MaxPerClient {
+	if a.running < a.cfg.MaxConcurrent && len(a.queue) == 0 {
 		a.grantLocked(client)
 		a.mu.Unlock()
 		return func() { a.release(client) }, nil
@@ -96,15 +87,12 @@ func (a *Admission) Acquire(ctx context.Context, client string, interactive bool
 	if len(a.queue) >= a.cfg.MaxQueue {
 		if !interactive || !a.displaceLocked() {
 			a.mu.Unlock()
-			return nil, &ErrShed{RetryAfter: a.cfg.RetryAfter, Reason: "admission queue full"}
+			return nil, &ErrShed{RetryAfter: shedRetryAfter, Reason: "admission queue full"}
 		}
 	}
 	t := &ticket{client: client, interactive: interactive, seq: a.seq, granted: make(chan error, 1)}
 	a.seq++
 	a.queue = append(a.queue, t)
-	// A slot may be free while waiters queue (per-client caps can leave
-	// capacity unused); try to hand it out now that t is eligible.
-	a.dispatchLocked()
 	a.mu.Unlock()
 
 	select {
@@ -146,21 +134,15 @@ func (a *Admission) release(client string) {
 	a.mu.Unlock()
 }
 
-// dispatchLocked grants free slots to the best eligible waiters:
-// interactive before batch, then fewest-slots-held client, then FIFO.
+// dispatchLocked grants free slots to the best waiters: interactive
+// before batch, then fewest-slots-held client, then FIFO.
 func (a *Admission) dispatchLocked() {
-	for a.running < a.cfg.MaxConcurrent {
-		best := -1
+	for a.running < a.cfg.MaxConcurrent && len(a.queue) > 0 {
+		best := 0
 		for i, t := range a.queue {
-			if a.held[t.client] >= a.cfg.MaxPerClient {
-				continue
-			}
-			if best == -1 || betterTicket(t, a.queue[best], a.held) {
+			if betterTicket(t, a.queue[best], a.held) {
 				best = i
 			}
-		}
-		if best == -1 {
-			return
 		}
 		t := a.queue[best]
 		a.queue = append(a.queue[:best], a.queue[best+1:]...)
@@ -187,7 +169,7 @@ func (a *Admission) displaceLocked() bool {
 	for i := len(a.queue) - 1; i >= 0; i-- {
 		if t := a.queue[i]; !t.interactive {
 			a.queue = append(a.queue[:i], a.queue[i+1:]...)
-			t.granted <- &ErrShed{RetryAfter: a.cfg.RetryAfter, Reason: "displaced by interactive request"}
+			t.granted <- &ErrShed{RetryAfter: shedRetryAfter, Reason: "displaced by interactive request"}
 			return true
 		}
 	}

@@ -29,24 +29,23 @@ type Config struct {
 	// (0 = all). The primary is always first; later replicas are the
 	// retry path for idempotent requests when earlier ones fail.
 	Replicas int
-	// BaseModel is the machine model requests are normalized against;
-	// it MUST match the backends' runner model or shard keys diverge
-	// from store keys. Default machine.R10000() — the sgserved default.
-	BaseModel *machine.Model
 	// AttemptTimeout bounds one upstream exchange attempt. Default 90s.
 	AttemptTimeout time.Duration
-	// ExchangeTimeout bounds one full exchange including replica
-	// retries and Retry-After waits. Default 10m.
-	ExchangeTimeout time.Duration
 	// Health tunes the /readyz prober.
 	Health HealthConfig
 	// Admission tunes the bounded priority queue.
 	Admission AdmissionConfig
-	// Client performs upstream exchanges. Default http.DefaultClient.
-	Client *http.Client
 	// Logf receives operational messages; nil discards.
 	Logf func(format string, args ...any)
 }
+
+// baseModel is the machine model requests are normalized against:
+// sgserved's Runner model, so shard keys are the backends' store keys.
+var baseModel = machine.R10000()
+
+// exchangeTimeout bounds one full exchange including replica retries
+// and Retry-After waits.
+const exchangeTimeout = 10 * time.Minute
 
 // Coordinator shards the canonical result keyspace across sgserved
 // backends and fronts them with cluster-wide singleflight, health
@@ -61,7 +60,6 @@ type Coordinator struct {
 	adm     *Admission
 	flights flightGroup
 	metrics *Metrics
-	client  *http.Client
 
 	baseCtx  context.Context
 	cancel   context.CancelFunc
@@ -74,22 +72,12 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.BaseModel == nil {
-		cfg.BaseModel = machine.R10000()
-	}
 	if cfg.AttemptTimeout <= 0 {
 		cfg.AttemptTimeout = 90 * time.Second
-	}
-	if cfg.ExchangeTimeout <= 0 {
-		cfg.ExchangeTimeout = 10 * time.Minute
-	}
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	cfg.Health.Client = cfg.Client
 	if cfg.Health.Logf == nil {
 		cfg.Health.Logf = cfg.Logf
 	}
@@ -100,7 +88,6 @@ func New(cfg Config) (*Coordinator, error) {
 		health:  NewHealthChecker(ring.Backends(), cfg.Health),
 		adm:     NewAdmission(cfg.Admission),
 		metrics: newMetrics(ring.Backends()),
-		client:  cfg.Client,
 		baseCtx: ctx,
 		cancel:  cancel,
 	}
@@ -161,7 +148,7 @@ func (c *Coordinator) candidates(key string) []string {
 // (retryShed=true — the batch path, mirroring how sgserved's own sweep
 // handler absorbs backpressure).
 func (c *Coordinator) exchange(ctx context.Context, method, path string, body []byte, contentType string, key string, retryShed bool) (*Upstream, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.ExchangeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, exchangeTimeout)
 	defer cancel()
 	for {
 		var shed *Upstream
@@ -229,7 +216,7 @@ func (c *Coordinator) attempt(ctx context.Context, method, url string, body []by
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +253,7 @@ func (c *Coordinator) runLeader(clientID, key string, body []byte, sweepCell boo
 		// The leader runs under the coordinator's context, not the
 		// client's: waiters coalesced onto this exchange must still get
 		// the result if the leader's client disconnects.
-		lctx, lcancel := context.WithTimeout(c.baseCtx, c.cfg.ExchangeTimeout)
+		lctx, lcancel := context.WithTimeout(c.baseCtx, exchangeTimeout)
 		defer lcancel()
 		if !sweepCell {
 			release, err := c.adm.Acquire(lctx, clientID, true)
@@ -285,7 +272,7 @@ func (c *Coordinator) runLeader(clientID, key string, body []byte, sweepCell boo
 // proxy to the key's shard with replica retry. The second return
 // reports whether this caller shared another caller's exchange.
 func (c *Coordinator) DoRun(ctx context.Context, clientID string, req serve.RunRequest, sweepCell bool) (*Upstream, bool, error) {
-	_, key, err := serve.NormalizeRequest(&req, c.cfg.BaseModel)
+	_, key, err := serve.NormalizeRequest(&req, baseModel)
 	if err != nil {
 		return nil, false, err
 	}
@@ -316,7 +303,7 @@ type ShardInfo struct {
 
 // Shard resolves a request's placement without executing it.
 func (c *Coordinator) Shard(req serve.RunRequest) (*ShardInfo, error) {
-	_, key, err := serve.NormalizeRequest(&req, c.cfg.BaseModel)
+	_, key, err := serve.NormalizeRequest(&req, baseModel)
 	if err != nil {
 		return nil, err
 	}
@@ -335,7 +322,7 @@ func (c *Coordinator) Shard(req serve.RunRequest) (*ShardInfo, error) {
 func (c *Coordinator) DoExplore(ctx context.Context, clientID string, body []byte) (*Upstream, error) {
 	sum := sha256.Sum256(body)
 	key := "explore|" + hex.EncodeToString(sum[:])
-	lctx, lcancel := context.WithTimeout(c.baseCtx, c.cfg.ExchangeTimeout)
+	lctx, lcancel := context.WithTimeout(c.baseCtx, exchangeTimeout)
 	defer lcancel()
 	release, err := c.adm.Acquire(lctx, clientID, false)
 	if err != nil {

@@ -304,6 +304,50 @@ func TestAdmissionFairShare(t *testing.T) {
 	}
 }
 
+// TestAdmissionFairShareWithinClass: among waiters of one class the
+// next slot goes to the client holding the fewest, ahead of an older
+// waiter. A holds both slots and queues a third batch request, then B
+// queues one: releasing one of A's slots grants B, then A.
+func TestAdmissionFairShareWithinClass(t *testing.T) {
+	a := NewAdmission(AdmissionConfig{MaxConcurrent: 2, MaxQueue: 8})
+	var held []func()
+	for range 2 {
+		release, err := a.Acquire(context.Background(), "A", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, release)
+	}
+	granted := make(chan string, 2)
+	for i, client := range []string{"A", "B"} {
+		go func() {
+			release, err := a.Acquire(context.Background(), client, false)
+			if err != nil {
+				t.Errorf("%s: %v", client, err)
+				granted <- ""
+				return
+			}
+			granted <- client
+			release()
+		}()
+		deadline := time.Now().Add(5 * time.Second)
+		for a.Depth() != i+1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never queued", client)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// B releases its slot at once, and that release grants A.
+	held[0]()
+	for i, want := range []string{"B", "A"} {
+		if got := <-granted; got != want {
+			t.Errorf("grant %d went to %q, want %s", i+1, got, want)
+		}
+	}
+	held[1]()
+}
+
 // TestAdmissionDisplacement: a full queue of batch waiters must not
 // shed an arriving interactive request — the youngest batch waiter is
 // displaced (shed with 429) instead.

@@ -18,14 +18,11 @@ type HealthConfig struct {
 	FailThreshold int
 	// BackoffBase is the first re-probe delay after ejection; it
 	// doubles per consecutive failure up to BackoffMax, with ±25%
-	// deterministic-seeded jitter so a restarted cluster's probes don't
-	// synchronize across coordinators. Defaults 500ms / 15s.
+	// jitter so a restarted cluster's probes don't synchronize across
+	// coordinators. The jitter PRNG has a fixed seed, so tests are
+	// deterministic. Defaults 500ms / 15s.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Seed feeds the jitter PRNG (deterministic for tests). Default 1.
-	Seed int64
-	// Client performs the probes. Default http.DefaultClient.
-	Client *http.Client
 	// Logf receives health transitions; nil discards.
 	Logf func(format string, args ...any)
 }
@@ -75,12 +72,6 @@ func NewHealthChecker(backends []string, cfg HealthConfig) *HealthChecker {
 	if cfg.BackoffMax <= 0 {
 		cfg.BackoffMax = 15 * time.Second
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -88,7 +79,7 @@ func NewHealthChecker(backends []string, cfg HealthConfig) *HealthChecker {
 		cfg:      cfg,
 		backends: append([]string(nil), backends...),
 		state:    map[string]*backendHealth{},
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		rng:      rand.New(rand.NewSource(1)),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -146,8 +137,7 @@ func (h *HealthChecker) probe(backend string) {
 		h.ReportFailure(backend, err.Error())
 		return
 	}
-	client := *h.cfg.Client
-	client.Timeout = h.cfg.ProbeTimeout
+	client := http.Client{Timeout: h.cfg.ProbeTimeout}
 	resp, err := client.Do(req)
 	if err != nil {
 		h.ReportFailure(backend, err.Error())

@@ -295,18 +295,51 @@ func (c *Coordinator) handleShard(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(info)
 }
 
+// handleMetrics renders the coordinator's counters, the admission and
+// drain gauges, and one labelled sample per backend (in ring order,
+// which is sorted) of its proxy counters and health.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	healthy := map[string]bool{}
-	for _, st := range c.health.Snapshot() {
-		healthy[st.Backend] = st.Healthy
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	c.metrics.WritePrometheus(w, coordGauges{
-		QueueDepth: c.adm.Depth(),
-		Running:    c.adm.Running(),
-		Healthy:    healthy,
-		Draining:   c.Draining(),
-	})
+	m := c.metrics
+	draining := 0
+	if c.Draining() {
+		draining = 1
+	}
+	for _, f := range []struct {
+		name, typ, help string
+		value           any
+	}{
+		{"sgcoord_requests_total", "counter", "Client requests received (all endpoints).", m.Requests.Load()},
+		{"sgcoord_bad_requests_total", "counter", "Requests rejected as malformed (400).", m.BadRequests.Load()},
+		{"sgcoord_coalesced_total", "counter", "Requests that shared a cluster-wide in-flight twin instead of opening an upstream exchange.", m.Coalesced.Load()},
+		{"sgcoord_shed_total", "counter", "Requests refused by coordinator admission control (429).", m.Shed.Load()},
+		{"sgcoord_proxied_total", "counter", "Upstream exchanges performed.", m.Proxied.Load()},
+		{"sgcoord_reroutes_total", "counter", "Attempts moved to the next ring replica after a backend failure.", m.Reroutes.Load()},
+		{"sgcoord_upstream_429_total", "counter", "Upstream answers that were backend backpressure sheds.", m.Upstream429.Load()},
+		{"sgcoord_upstream_failures_total", "counter", "Exchanges no replica could answer.", m.UpstreamFails.Load()},
+		{"sgcoord_admission_queue_depth", "gauge", "Requests waiting for an admission slot.", c.adm.Depth()},
+		{"sgcoord_admission_running", "gauge", "Admission slots currently held.", c.adm.Running()},
+		{"sgcoord_draining", "gauge", "1 once graceful shutdown has begun.", draining},
+	} {
+		serve.WriteMetric(w, f.name, f.typ, f.help, serve.Sample{Value: f.value})
+	}
+	backends := c.ring.Backends()
+	proxied := make([]serve.Sample, len(backends))
+	failures := make([]serve.Sample, len(backends))
+	healthy := make([]serve.Sample, len(backends))
+	for i, b := range backends {
+		label := fmt.Sprintf("{backend=%q}", b)
+		bm := m.Backend(b)
+		proxied[i] = serve.Sample{Suffix: label, Value: bm.Proxied.Load()}
+		failures[i] = serve.Sample{Suffix: label, Value: bm.Failures.Load()}
+		healthy[i] = serve.Sample{Suffix: label, Value: 0}
+		if c.health.Healthy(b) {
+			healthy[i].Value = 1
+		}
+	}
+	serve.WriteMetric(w, "sgcoord_backend_proxied_total", "counter", "Exchanges answered per backend.", proxied...)
+	serve.WriteMetric(w, "sgcoord_backend_failures_total", "counter", "Failed exchanges per backend.", failures...)
+	serve.WriteMetric(w, "sgcoord_backend_healthy", "gauge", "Backend readiness as seen by the health checker.", healthy...)
 }
 
 func (c *Coordinator) handleVersion(w http.ResponseWriter, r *http.Request) {

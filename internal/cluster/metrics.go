@@ -1,11 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // BackendMetrics counts one backend's proxy traffic.
 type BackendMetrics struct {
@@ -13,9 +8,9 @@ type BackendMetrics struct {
 	Failures atomic.Int64 // exchanges this backend failed (network/5xx)
 }
 
-// Metrics is the coordinator's live instrumentation, rendered in
-// Prometheus text exposition format like the serve layer's (stdlib
-// only, no client library).
+// Metrics is the coordinator's live instrumentation, rendered with the
+// serve layer's Prometheus writer (serve.WriteMetric; stdlib only, no
+// client library).
 type Metrics struct {
 	Requests      atomic.Int64 // client requests received
 	BadRequests   atomic.Int64 // malformed requests (400 at the coordinator)
@@ -44,63 +39,4 @@ func (m *Metrics) Backend(b string) *BackendMetrics {
 		return bm
 	}
 	return &BackendMetrics{}
-}
-
-type coordGauges struct {
-	QueueDepth, Running int
-	Healthy             map[string]bool
-	Draining            bool
-}
-
-// WritePrometheus renders the coordinator metrics; gauges carries the
-// instantaneous state sampled by the HTTP handler.
-func (m *Metrics) WritePrometheus(w io.Writer, g coordGauges) {
-	for _, row := range []struct {
-		name, help string
-		v          int64
-	}{
-		{"sgcoord_requests_total", "Client requests received (all endpoints).", m.Requests.Load()},
-		{"sgcoord_bad_requests_total", "Requests rejected as malformed (400).", m.BadRequests.Load()},
-		{"sgcoord_coalesced_total", "Requests that shared a cluster-wide in-flight twin instead of opening an upstream exchange.", m.Coalesced.Load()},
-		{"sgcoord_shed_total", "Requests refused by coordinator admission control (429).", m.Shed.Load()},
-		{"sgcoord_proxied_total", "Upstream exchanges performed.", m.Proxied.Load()},
-		{"sgcoord_reroutes_total", "Attempts moved to the next ring replica after a backend failure.", m.Reroutes.Load()},
-		{"sgcoord_upstream_429_total", "Upstream answers that were backend backpressure sheds.", m.Upstream429.Load()},
-		{"sgcoord_upstream_failures_total", "Exchanges no replica could answer.", m.UpstreamFails.Load()},
-		{"sgcoord_admission_queue_depth", "Requests waiting for an admission slot.", int64(g.QueueDepth)},
-		{"sgcoord_admission_running", "Admission slots currently held.", int64(g.Running)},
-		{"sgcoord_draining", "1 once graceful shutdown has begun.", b2i(g.Draining)},
-	} {
-		typ := "counter"
-		if row.name == "sgcoord_admission_queue_depth" || row.name == "sgcoord_admission_running" || row.name == "sgcoord_draining" {
-			typ = "gauge"
-		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
-			row.name, row.help, row.name, typ, row.name, row.v)
-	}
-
-	backends := make([]string, 0, len(m.perBackend))
-	for b := range m.perBackend {
-		backends = append(backends, b)
-	}
-	sort.Strings(backends)
-	fmt.Fprintf(w, "# HELP sgcoord_backend_proxied_total Exchanges answered per backend.\n# TYPE sgcoord_backend_proxied_total counter\n")
-	for _, b := range backends {
-		fmt.Fprintf(w, "sgcoord_backend_proxied_total{backend=%q} %d\n", b, m.perBackend[b].Proxied.Load())
-	}
-	fmt.Fprintf(w, "# HELP sgcoord_backend_failures_total Failed exchanges per backend.\n# TYPE sgcoord_backend_failures_total counter\n")
-	for _, b := range backends {
-		fmt.Fprintf(w, "sgcoord_backend_failures_total{backend=%q} %d\n", b, m.perBackend[b].Failures.Load())
-	}
-	fmt.Fprintf(w, "# HELP sgcoord_backend_healthy Backend readiness as seen by the health checker.\n# TYPE sgcoord_backend_healthy gauge\n")
-	for _, b := range backends {
-		fmt.Fprintf(w, "sgcoord_backend_healthy{backend=%q} %d\n", b, b2i(g.Healthy[b]))
-	}
-}
-
-func b2i(v bool) int64 {
-	if v {
-		return 1
-	}
-	return 0
 }

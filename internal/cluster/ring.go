@@ -42,12 +42,12 @@ const DefaultProbes = 16
 // the point closest clockwise from the best of the key's probe hashes.
 // Placement is a pure function of (backend set, vnodes, probes), so it
 // is identical across coordinator restarts and differently-ordered
-// backend lists. Membership changes build a new Ring
-// (WithBackend/WithoutBackend); multi-probe lookup preserves the
-// minimal-disruption property exactly — a new backend's points only
-// ever shrink a probe's clockwise distance, so a key's owner either
-// stays or moves onto the new backend, never between survivors
-// (TestRingMinimalDisruption measures this too).
+// backend lists. Membership changes build a new Ring (NewRing);
+// multi-probe lookup preserves the minimal-disruption property
+// exactly — a new backend's points only ever shrink a probe's
+// clockwise distance, so a key's owner either stays or moves onto the
+// new backend, never between survivors (TestRingMinimalDisruption
+// measures this too).
 type Ring struct {
 	vnodes   int
 	probes   int
@@ -167,22 +167,6 @@ func (r *Ring) Replicas(key string, n int) []string {
 		}
 	}
 	return out
-}
-
-// WithBackend returns a new ring with b added (no-op copy if present).
-func (r *Ring) WithBackend(b string) (*Ring, error) {
-	return NewRing(append(r.Backends(), b), r.vnodes)
-}
-
-// WithoutBackend returns a new ring with b removed.
-func (r *Ring) WithoutBackend(b string) (*Ring, error) {
-	var rest []string
-	for _, x := range r.backends {
-		if x != b {
-			rest = append(rest, x)
-		}
-	}
-	return NewRing(rest, r.vnodes)
 }
 
 // Shares estimates each backend's share of the keyspace by placing a

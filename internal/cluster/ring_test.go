@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -76,7 +77,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	const newcomer = "http://10.0.0.17:8080"
-	grown, err := base.WithBackend(newcomer)
+	grown, err := NewRing(append(base.Backends(), newcomer), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +105,9 @@ func TestRingMinimalDisruption(t *testing.T) {
 	}
 
 	// Removal: keys change owner only if the removed backend owned them.
-	removed := base.Backends()[3]
-	shrunk, err := base.WithoutBackend(removed)
+	rest := base.Backends()
+	removed := rest[3]
+	shrunk, err := NewRing(slices.Delete(rest, 3, 4), 128)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,10 +50,6 @@ type Config struct {
 	// Timeout bounds one operation end to end. Default 2m (a cold sweep
 	// simulates 12 cells).
 	Timeout time.Duration
-	// Client performs the requests. Default: a dedicated client (not
-	// http.DefaultClient, so per-run connection pools don't leak
-	// between benchmark phases).
-	Client *http.Client
 }
 
 // op is one scheduled operation.
@@ -157,10 +153,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Minute
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
+	// A client of its own, not http.DefaultClient, so one run's
+	// connection pool does not leak into the next.
+	client := &http.Client{}
 	base := strings.TrimRight(cfg.BaseURL, "/")
 
 	ops := schedule(cfg)

@@ -73,3 +73,18 @@ func FreeLanes() int {
 	defer freeLanes.mu.Unlock()
 	return len(freeLanes.items)
 }
+
+// DropFreeWindows empties the window free list, so the windows drains
+// take next are new.
+func DropFreeWindows() {
+	freeWindows.mu.Lock()
+	freeWindows.items = nil
+	freeWindows.mu.Unlock()
+}
+
+// FreeWindows returns how many released windows the free list holds.
+func FreeWindows() int {
+	freeWindows.mu.Lock()
+	defer freeWindows.mu.Unlock()
+	return len(freeWindows.items)
+}

@@ -35,7 +35,9 @@ import (
 // RunDrains owns the lanes: it builds each drain's with New when it
 // admits the drain and returns them to the lane free list (freeLanes),
 // for the next New to reuse, once the drain's Done has returned — or,
-// when the call fails or is cancelled, once every worker has exited.
+// when the call fails or is cancelled, once every worker has exited. A
+// multi-lane drain's window goes back to its free list (freeWindows)
+// with the lanes.
 
 // A Drain is one Source replayed into a set of timing lanes.
 type Drain struct {
@@ -85,7 +87,7 @@ func RunDrains(ctx context.Context, drains []Drain, workers int) error {
 	s.work(0)
 	wg.Wait()
 	for _, d := range s.admitted {
-		d.release() // the lanes of drains a failure or cancel cut short
+		d.release() // the lanes and window of drains a failure or cancel cut short
 	}
 	return s.err
 }
@@ -270,7 +272,7 @@ func (d *liveDrain) open() (Source, error) {
 }
 
 // finish hands a completed drain's Stats and its lanes' summed
-// SkipStats to Done, then releases the lanes.
+// SkipStats to Done, then releases the lanes and the window.
 func (d *liveDrain) finish(stats []Stats) {
 	if d.spec.Done != nil {
 		var skip SkipStats
@@ -282,12 +284,17 @@ func (d *liveDrain) finish(stats []Stats) {
 	d.release()
 }
 
-// release returns the drain's lanes to the lane free list.
+// release returns the drain's lanes to the lane free list and its
+// window, if it has one, to the window free list.
 func (d *liveDrain) release() {
 	for _, p := range d.lanes {
 		p.release()
 	}
 	d.lanes = nil
+	if d.w != nil {
+		putWindow(d.w)
+		d.w = nil
+	}
 }
 
 // runSolo runs a one-lane drain to its end on the worker that admitted
@@ -361,7 +368,6 @@ func (s *scheduler) endRound(d *liveDrain) {
 	}
 	d.live = d.live[:n]
 	if n == 0 {
-		putWindow(d.w)
 		d.finish(d.out)
 		s.mu.Lock()
 		s.retire()

@@ -200,12 +200,13 @@ func watchdogLanes() []Config {
 }
 
 // TestRunDrainsReleasesLanes: RunDrains returns every lane it builds to
-// the lane free list, whether the call completes, fails on a lane (or
-// on building one) or is cancelled, one-lane and multi-lane drains
-// alike, and the next New reuses one of them. No drain of a failing or
-// cancelled call completes, so no lane is reused inside the call and
-// the lanes built are the lanes the Opens asked for. `make test-race`
-// runs it under -race.
+// the lane free list, and every decode window to the window free list,
+// whether the call completes, fails on a lane (or on building one) or is
+// cancelled, one-lane and multi-lane drains alike, and the next New
+// reuses one of the lanes. No drain of a failing or cancelled call
+// completes, so no lane or window is reused inside the call: the lanes
+// built are the lanes the Opens asked for, and each drain that built
+// its lanes took one window. `make test-race` runs it under -race.
 func TestRunDrainsReleasesLanes(t *testing.T) {
 	long := kernelSource(200000)
 	// cancelling is a lane that cancels the call at its first
@@ -248,11 +249,13 @@ func TestRunDrainsReleasesLanes(t *testing.T) {
 	for _, tc := range cases {
 		for _, w := range []int{1, 2} {
 			DropFreeLanes()
+			DropFreeWindows()
 			ctx, cancel := context.WithCancel(context.Background())
-			var opened atomic.Int32
+			var opened, drains atomic.Int32
 			open := func(src func(testing.TB) Source, cfgs []Config) func() (Source, []Config, error) {
 				return func() (Source, []Config, error) {
 					opened.Add(int32(len(cfgs)))
+					drains.Add(1)
 					return src(t), cfgs, nil
 				}
 			}
@@ -264,6 +267,12 @@ func TestRunDrainsReleasesLanes(t *testing.T) {
 			built := int(opened.Load() - tc.invalid)
 			if n := FreeLanes(); built == 0 || n != built {
 				t.Fatalf("%s, W=%d: %d lanes free after a call that built %d", tc.name, w, n, built)
+			}
+			// A drain with a config New rejects builds no window; the free
+			// list keeps at most one window per processor.
+			windows := min(int(drains.Load()-tc.invalid), runtime.GOMAXPROCS(0))
+			if n := FreeWindows(); n != windows {
+				t.Fatalf("%s, W=%d: %d windows free after a call that took %d", tc.name, w, n, windows)
 			}
 			free := slices.Clone(freeLanes.items)
 			p, err := New(batchCases(false)[0])

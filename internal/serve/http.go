@@ -241,26 +241,39 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 
-	for {
-		cells, err := s.DoSweep(r.Context(), reqs)
-		var over *ErrOverloaded
-		if errors.As(err, &over) {
-			select {
-			case <-time.After(200 * time.Millisecond):
-				continue
-			case <-r.Context().Done():
-				ndjson(w, streamEvent{Event: "error", Error: r.Context().Err().Error()})
-				return
-			}
-		}
-		for _, c := range cells {
-			if c.Err != nil {
-				ndjson(w, streamEvent{Event: "error", Error: c.Err.Error()})
-				continue
-			}
-			ndjson(w, streamEvent{Event: StageResult, Result: c.Res})
-		}
+	var cells []sweepCell
+	if err := retryShed(r.Context(), func() (err error) {
+		cells, err = s.DoSweep(r.Context(), reqs)
+		return err
+	}); err != nil {
+		ndjson(w, streamEvent{Event: "error", Error: r.Context().Err().Error()})
 		return
+	}
+	for _, c := range cells {
+		if c.Err != nil {
+			ndjson(w, streamEvent{Event: "error", Error: c.Err.Error()})
+			continue
+		}
+		ndjson(w, streamEvent{Event: StageResult, Result: c.Res})
+	}
+}
+
+// retryShed calls do until it returns anything but an ErrOverloaded,
+// backing off 200 ms between calls, and returns that result — or the
+// last ErrOverloaded, once the client has gone. The caller holds no
+// queue slot while it backs off.
+func retryShed(ctx context.Context, do func() error) error {
+	for {
+		err := do()
+		var over *ErrOverloaded
+		if !errors.As(err, &over) {
+			return err
+		}
+		select {
+		case <-time.After(200 * time.Millisecond):
+		case <-ctx.Done():
+			return err
+		}
 	}
 }
 
@@ -354,39 +367,29 @@ func (s *Service) handleExplore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	for {
-		rep, err := s.DoExplore(r.Context(), req)
-		var over *ErrOverloaded
-		if errors.As(err, &over) {
-			select {
-			case <-time.After(200 * time.Millisecond):
-				continue
-			case <-r.Context().Done():
-				writeErr(w, over)
-				return
-			}
-		}
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		for i := range rep.Points {
-			ndjson(w, streamEvent{Event: "point", Point: &rep.Points[i]})
-		}
-		ndjson(w, streamEvent{Event: "report", Report: &exploreSummary{
-			Scheme:        rep.Scheme,
-			Workloads:     rep.Workloads,
-			Points:        len(rep.Points),
-			Frontier:      rep.Frontier,
-			Cells:         rep.Cells,
-			TraceDrains:   rep.TraceDrains,
-			SimLanes:      rep.SimLanes,
-			ArchRuns:      rep.ArchRuns,
-			LanesPerDrain: rep.LanesPerDrain,
-		}})
+	var rep *explore.Report
+	if err := retryShed(r.Context(), func() (err error) {
+		rep, err = s.DoExplore(r.Context(), req)
+		return err
+	}); err != nil {
+		writeErr(w, err)
 		return
 	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	for i := range rep.Points {
+		ndjson(w, streamEvent{Event: "point", Point: &rep.Points[i]})
+	}
+	ndjson(w, streamEvent{Event: "report", Report: &exploreSummary{
+		Scheme:        rep.Scheme,
+		Workloads:     rep.Workloads,
+		Points:        len(rep.Points),
+		Frontier:      rep.Frontier,
+		Cells:         rep.Cells,
+		TraceDrains:   rep.TraceDrains,
+		SimLanes:      rep.SimLanes,
+		ArchRuns:      rep.ArchRuns,
+		LanesPerDrain: rep.LanesPerDrain,
+	}})
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -426,13 +429,45 @@ func (s *Service) handleDebugVars(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "\n}\n")
 }
 
+// handleMetrics renders the service's counters and gauges, then the
+// shared Runner's: they live in the Runner (the serve layer never
+// simulates on its own), but a scrape wants them beside the service's
+// so the caching invariant (arch_runs) and the batching amortization
+// (sim_lanes/trace_drains) are provable from one endpoint — the
+// serve-smoke target and the acceptance tests key off them.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.WritePrometheus(w, RunnerStats{
-		ArchRuns:    s.runner.ArchRuns(),
-		TraceDrains: s.runner.TraceDrains(),
-		SimLanes:    s.runner.SimLanes(),
-	})
+	m := &s.metrics
+	drains, lanes := s.runner.TraceDrains(), s.runner.SimLanes()
+	for _, f := range []struct {
+		name, typ, help string
+		value           int64
+	}{
+		{"sgserved_requests_total", "counter", "Experiment requests received (all endpoints, before validation).", m.Requests.Load()},
+		{"sgserved_bad_requests_total", "counter", "Requests rejected as malformed (400).", m.BadRequests.Load()},
+		{"sgserved_rejected_total", "counter", "Requests shed by queue-depth backpressure (429).", m.Rejected.Load()},
+		{"sgserved_coalesced_hits_total", "counter", "Requests that attached to an identical in-flight run instead of simulating.", m.CoalescedHits.Load()},
+		{"sgserved_store_hits_total", "counter", "Requests answered from the content-addressed result store.", m.StoreHits.Load()},
+		{"sgserved_store_misses_total", "counter", "Store lookups that found no entry (the request went on to coalesce or simulate).", m.StoreMisses.Load()},
+		{"sgserved_store_writes_total", "counter", "Results persisted to the store.", m.StoreWrites.Load()},
+		{"sgserved_store_quarantined_total", "counter", "Corrupt store entries moved to quarantine.", m.StoreQuarantined.Load()},
+		{"sgserved_sim_runs_total", "counter", "Timing simulations executed by the worker pool.", m.SimRuns.Load()},
+		{"sgserved_sim_errors_total", "counter", "Simulations that failed (cancelled, timed out, or simulator error).", m.SimErrors.Load()},
+		{"sgserved_queue_depth", "gauge", "Jobs accepted but not yet simulating.", m.QueueDepth.Load()},
+		{"sgserved_inflight", "gauge", "Jobs currently simulating.", m.InFlight.Load()},
+		{"sgserved_draining", "gauge", "1 once graceful shutdown has begun.", m.Draining.Load()},
+		{"sgserved_arch_runs_total", "counter", "Machines the shared Runner built to run programs architecturally (a drain that reuses an idle machine adds none).", s.runner.ArchRuns()},
+		{"sgserved_trace_drains_total", "counter", "Drains run by the shared Runner: live runs of a program's committed-event stream into timing simulations (a batched drain feeds many lanes).", drains},
+		{"sgserved_sim_lanes_total", "counter", "Timing-simulation lanes fed by those drains.", lanes},
+	} {
+		WriteMetric(w, f.name, f.typ, f.help, Sample{Value: f.value})
+	}
+	lanesPerDrain := 0.0
+	if drains > 0 {
+		lanesPerDrain = float64(lanes) / float64(drains)
+	}
+	WriteMetric(w, "sgserved_lanes_per_drain", "gauge", "Mean simulation lanes per drain (sim_lanes/trace_drains); above 1 means batching is amortizing the architectural run and decode.", Sample{Value: lanesPerDrain})
+	WriteMetric(w, "sgserved_sim_seconds", "histogram", "Wall time of executed simulations.", m.SimSeconds.samples()...)
 }
 
 func (s *Service) handleVersion(w http.ResponseWriter, r *http.Request) {

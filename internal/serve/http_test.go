@@ -121,36 +121,39 @@ func TestHTTPBadRequest(t *testing.T) {
 	}
 }
 
-// TestHTTPStream: NDJSON mode emits a stage event then the result.
+// TestHTTPStream: NDJSON mode emits a stage event then the result: a
+// first request is queued, its repeat a store hit.
 func TestHTTPStream(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	body, _ := json.Marshal(RunRequest{Workload: "grep", Scheme: "2bit"})
-	resp, err := http.Post(ts.URL+"/v1/run?stream=1", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	var events []streamEvent
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ev streamEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+	for _, stage := range []string{StageQueued, StageStore} {
+		resp, err := http.Post(ts.URL+"/v1/run?stream=1", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		events = append(events, ev)
-	}
-	if len(events) != 2 {
-		t.Fatalf("got %d events, want 2 (stage + result): %+v", len(events), events)
-	}
-	if events[0].Event != StageQueued {
-		t.Errorf("first event = %q, want %q", events[0].Event, StageQueued)
-	}
-	if events[1].Event != StageResult || events[1].Result == nil || events[1].Result.Stats.Cycles == 0 {
-		t.Errorf("terminal event malformed: %+v", events[1])
+		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+			t.Errorf("Content-Type = %q", ct)
+		}
+		var events []streamEvent
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		for sc.Scan() {
+			var ev streamEvent
+			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+				t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+			}
+			events = append(events, ev)
+		}
+		resp.Body.Close()
+		if len(events) != 2 {
+			t.Fatalf("got %d events, want 2 (stage + result): %+v", len(events), events)
+		}
+		if events[0].Event != stage {
+			t.Errorf("first event = %q, want %q", events[0].Event, stage)
+		}
+		if events[1].Event != StageResult || events[1].Result == nil || events[1].Result.Stats.Cycles == 0 {
+			t.Errorf("terminal event malformed: %+v", events[1])
+		}
 	}
 }
 

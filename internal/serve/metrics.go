@@ -36,9 +36,22 @@ func (h *histogram) Observe(d time.Duration) {
 	h.sumNS.Add(int64(d))
 }
 
+// samples returns the histogram's Prometheus samples: one cumulative
+// bucket per bound, the +Inf bucket, the sum in seconds and the count.
+func (h *histogram) samples() []Sample {
+	out := make([]Sample, 0, len(simBuckets)+3)
+	for i, ub := range simBuckets {
+		out = append(out, Sample{fmt.Sprintf("_bucket{le=\"%g\"}", ub), h.counts[i].Load()})
+	}
+	return append(out,
+		Sample{`_bucket{le="+Inf"}`, h.count.Load()},
+		Sample{"_sum", float64(h.sumNS.Load()) / 1e9},
+		Sample{"_count", h.count.Load()})
+}
+
 // Metrics is the service's live instrumentation: plain atomic counters
-// and gauges rendered in Prometheus text exposition format by
-// WritePrometheus. Stdlib only — no client library.
+// and gauges, rendered with WriteMetric by the /metrics handler. Stdlib
+// only — no client library.
 type Metrics struct {
 	Requests         atomic.Int64 // experiment requests accepted for parsing
 	BadRequests      atomic.Int64 // malformed or unknown-workload requests
@@ -57,88 +70,21 @@ type Metrics struct {
 	SimSeconds histogram // wall time per executed simulation
 }
 
-// counter/gauge rows for the text exposition; histograms are rendered
-// separately.
-type metricRow struct {
-	name, help, typ string
-	value           func(m *Metrics) int64
+// Sample is one line of a metric family: Suffix follows the family name
+// (a suffix such as "_bucket", then labels such as `{le="0.5"}`; empty
+// for a plain counter or gauge) and Value is printed with %v, so an
+// int64 prints as with %d and a float64 as with %g.
+type Sample struct {
+	Suffix string
+	Value  any
 }
 
-var metricRows = []metricRow{
-	{"sgserved_requests_total", "Experiment requests received (all endpoints, before validation).", "counter", func(m *Metrics) int64 { return m.Requests.Load() }},
-	{"sgserved_bad_requests_total", "Requests rejected as malformed (400).", "counter", func(m *Metrics) int64 { return m.BadRequests.Load() }},
-	{"sgserved_rejected_total", "Requests shed by queue-depth backpressure (429).", "counter", func(m *Metrics) int64 { return m.Rejected.Load() }},
-	{"sgserved_coalesced_hits_total", "Requests that attached to an identical in-flight run instead of simulating.", "counter", func(m *Metrics) int64 { return m.CoalescedHits.Load() }},
-	{"sgserved_store_hits_total", "Requests answered from the content-addressed result store.", "counter", func(m *Metrics) int64 { return m.StoreHits.Load() }},
-	{"sgserved_store_misses_total", "Store lookups that found no entry (the request went on to coalesce or simulate).", "counter", func(m *Metrics) int64 { return m.StoreMisses.Load() }},
-	{"sgserved_store_writes_total", "Results persisted to the store.", "counter", func(m *Metrics) int64 { return m.StoreWrites.Load() }},
-	{"sgserved_store_quarantined_total", "Corrupt store entries moved to quarantine.", "counter", func(m *Metrics) int64 { return m.StoreQuarantined.Load() }},
-	{"sgserved_sim_runs_total", "Timing simulations executed by the worker pool.", "counter", func(m *Metrics) int64 { return m.SimRuns.Load() }},
-	{"sgserved_sim_errors_total", "Simulations that failed (cancelled, timed out, or simulator error).", "counter", func(m *Metrics) int64 { return m.SimErrors.Load() }},
-	{"sgserved_queue_depth", "Jobs accepted but not yet simulating.", "gauge", func(m *Metrics) int64 { return m.QueueDepth.Load() }},
-	{"sgserved_inflight", "Jobs currently simulating.", "gauge", func(m *Metrics) int64 { return m.InFlight.Load() }},
-	{"sgserved_draining", "1 once graceful shutdown has begun.", "gauge", func(m *Metrics) int64 { return m.Draining.Load() }},
-}
-
-// RunnerStats carries the shared Runner's cumulative counters into the
-// metrics exposition: they live in the Runner (the serve layer never
-// simulates on its own), but scrapes want them next to the service
-// counters so the caching AND batching invariants are provable from
-// one endpoint.
-type RunnerStats struct {
-	// ArchRuns counts the machines the Runner built to run programs
-	// architecturally; a drain that reuses an idle one adds none.
-	ArchRuns int64
-	// TraceDrains counts drains: live runs of a program's event stream
-	// into timing simulations; one batched drain can feed many lanes.
-	TraceDrains int64
-	// SimLanes counts the timing-simulation lanes those drains fed.
-	SimLanes int64
-}
-
-// WritePrometheus renders every counter, gauge and histogram in the
-// Prometheus text exposition format (version 0.0.4). rs is the
-// Runner's cumulative state, surfaced here so an external scrape can
-// prove the coalescing/caching invariants (arch_runs) and the batching
-// amortization (sim_lanes/trace_drains) — the serve-smoke target and
-// the acceptance tests key off these.
-func (m *Metrics) WritePrometheus(w io.Writer, rs RunnerStats) {
-	for _, row := range metricRows {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
-			row.name, row.help, row.name, row.typ, row.name, row.value(m))
+// WriteMetric writes one metric family in the Prometheus text exposition
+// format (version 0.0.4): its HELP and TYPE lines, then its samples.
+// sgserved and sgcoord render every family through it.
+func WriteMetric(w io.Writer, name, typ, help string, samples ...Sample) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	for _, s := range samples {
+		fmt.Fprintf(w, "%s%s %v\n", name, s.Suffix, s.Value)
 	}
-	for _, rr := range []struct {
-		name, help string
-		value      int64
-	}{
-		{"sgserved_arch_runs_total", "Machines the shared Runner built to run programs architecturally (a drain that reuses an idle machine adds none).", rs.ArchRuns},
-		{"sgserved_trace_drains_total", "Drains run by the shared Runner: live runs of a program's committed-event stream into timing simulations (a batched drain feeds many lanes).", rs.TraceDrains},
-		{"sgserved_sim_lanes_total", "Timing-simulation lanes fed by those drains.", rs.SimLanes},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-			rr.name, rr.help, rr.name, rr.name, rr.value)
-	}
-	lanesPerDrain := 0.0
-	if rs.TraceDrains > 0 {
-		lanesPerDrain = float64(rs.SimLanes) / float64(rs.TraceDrains)
-	}
-	fmt.Fprintf(w, "# HELP sgserved_lanes_per_drain Mean simulation lanes per drain (sim_lanes/trace_drains); above 1 means batching is amortizing the architectural run and decode.\n")
-	fmt.Fprintf(w, "# TYPE sgserved_lanes_per_drain gauge\n")
-	fmt.Fprintf(w, "sgserved_lanes_per_drain %g\n", lanesPerDrain)
-
-	h := &m.SimSeconds
-	fmt.Fprintf(w, "# HELP sgserved_sim_seconds Wall time of executed simulations.\n")
-	fmt.Fprintf(w, "# TYPE sgserved_sim_seconds histogram\n")
-	for i, ub := range simBuckets {
-		fmt.Fprintf(w, "sgserved_sim_seconds_bucket{le=%q} %d\n", trimFloat(ub), h.counts[i].Load())
-	}
-	fmt.Fprintf(w, "sgserved_sim_seconds_bucket{le=\"+Inf\"} %d\n", h.count.Load())
-	fmt.Fprintf(w, "sgserved_sim_seconds_sum %g\n", float64(h.sumNS.Load())/1e9)
-	fmt.Fprintf(w, "sgserved_sim_seconds_count %d\n", h.count.Load())
-}
-
-// trimFloat formats a bucket bound the way Prometheus clients expect
-// (no exponent, no trailing zeros).
-func trimFloat(f float64) string {
-	return fmt.Sprintf("%g", f)
 }

@@ -69,7 +69,7 @@ type RunRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// DelayMS holds the job in its worker for this long before
 	// simulating — a load/soak-testing knob (it widens the coalescing
-	// window deterministically); capped by Config.MaxDelay.
+	// window deterministically); capped at maxDelay.
 	DelayMS int64 `json:"delay_ms,omitempty"`
 }
 
@@ -164,12 +164,13 @@ type Config struct {
 	// DefaultTimeout caps each simulation's wall time (also the upper
 	// bound for per-request timeouts). Default 60s.
 	DefaultTimeout time.Duration
-	// MaxDelay caps RunRequest.DelayMS. Default 10s.
-	MaxDelay time.Duration
 	// Logf receives operational messages (store write failures,
 	// worker errors); nil discards them.
 	Logf func(format string, args ...any)
 }
+
+// maxDelay caps RunRequest.DelayMS.
+const maxDelay = 10 * time.Second
 
 // Service is the experiment engine behind the HTTP daemon: it owns the
 // worker pool, the in-flight request table (singleflight) and the
@@ -198,7 +199,10 @@ type Service struct {
 	// supervisor restarting it.
 	ready atomic.Bool
 
-	jobs chan *flight
+	// jobs is the pool's queue. A job holds one worker slot: a group of
+	// flights simulated in one Runner.RunSpecs call (DoSweep), or one
+	// design-space sweep (DoExplore).
+	jobs chan func()
 	wg   sync.WaitGroup
 }
 
@@ -208,26 +212,6 @@ type flight struct {
 	key  string
 	spec bench.Spec
 	req  RunRequest // normalized copy (canonical entries etc.)
-
-	// group marks a pool job: a synthetic leader that holds one worker
-	// slot and simulates all of its member flights in one
-	// Runner.RunSpecs call (one trace drain per distinct program). Do
-	// enqueues a one-member group, DoSweep one group for every cell it
-	// could not answer otherwise. The leader itself is never in
-	// s.flights and has no waiters; its members are, and coalesce like
-	// any other flight. delay holds the job before it simulates and
-	// timeout caps its simulation wall time.
-	group   []*flight
-	delay   time.Duration
-	timeout time.Duration
-
-	// explore marks a design-space sweep job (DoExplore): one worker
-	// slot runs the whole grid through explore.Run, whose batched
-	// RunSpecs call does its own geometry grouping. Like a group
-	// leader it is never in s.flights — two identical grids re-expand
-	// (the Runner's program cache still amortizes the real cost).
-	explore    *explore.Request
-	exploreRep *explore.Report
 
 	done chan struct{} // closed when resp/err are set
 	resp *RunResponse
@@ -270,9 +254,6 @@ func NewService(cfg Config) (*Service, error) {
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 60 * time.Second
 	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 10 * time.Second
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -284,7 +265,7 @@ func NewService(cfg Config) (*Service, error) {
 		baseCtx: ctx,
 		cancel:  cancel,
 		flights: map[string]*flight{},
-		jobs:    make(chan *flight, cfg.QueueDepth),
+		jobs:    make(chan func(), cfg.QueueDepth),
 	}
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -442,49 +423,19 @@ const (
 	StageResult    = "result"    // terminal: response follows
 )
 
-// Do executes one request through the full store → coalesce → simulate
-// path. notify, when non-nil, is called with the stage the request
-// took before its result arrives (the NDJSON streaming handler relays
-// these to the client). ctx bounds only this caller's wait: the
-// simulation itself runs under the service's context so that other
-// waiters and the store still get the result if this caller leaves.
-// A request that must simulate becomes a one-member group job carrying
-// its own delay and timeout.
+// Do executes one request: DoSweep's path for a single cell, whose pool
+// job carries the request's own delay and timeout. notify, when
+// non-nil, is called with the stage the request took before its result
+// arrives (the NDJSON streaming handler relays these to the client).
+// ctx bounds only this caller's wait: the simulation itself runs under
+// the service's context so that other waiters and the store still get
+// the result if this caller leaves.
 func (s *Service) Do(ctx context.Context, req RunRequest, notify func(stage string)) (*RunResponse, error) {
-	if notify == nil {
-		notify = func(string) {}
-	}
-	s.metrics.Requests.Add(1)
-	spec, key, err := s.normalize(&req)
-	if err != nil {
-		s.metrics.BadRequests.Add(1)
+	var cell [1]sweepCell
+	if err := s.do(ctx, []RunRequest{req}, cell[:], notify); err != nil {
 		return nil, err
 	}
-	if res, ok := s.stored(key); ok {
-		notify(StageStore)
-		return res, nil
-	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil, ErrDraining
-	}
-	if f, ok := s.flights[key]; ok {
-		s.mu.Unlock()
-		s.metrics.CoalescedHits.Add(1)
-		notify(StageCoalesced)
-		return s.wait(ctx, f, "coalesced")
-	}
-	if err := s.queueFull(); err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	f := s.lead(key, spec, req)
-	s.enqueue(&flight{group: []*flight{f}, delay: s.delayFor(req.DelayMS), timeout: s.timeoutFor(req.TimeoutMS)})
-	s.mu.Unlock()
-	notify(StageQueued)
-	return s.wait(ctx, f, "sim")
+	return cell[0].Res, cell[0].Err
 }
 
 // stored returns the store's response for key, if it holds a valid
@@ -522,30 +473,15 @@ func (s *Service) queueFull() error {
 	return &ErrOverloaded{RetryAfter: time.Duration(1+len(s.jobs)/s.cfg.Workers) * time.Second}
 }
 
-// lead registers a new flight for key, the leader its identity's later
-// requests coalesce onto. Called with s.mu held.
-func (s *Service) lead(key string, spec bench.Spec, req RunRequest) *flight {
-	f := &flight{key: key, spec: spec, req: req, done: make(chan struct{})}
-	s.flights[key] = f
-	return f
-}
-
 // enqueue sends a job to the pool. Called with s.mu held, after
 // queueFull returned nil.
-func (s *Service) enqueue(job *flight) {
+func (s *Service) enqueue(job func()) {
 	s.metrics.QueueDepth.Add(1)
 	s.jobs <- job
 }
 
-func (s *Service) delayFor(ms int64) time.Duration {
-	d := time.Duration(ms) * time.Millisecond
-	if d < 0 {
-		return 0
-	}
-	if d > s.cfg.MaxDelay {
-		return s.cfg.MaxDelay
-	}
-	return d
+func delayFor(ms int64) time.Duration {
+	return min(max(time.Duration(ms)*time.Millisecond, 0), maxDelay)
 }
 
 func (s *Service) timeoutFor(ms int64) time.Duration {
@@ -573,29 +509,24 @@ func (s *Service) wait(ctx context.Context, f *flight, source string) (*RunRespo
 	}
 }
 
-// worker executes flights until the jobs channel is closed by drain.
+// worker runs jobs until the jobs channel is closed by drain.
 func (s *Service) worker() {
 	defer s.wg.Done()
-	for f := range s.jobs {
+	for job := range s.jobs {
 		s.metrics.QueueDepth.Add(-1)
 		s.metrics.InFlight.Add(1)
-		s.runFlight(f)
+		job()
 		s.metrics.InFlight.Add(-1)
 	}
 }
 
-// runFlight runs one pool job: a design-space sweep, or a group whose
-// members it simulates with one Runner.RunSpecs call under the service
-// context, so cells sharing a (workload, program) trace drain it once,
-// in lockstep. Each member then publishes to its own waiters and the
-// store. SimMS on every member is the whole group's wall time: the
+// simulate is a group job: after delay, it simulates every member
+// flight with one Runner.RunSpecs call under the service context,
+// capped at timeout, so cells sharing a (workload, program) drain it
+// once, in lockstep. Each member then publishes to its own waiters and
+// the store. SimMS on every member is the whole group's wall time: the
 // lanes share drains, there is no meaningful per-lane figure.
-func (s *Service) runFlight(f *flight) {
-	if f.explore != nil {
-		s.runExploreFlight(f)
-		return
-	}
-	members := f.group
+func (s *Service) simulate(members []*flight, delay, timeout time.Duration) {
 	defer func() {
 		s.mu.Lock()
 		for _, m := range members {
@@ -612,8 +543,8 @@ func (s *Service) runFlight(f *flight) {
 		}
 	}
 
-	if f.delay > 0 {
-		t := time.NewTimer(f.delay)
+	if delay > 0 {
+		t := time.NewTimer(delay)
 		select {
 		case <-t.C:
 		case <-s.baseCtx.Done():
@@ -623,7 +554,7 @@ func (s *Service) runFlight(f *flight) {
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(s.baseCtx, f.timeout)
+	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
 	defer cancel()
 	specs := make([]bench.Spec, len(members))
 	for i, m := range members {
@@ -664,31 +595,14 @@ func (s *Service) runFlight(f *flight) {
 	}
 }
 
-// runExploreFlight executes one design-space sweep in its worker slot.
-// The grid's cells count as simulations in the metrics — they are, the
-// batching just packs them onto fewer drains.
-func (s *Service) runExploreFlight(f *flight) {
-	defer close(f.done)
-	ctx, cancel := context.WithTimeout(s.baseCtx, f.timeout)
-	defer cancel()
-	start := time.Now()
-	rep, err := explore.Run(ctx, s.runner, *f.explore)
-	s.metrics.SimSeconds.Observe(time.Since(start))
-	if err != nil {
-		s.metrics.SimErrors.Add(1)
-		f.err = err
-		return
-	}
-	s.metrics.SimRuns.Add(int64(rep.Cells))
-	f.exploreRep = rep
-}
-
 // DoExplore runs one design-space sweep (internal/explore) as a single
 // worker-pool job, so a grid competes for capacity like any other
 // request and backpressure applies before any simulation starts. The
 // grid is prechecked up front — a malformed axis or an oversized grid
-// is an ErrBadRequest, never a consumed worker slot. ctx bounds only
-// this caller's wait, as in Do.
+// is an ErrBadRequest, never a consumed worker slot. explore.Run's
+// batched RunSpecs call does its own geometry grouping; two identical
+// grids are not coalesced (the Runner's program cache still amortizes
+// the real cost). ctx bounds only this caller's wait, as in Do.
 func (s *Service) DoExplore(ctx context.Context, req explore.Request) (*explore.Report, error) {
 	s.metrics.Requests.Add(1)
 	if err := explore.Precheck(req); err != nil {
@@ -705,17 +619,31 @@ func (s *Service) DoExplore(ctx context.Context, req explore.Request) (*explore.
 		s.mu.Unlock()
 		return nil, err
 	}
-	f := &flight{
-		explore: &req,
-		timeout: s.timeoutFor(0),
-		done:    make(chan struct{}),
-	}
-	s.enqueue(f)
+	var rep *explore.Report
+	var err error
+	done := make(chan struct{})
+	s.enqueue(func() {
+		defer close(done)
+		ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.DefaultTimeout)
+		defer cancel()
+		start := time.Now()
+		r, e := explore.Run(ctx, s.runner, req)
+		s.metrics.SimSeconds.Observe(time.Since(start))
+		if e != nil {
+			s.metrics.SimErrors.Add(1)
+			err = e
+			return
+		}
+		// The grid's cells count as simulations: they are, the batching
+		// just packs them onto fewer drains.
+		s.metrics.SimRuns.Add(int64(r.Cells))
+		rep = r
+	})
 	s.mu.Unlock()
 
 	select {
-	case <-f.done:
-		return f.exploreRep, f.err
+	case <-done:
+		return rep, err
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -739,11 +667,29 @@ type sweepCell struct {
 // no slot and is never shed.
 func (s *Service) DoSweep(ctx context.Context, reqs []RunRequest) ([]sweepCell, error) {
 	cells := make([]sweepCell, len(reqs))
+	if err := s.do(ctx, reqs, cells, nil); err != nil {
+		return nil, err
+	}
+	return cells, nil
+}
+
+// do is the one request path, DoSweep's and Do's: it fills cells,
+// aligned with reqs, through normalize → store → coalesce → one pool
+// job → wait. The job, if any cell needs one, takes the largest delay
+// and the smallest timeout its leaders' requests ask for. notify, when
+// non-nil, hears each cell's stage: store_hit, coalesced or queued.
+// The error is ErrOverloaded when the job found no queue slot.
+func (s *Service) do(ctx context.Context, reqs []RunRequest, cells []sweepCell, notify func(stage string)) error {
+	if notify == nil {
+		notify = func(string) {}
+	}
 	type miss struct {
-		i    int
-		spec bench.Spec
-		key  string
-		req  RunRequest
+		i     int
+		spec  bench.Spec
+		key   string
+		req   RunRequest
+		f     *flight
+		stage string // StageCoalesced or StageQueued
 	}
 	var misses []miss
 	for i := range reqs {
@@ -756,61 +702,69 @@ func (s *Service) DoSweep(ctx context.Context, reqs []RunRequest) ([]sweepCell, 
 			continue
 		}
 		if res, ok := s.stored(key); ok {
+			notify(StageStore)
 			cells[i].Res = res
 			continue
 		}
-		misses = append(misses, miss{i, spec, key, req})
+		if misses == nil {
+			misses = make([]miss, 0, len(reqs)-i)
+		}
+		misses = append(misses, miss{i: i, spec: spec, key: key, req: req})
 	}
 	if len(misses) == 0 {
-		return cells, nil
+		return nil
 	}
-
-	type waiter struct {
-		i      int
-		f      *flight
-		source string
-	}
-	var waits []waiter
-	var members []*flight
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		for _, ms := range misses {
-			cells[ms.i].Err = ErrDraining
+		for _, m := range misses {
+			cells[m.i].Err = ErrDraining
 		}
-		return cells, nil
+		return nil
 	}
 	// The whole group takes one queue slot, which it needs only when some
-	// cell has no in-flight twin to coalesce onto (as Do would); check
-	// before building any member so an overloaded return leaves no state
-	// behind.
-	if slices.ContainsFunc(misses, func(ms miss) bool { return s.flights[ms.key] == nil }) {
+	// cell has no in-flight twin to coalesce onto; check before building
+	// any member so an overloaded return leaves no state behind.
+	if slices.ContainsFunc(misses, func(m miss) bool { return s.flights[m.key] == nil }) {
 		if err := s.queueFull(); err != nil {
 			s.mu.Unlock()
-			return nil, err
+			return err
 		}
 	}
-	for _, ms := range misses {
-		if f, ok := s.flights[ms.key]; ok {
+	var members []*flight
+	delay, timeout := time.Duration(0), s.cfg.DefaultTimeout
+	for k := range misses {
+		m := &misses[k]
+		if f, ok := s.flights[m.key]; ok {
 			s.metrics.CoalescedHits.Add(1)
-			waits = append(waits, waiter{ms.i, f, "coalesced"})
+			m.f, m.stage = f, StageCoalesced
 			continue
 		}
-		f := s.lead(ms.key, ms.spec, ms.req)
-		members = append(members, f)
-		waits = append(waits, waiter{ms.i, f, "sim"})
+		m.f = &flight{key: m.key, spec: m.spec, req: m.req, done: make(chan struct{})}
+		m.stage = StageQueued
+		s.flights[m.key] = m.f
+		if members == nil {
+			members = make([]*flight, 0, len(misses)-k)
+		}
+		members = append(members, m.f)
+		delay = max(delay, delayFor(m.req.DelayMS))
+		timeout = min(timeout, s.timeoutFor(m.req.TimeoutMS))
 	}
-	if len(members) > 0 {
-		s.enqueue(&flight{group: members, timeout: s.timeoutFor(0)})
+	if members != nil {
+		s.enqueue(func() { s.simulate(members, delay, timeout) })
 	}
 	s.mu.Unlock()
 
-	for _, wt := range waits {
-		res, err := s.wait(ctx, wt.f, wt.source)
-		cells[wt.i] = sweepCell{res, err}
+	for _, m := range misses {
+		notify(m.stage)
+		source := "sim"
+		if m.stage == StageCoalesced {
+			source = "coalesced"
+		}
+		cells[m.i].Res, cells[m.i].Err = s.wait(ctx, m.f, source)
 	}
-	return cells, nil
+	return nil
 }
 
 // BeginDrain refuses new work: subsequent Do calls (and /healthz)

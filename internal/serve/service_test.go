@@ -334,7 +334,7 @@ func TestGracefulDrain(t *testing.T) {
 // TestForcedDrainCancelsSimulations: when the drain deadline passes,
 // WaitIdle cancels in-flight work instead of hanging.
 func TestForcedDrainCancelsSimulations(t *testing.T) {
-	s := newTestService(t, func(c *Config) { c.MaxDelay = time.Minute })
+	s := newTestService(t, nil)
 	req := RunRequest{Workload: "grep", Scheme: "2bit", DelayMS: 30000}
 	errc := make(chan error, 1)
 	go func() {
@@ -418,5 +418,48 @@ func TestRunJobCarriesDelayAndTimeout(t *testing.T) {
 	_, err := s.Do(context.Background(), RunRequest{Workload: "xlisp", Scheme: "2bit", TimeoutMS: 1}, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("request with a 1 ms timeout = %v, want DeadlineExceeded in the chain", err)
+	}
+}
+
+// TestGroupJobTakesLeadersDelayAndTimeout: a group job runs under the
+// smallest timeout and waits the largest delay its leaders' requests
+// ask for. One cell's 1 ms timeout fails both cells of a sweep, and one
+// cell's 5 s delay holds both, so cancelling the service meanwhile
+// leaves SimRuns at 0.
+func TestGroupJobTakesLeadersDelayAndTimeout(t *testing.T) {
+	s := newTestService(t, nil)
+	cells, err := s.DoSweep(context.Background(), []RunRequest{
+		{Workload: "xlisp", Scheme: "2bit"},
+		{Workload: "xlisp", Scheme: "perfect", TimeoutMS: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		if !errors.Is(c.Err, context.DeadlineExceeded) {
+			t.Errorf("cell %d of a sweep with a 1 ms timeout = %v, want DeadlineExceeded in the chain", i, c.Err)
+		}
+	}
+
+	s = newTestService(t, nil)
+	done := make(chan []sweepCell, 1)
+	go func() {
+		cells, _ := s.DoSweep(context.Background(), []RunRequest{
+			{Workload: "grep", Scheme: "2bit"},
+			{Workload: "grep", Scheme: "perfect", DelayMS: 5000},
+		})
+		done <- cells
+	}()
+	waitUntil(t, func() bool { return s.metrics.InFlight.Load() == 1 })
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.Drain(ctx) // cancels the service context at once
+	for i, c := range <-done {
+		if !errors.Is(c.Err, context.Canceled) {
+			t.Errorf("cell %d of a delayed sweep cancelled by the drain = %v, want context.Canceled", i, c.Err)
+		}
+	}
+	if got := s.metrics.SimRuns.Load(); got != 0 {
+		t.Errorf("SimRuns = %d, want 0: the job simulated before its delay ended", got)
 	}
 }
