@@ -69,6 +69,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkInterpStep -benchtime 1x ./internal/interp
 	$(GO) test -run '^$$' -bench BenchmarkTraceReplay -benchtime 1x ./internal/trace
 	$(GO) test -run '^$$' -bench BenchmarkProfileAnalyze -benchtime 1x ./internal/profile
+	$(GO) test -run '^$$' -bench BenchmarkOptimize -benchtime 1x ./internal/core
 	$(GO) run ./cmd/sgfuzz -frontend -seeds 25
 	# Quiescence fast-forward engagement: a latency-bound workload must
 	# report SkippedCycles > 0 with Stats unchanged (asserted in-test).

@@ -274,7 +274,32 @@ func (r *Result) sortDiags() {
 // block ends) and checks semantic legality on top of it.
 func Analyze(p *prog.Program, opts Options) *Result {
 	res := &Result{}
-	sums := summarize(p)
+	ixs := indexAll(p)
+	_, obsIn := summarize(p, ixs)
+	rds := make([]*ReachDefs, len(p.Funcs))
+	called := calledFuncs(p)
+	for fi, f := range p.Funcs {
+		if len(f.Blocks) == 0 {
+			continue
+		}
+		a := newFuncAnalysis(p, fi, ixs[fi], opts, res, called)
+		a.mustIn, _ = mustDefined(a.ix, a.entryFn)
+		a.obsIn = obsIn[fi]
+		a.rd = newReachDefs(a.ix)
+		a.copies = newCopyFacts(a.ix)
+		rds[fi] = a.rd
+		a.check()
+	}
+	if tp := newTaintPass(p, opts, res, ixs, rds); tp != nil {
+		tp.solveFixpoint()
+		tp.report()
+	}
+	res.sortDiags()
+	return res
+}
+
+// calledFuncs names every function some Call targets.
+func calledFuncs(p *prog.Program) map[string]bool {
 	called := make(map[string]bool)
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
@@ -285,66 +310,60 @@ func Analyze(p *prog.Program, opts Options) *Result {
 			}
 		}
 	}
-
-	for fi, f := range p.Funcs {
-		if len(f.Blocks) == 0 {
-			continue
-		}
-		a := &funcAnalysis{
-			p:       p,
-			f:       f,
-			fi:      fi,
-			opts:    opts,
-			res:     res,
-			sums:    sums,
-			entryFn: f.Name == p.Entry && !called[f.Name],
-		}
-		a.prepare()
-		a.checkUnreachable()
-		a.checkDefs()
-		a.checkSpeculation()
-		a.checkSplits()
-		a.checkCopies()
-		if opts.Mode == ModeMachine {
-			a.checkMachineGuards()
-		}
-	}
-	checkTaint(p, opts, res)
-	res.sortDiags()
-	return res
+	return called
 }
 
 // funcAnalysis carries the per-function dataflow solutions the rules
-// share.
+// share, each indexed by block number.
 type funcAnalysis struct {
 	p    *prog.Program
 	f    *prog.Func
 	fi   int
+	ix   *cfgIndex
 	opts Options
 	res  *Result
-	sums map[string]dep.RegSet
 	// entryFn: f is the program entry and never called, so its incoming
 	// register state is the architectural zero-init ({r0, p0} defined).
 	entryFn bool
 
-	reach  map[*prog.Block]bool
-	mustIn map[*prog.Block]dep.RegSet
-	obsIn  map[*prog.Block]dep.RegSet
+	reach  []bool
+	mustIn []dep.RegSet
+	obsIn  []dep.RegSet // summarize's final solution
 	rd     *ReachDefs
 	copies *CopyFacts
 }
 
-// prepare solves the dataflow problems the rules consume.
-func (a *funcAnalysis) prepare() {
-	dom := prog.Dominators(a.f)
-	a.reach = make(map[*prog.Block]bool, len(a.f.Blocks))
-	for _, b := range a.f.Blocks {
-		a.reach[b] = dom.Reachable(b)
+// newFuncAnalysis sets up the analysis of function fi with its
+// reachability; the caller supplies the dataflow solutions.
+func newFuncAnalysis(p *prog.Program, fi int, ix *cfgIndex, opts Options, res *Result, called map[string]bool) *funcAnalysis {
+	f := p.Funcs[fi]
+	a := &funcAnalysis{
+		p:       p,
+		f:       f,
+		fi:      fi,
+		ix:      ix,
+		opts:    opts,
+		res:     res,
+		entryFn: f.Name == p.Entry && !called[f.Name],
+		reach:   make([]bool, len(f.Blocks)),
 	}
-	a.mustIn, _ = mustDefined(a.f, a.entryFn)
-	a.obsIn, _ = observedReads(a.f, a.sums)
-	a.rd = NewReachDefs(a.f)
-	a.copies = NewCopyFacts(a.f)
+	dom := prog.Dominators(f)
+	for i, b := range f.Blocks {
+		a.reach[i] = dom.Reachable(b)
+	}
+	return a
+}
+
+// check runs the per-function rules over the solutions.
+func (a *funcAnalysis) check() {
+	a.checkUnreachable()
+	a.checkDefs()
+	a.checkSpeculation()
+	a.checkSplits()
+	a.checkCopies()
+	if a.opts.Mode == ModeMachine {
+		a.checkMachineGuards()
+	}
 }
 
 // diag reports one finding at instruction idx of block b (idx -1 for a

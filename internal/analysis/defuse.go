@@ -14,34 +14,44 @@ func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 func (bs bitset) set(i int)      { bs[i/64] |= 1 << (uint(i) % 64) }
 func (bs bitset) has(i int) bool { return bs[i/64]&(1<<(uint(i)%64)) != 0 }
 
-func (bs bitset) clone() bitset {
-	c := make(bitset, len(bs))
-	copy(c, bs)
-	return c
+// reset returns bs resized to n bits (allocating only when bs is nil)
+// with every bit set to full.
+func (bs bitset) reset(n int, full bool) bitset {
+	if bs == nil {
+		bs = newBitset(n)
+	}
+	var w uint64
+	if full {
+		w = ^uint64(0)
+	}
+	for i := range bs {
+		bs[i] = w
+	}
+	return bs
 }
 
-func (bs bitset) or(o bitset) {
+// copyFrom overwrites bs with o and returns it.
+func (bs bitset) copyFrom(o bitset) bitset {
+	copy(bs, o)
+	return bs
+}
+
+func (bs bitset) unset(i int) { bs[i/64] &^= 1 << (uint(i) % 64) }
+
+// or sets bs to bs ∪ o and returns it.
+func (bs bitset) or(o bitset) bitset {
 	for i := range bs {
 		bs[i] |= o[i]
 	}
+	return bs
 }
 
-func (bs bitset) andNot(o bitset) {
-	for i := range bs {
-		bs[i] &^= o[i]
-	}
-}
-
-func (bs bitset) and(o bitset) {
+// and sets bs to bs ∩ o and returns it.
+func (bs bitset) and(o bitset) bitset {
 	for i := range bs {
 		bs[i] &= o[i]
 	}
-}
-
-func (bs bitset) setAll() {
-	for i := range bs {
-		bs[i] = ^uint64(0)
-	}
+	return bs
 }
 
 func (bs bitset) clear() {
@@ -59,12 +69,59 @@ func (bs bitset) equal(o bitset) bool {
 	return true
 }
 
+// numRegCodes bounds isa.Reg encodings: r0 encodes as 1 and p7 as 72
+// (0 is NoReg).
+const numRegCodes = 1 + isa.NumIntRegs + isa.NumFPRegs + isa.NumPredRegs
+
+// regLists groups fact indices by register: the facts mentioning
+// register r are list[at[r]:at[r+1]], in ascending order.
+type regLists struct {
+	at   [numRegCodes + 1]int32
+	list []int32
+}
+
+// newRegLists counting-sorts facts 0..n-1 by the registers regsOf
+// appends for each (a register listed twice for one fact counts once).
+func newRegLists(n int, regsOf func(i int, dst []isa.Reg) []isa.Reg) *regLists {
+	rl := &regLists{}
+	var buf [2]isa.Reg
+	for i := range n {
+		for _, r := range dedup(regsOf(i, buf[:0])) {
+			rl.at[r+1]++
+		}
+	}
+	for r := 1; r <= numRegCodes; r++ {
+		rl.at[r] += rl.at[r-1]
+	}
+	rl.list = make([]int32, rl.at[numRegCodes])
+	fill := rl.at
+	for i := range n {
+		for _, r := range dedup(regsOf(i, buf[:0])) {
+			rl.list[fill[r]] = int32(i)
+			fill[r]++
+		}
+	}
+	return rl
+}
+
+// dedup drops a repeated second register.
+func dedup(rs []isa.Reg) []isa.Reg {
+	if len(rs) == 2 && rs[0] == rs[1] {
+		return rs[:1]
+	}
+	return rs
+}
+
+func (rl *regLists) of(r isa.Reg) []int32 { return rl.list[rl.at[r]:rl.at[r+1]] }
+
 // DefSite is one static definition of a register.
 type DefSite struct {
 	Block *prog.Block
 	Index int
 	Instr *isa.Instr
 	Reg   isa.Reg
+
+	blk int // Block's number
 }
 
 // ReachDefs holds the reaching-definitions solution for one function
@@ -72,107 +129,113 @@ type DefSite struct {
 // kill (the guard may be false); a Call kills every site — what the
 // callee writes is unknown, so no definition is credited across it.
 type ReachDefs struct {
-	f     *prog.Func
-	sites []DefSite
-	// byReg[r] has a bit for every site defining r.
-	byReg map[isa.Reg]bitset
-	// siteOf[b] maps instruction index → site index (-1 for non-defs).
-	siteOf map[*prog.Block][]int
-	in     map[*prog.Block]bitset
+	ix *cfgIndex
+	// sites in layout order; block i's are sites[siteAt[i]:siteAt[i+1]].
+	sites  []DefSite
+	siteAt []int32
+	byReg  *regLists
+	in     []bitset
 }
 
-// NewReachDefs solves reaching definitions over f.
-func NewReachDefs(f *prog.Func) *ReachDefs {
-	rd := &ReachDefs{
-		f:      f,
-		byReg:  make(map[isa.Reg]bitset),
-		siteOf: make(map[*prog.Block][]int, len(f.Blocks)),
-	}
-	for _, b := range f.Blocks {
-		idx := make([]int, len(b.Instrs))
+// newReachDefs solves reaching definitions over ix's function.
+func newReachDefs(ix *cfgIndex) *ReachDefs {
+	f := ix.f
+	rd := &ReachDefs{ix: ix, siteAt: make([]int32, len(f.Blocks)+1)}
+	var buf [1]isa.Reg
+	for bi, b := range f.Blocks {
 		for i, in := range b.Instrs {
-			idx[i] = -1
-			for _, r := range in.Defs() {
-				if !r.Valid() {
-					continue
+			for _, r := range in.AppendDefs(buf[:0]) {
+				if r.Valid() {
+					rd.sites = append(rd.sites, DefSite{Block: b, Index: i, Instr: in, Reg: r, blk: bi})
 				}
-				idx[i] = len(rd.sites)
-				rd.sites = append(rd.sites, DefSite{Block: b, Index: i, Instr: in, Reg: r})
 			}
 		}
-		rd.siteOf[b] = idx
+		rd.siteAt[bi+1] = int32(len(rd.sites))
 	}
-	n := len(rd.sites)
-	for i, s := range rd.sites {
-		if rd.byReg[s.Reg] == nil {
-			rd.byReg[s.Reg] = newBitset(n)
-		}
-		rd.byReg[s.Reg].set(i)
-	}
+	rd.byReg = newRegLists(len(rd.sites), func(i int, dst []isa.Reg) []isa.Reg {
+		return append(dst, rd.sites[i].Reg)
+	})
 
-	rd.in, _ = solve(f, flow[bitset]{
+	n := len(rd.sites)
+	rd.in, _ = solve(ix, flow[bitset]{
 		forward:  true,
-		boundary: func(b *prog.Block) bitset { return newBitset(n) },
-		top:      func() bitset { return newBitset(n) },
-		meet: func(a, b bitset) bitset {
-			c := a.clone()
-			c.or(b)
-			return c
-		},
-		equal: bitset.equal,
-		transfer: func(b *prog.Block, x bitset) bitset {
-			return rd.step(b, len(b.Instrs), x.clone())
-		},
+		boundary: func(_ int, x bitset) bitset { return x.reset(n, false) },
+		top:      func(x bitset) bitset { return x.reset(n, false) },
+		meet:     bitset.or,
+		equal:    bitset.equal,
+		transfer: func(i int, x, y bitset) bitset { return rd.step(i, len(f.Blocks[i].Instrs), x.copyFrom(y)) },
 	})
 	return rd
 }
 
-// step advances the reaching set through b.Instrs[:n], mutating x.
-func (rd *ReachDefs) step(b *prog.Block, n int, x bitset) bitset {
-	idx := rd.siteOf[b]
-	for i := 0; i < n; i++ {
-		in := b.Instrs[i]
+// step advances the reaching set through the first n instructions of
+// block bi, mutating x.
+func (rd *ReachDefs) step(bi, n int, x bitset) bitset {
+	b := rd.ix.f.Blocks[bi]
+	si, end := int(rd.siteAt[bi]), int(rd.siteAt[bi+1])
+	for i, in := range b.Instrs[:n] {
 		if in.Op == isa.Call {
 			x.clear()
 			continue
 		}
-		si := idx[i]
-		if si < 0 {
+		if si == end || rd.sites[si].Index != i {
 			continue
 		}
 		if !in.Guarded() {
-			x.andNot(rd.byReg[rd.sites[si].Reg])
+			for _, k := range rd.byReg.of(rd.sites[si].Reg) {
+				x.unset(int(k))
+			}
 		}
 		x.set(si)
+		si++
 	}
 	return x
 }
 
-// ReachingAt returns the definition sites of r that reach instruction
-// idx of block b (idx == len(b.Instrs) means the block's out state).
-func (rd *ReachDefs) ReachingAt(b *prog.Block, idx int, r isa.Reg) []DefSite {
-	cur := rd.step(b, idx, rd.in[b].clone())
-	var out []DefSite
-	mask := rd.byReg[r]
-	if mask == nil {
-		return nil
+// reaching appends to dst the sites of r that reach instruction idx of
+// block bi (idx == len of its instructions means the block's out
+// state), in site order. It reads the block's solved in-fact and
+// scans the block itself, so a query allocates nothing beyond dst.
+func (rd *ReachDefs) reaching(dst []int32, bi, idx int, r isa.Reg) []int32 {
+	if !r.Valid() {
+		return dst
 	}
-	for i, s := range rd.sites {
-		if mask.has(i) && cur.has(i) {
-			out = append(out, s)
+	// The last kill of r before idx: a Call, or an unguarded def of r.
+	// Sites of r the block defines from it on reach idx; so does every
+	// site in the in-fact when nothing in the block kills r first.
+	b := rd.ix.f.Blocks[bi]
+	from, sinceEntry := 0, true
+	for j := idx - 1; j >= 0; j-- {
+		in := b.Instrs[j]
+		if in.Op == isa.Call {
+			from, sinceEntry = j+1, false
+			break
+		}
+		if !in.Guarded() && definesReg(in, r) {
+			from, sinceEntry = j, false
+			break
 		}
 	}
-	return out
+	for _, k := range rd.byReg.of(r) {
+		s := &rd.sites[k]
+		local := s.blk == bi && s.Index >= from && s.Index < idx
+		if local || sinceEntry && rd.in[bi].has(int(k)) {
+			dst = append(dst, k)
+		}
+	}
+	return dst
 }
 
-// UniqueDef returns the single definition of r reaching (b, idx), or
-// nil if there are zero or several.
-func (rd *ReachDefs) UniqueDef(b *prog.Block, idx int, r isa.Reg) *DefSite {
-	sites := rd.ReachingAt(b, idx, r)
+// uniqueDef returns the single definition of r reaching instruction idx
+// of block bi, or nil if there are zero or several. The site belongs to
+// the solution: callers must not modify it.
+func (rd *ReachDefs) uniqueDef(bi, idx int, r isa.Reg) *DefSite {
+	var buf [4]int32
+	sites := rd.reaching(buf[:0], bi, idx, r)
 	if len(sites) != 1 {
 		return nil
 	}
-	return &sites[0]
+	return &rd.sites[sites[0]]
 }
 
 // copyPair is one (dst ← src) register copy fact.
@@ -186,21 +249,18 @@ type copyPair struct {
 // def — guarded or not — of either side kills the fact, and a Call
 // kills everything.
 type CopyFacts struct {
-	f     *prog.Func
+	ix    *cfgIndex
 	pairs []copyPair
 	index map[copyPair]int
-	// touching[r] has a bit for every pair mentioning r.
-	touching map[isa.Reg]bitset
-	in       map[*prog.Block]bitset
+	// touching lists the pairs mentioning each register.
+	touching *regLists
+	in       []bitset
 }
 
-// NewCopyFacts solves available copies over f.
-func NewCopyFacts(f *prog.Func) *CopyFacts {
-	cf := &CopyFacts{
-		f:        f,
-		index:    make(map[copyPair]int),
-		touching: make(map[isa.Reg]bitset),
-	}
+// newCopyFacts solves available copies over ix's function.
+func newCopyFacts(ix *cfgIndex) *CopyFacts {
+	f := ix.f
+	cf := &CopyFacts{ix: ix, index: make(map[copyPair]int)}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if p, ok := copyOf(in); ok {
@@ -211,39 +271,23 @@ func NewCopyFacts(f *prog.Func) *CopyFacts {
 			}
 		}
 	}
-	n := len(cf.pairs)
-	for i, p := range cf.pairs {
-		for _, r := range []isa.Reg{p.dst, p.src} {
-			if cf.touching[r] == nil {
-				cf.touching[r] = newBitset(n)
-			}
-			cf.touching[r].set(i)
-		}
-	}
+	cf.touching = newRegLists(len(cf.pairs), func(i int, dst []isa.Reg) []isa.Reg {
+		return append(dst, cf.pairs[i].dst, cf.pairs[i].src)
+	})
 
-	universe := newBitset(n)
-	universe.setAll()
-	entry := f.Entry()
-	cf.in, _ = solve(f, flow[bitset]{
+	n := len(cf.pairs)
+	cf.in, _ = solve(ix, flow[bitset]{
 		forward: true,
-		boundary: func(b *prog.Block) bitset {
-			if b == entry {
-				return newBitset(n)
-			}
-			// Unreachable no-pred block: optimistic top; the rules skip
-			// unreachable blocks anyway.
-			return universe.clone()
+		boundary: func(i int, x bitset) bitset {
+			// The entry starts with no copies; an unreachable no-pred
+			// block takes the optimistic top (the rules skip
+			// unreachable blocks anyway).
+			return x.reset(n, i != 0)
 		},
-		top: func() bitset { return universe.clone() },
-		meet: func(a, b bitset) bitset {
-			c := a.clone()
-			c.and(b)
-			return c
-		},
-		equal: bitset.equal,
-		transfer: func(b *prog.Block, x bitset) bitset {
-			return cf.step(b, len(b.Instrs), x.clone())
-		},
+		top:      func(x bitset) bitset { return x.reset(n, true) },
+		meet:     bitset.and,
+		equal:    bitset.equal,
+		transfer: func(i int, x, y bitset) bitset { return cf.step(i, len(f.Blocks[i].Instrs), x.copyFrom(y)) },
 	})
 	return cf
 }
@@ -259,17 +303,20 @@ func copyOf(in *isa.Instr) (copyPair, bool) {
 	return copyPair{dst: in.Rd, src: in.Rs}, true
 }
 
-// step advances the available set through b.Instrs[:n], mutating x.
-func (cf *CopyFacts) step(b *prog.Block, n int, x bitset) bitset {
-	for i := 0; i < n; i++ {
-		in := b.Instrs[i]
+// step advances the available set through the first n instructions of
+// block bi, mutating x.
+func (cf *CopyFacts) step(bi, n int, x bitset) bitset {
+	var buf [1]isa.Reg
+	for _, in := range cf.ix.f.Blocks[bi].Instrs[:n] {
 		if in.Op == isa.Call {
 			x.clear()
 			continue
 		}
-		for _, r := range in.Defs() {
-			if t := cf.touching[r]; t != nil {
-				x.andNot(t)
+		for _, r := range in.AppendDefs(buf[:0]) {
+			if r.Valid() {
+				for _, k := range cf.touching.of(r) {
+					x.unset(int(k))
+				}
 			}
 		}
 		if p, ok := copyOf(in); ok {
@@ -279,12 +326,28 @@ func (cf *CopyFacts) step(b *prog.Block, n int, x bitset) bitset {
 	return x
 }
 
-// AvailableAt reports whether the copy (dst ← src) is available just
-// before instruction idx of block b.
-func (cf *CopyFacts) AvailableAt(b *prog.Block, idx int, dst, src isa.Reg) bool {
-	i, ok := cf.index[copyPair{dst: dst, src: src}]
+// availableAt reports whether the copy (dst ← src) is available just
+// before instruction idx of block bi. It scans the block backward from
+// idx for the last instruction that makes or kills the copy, falling
+// back on the block's solved in-fact, so a query allocates nothing.
+func (cf *CopyFacts) availableAt(bi, idx int, dst, src isa.Reg) bool {
+	p := copyPair{dst: dst, src: src}
+	k, ok := cf.index[p]
 	if !ok {
 		return false
 	}
-	return cf.step(b, idx, cf.in[b].clone()).has(i)
+	instrs := cf.ix.f.Blocks[bi].Instrs
+	for j := idx - 1; j >= 0; j-- {
+		in := instrs[j]
+		if in.Op == isa.Call {
+			return false
+		}
+		if q, ok := copyOf(in); ok && q == p {
+			return true
+		}
+		if definesReg(in, dst) || definesReg(in, src) {
+			return false
+		}
+	}
+	return cf.in[bi].has(k)
 }

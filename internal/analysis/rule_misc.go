@@ -6,8 +6,8 @@ package analysis
 // rules skip unreachable blocks entirely — dataflow facts there are
 // vacuous.
 func (a *funcAnalysis) checkUnreachable() {
-	for _, b := range a.f.Blocks {
-		if a.reach[b] {
+	for bi, b := range a.f.Blocks {
+		if a.reach[bi] {
 			continue
 		}
 		a.diag(RuleUnreachable, SevWarn, b, -1,
@@ -21,8 +21,8 @@ func (a *funcAnalysis) checkUnreachable() {
 // earlier pass already materialized). Dead code, not broken code —
 // a warning.
 func (a *funcAnalysis) checkCopies() {
-	for _, b := range a.f.Blocks {
-		if !a.reach[b] {
+	for bi, b := range a.f.Blocks {
+		if !a.reach[bi] {
 			continue
 		}
 		for i, in := range b.Instrs {
@@ -35,7 +35,7 @@ func (a *funcAnalysis) checkCopies() {
 					"copies %s to itself", p.dst)
 				continue
 			}
-			if a.copies.AvailableAt(b, i, p.dst, p.src) {
+			if a.copies.availableAt(bi, i, p.dst, p.src) {
 				a.diag(RuleRedundantCopy, SevWarn, b, i,
 					"%s already holds %s on every path to this copy", p.dst, p.src)
 			}
@@ -48,8 +48,8 @@ func (a *funcAnalysis) checkCopies() {
 // other guarded op is a compiler-internal fictional operation that
 // xform.LowerGuards failed to expand.
 func (a *funcAnalysis) checkMachineGuards() {
-	for _, b := range a.f.Blocks {
-		if !a.reach[b] {
+	for bi, b := range a.f.Blocks {
+		if !a.reach[bi] {
 			continue
 		}
 		for i, in := range b.Instrs {

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"slices"
+
 	"specguard/internal/isa"
 	"specguard/internal/prog"
 )
@@ -28,11 +30,13 @@ import (
 // afterwards. A marked instruction in a single-successor block is a
 // stale mark with nothing left to check, and is skipped.
 func (a *funcAnalysis) checkSpeculation() {
-	for _, b := range a.f.Blocks {
-		if !a.reach[b] {
+	var dbuf [1]isa.Reg
+	var sbuf [2]int32
+	for bi, b := range a.f.Blocks {
+		if !a.reach[bi] {
 			continue
 		}
-		succs := distinctBlocks(b.Succs)
+		succs := distinctBlocks(sbuf[:0], a.ix.succs(bi))
 		for i, in := range b.Instrs {
 			if !in.Speculated {
 				continue
@@ -52,7 +56,7 @@ func (a *funcAnalysis) checkSpeculation() {
 			if len(succs) < 2 {
 				continue // not above a branch: nothing to clobber
 			}
-			for _, d := range in.Defs() {
+			for _, d := range in.AppendDefs(dbuf[:0]) {
 				if !d.Valid() || d.IsZero() || d.IsTruePred() {
 					continue // hardwired sinks carry no value
 				}
@@ -79,36 +83,24 @@ func (a *funcAnalysis) checkSpeculation() {
 	}
 }
 
-// distinctBlocks deduplicates a successor list (a conditional branch
-// whose target is its own fall-through yields the same block twice).
-func distinctBlocks(bs []*prog.Block) []*prog.Block {
-	var out []*prog.Block
+// distinctBlocks appends a successor list to dst without repeats (a
+// conditional branch whose target is its own fall-through yields the
+// same block twice).
+func distinctBlocks(dst, bs []int32) []int32 {
 	for _, b := range bs {
-		dup := false
-		for _, o := range out {
-			if o == b {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, b)
+		if !slices.Contains(dst, b) {
+			dst = append(dst, b)
 		}
 	}
-	return out
+	return dst
 }
 
 // killedLaterInBlock reports whether some unguarded instruction after
 // idx in b redefines r before the block ends.
 func killedLaterInBlock(b *prog.Block, idx int, r isa.Reg) bool {
 	for _, in := range b.Instrs[idx+1:] {
-		if in.Guarded() {
-			continue
-		}
-		for _, d := range in.Defs() {
-			if d == r {
-				return true
-			}
+		if !in.Guarded() && definesReg(in, r) {
+			return true
 		}
 	}
 	return false
@@ -116,10 +108,6 @@ func killedLaterInBlock(b *prog.Block, idx int, r isa.Reg) bool {
 
 // usesReg reports whether in reads r (guard included).
 func usesReg(in *isa.Instr, r isa.Reg) bool {
-	for _, u := range in.Uses() {
-		if u == r {
-			return true
-		}
-	}
-	return false
+	var buf [3]isa.Reg
+	return slices.Contains(in.AppendUses(buf[:0]), r)
 }

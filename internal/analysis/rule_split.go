@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"slices"
 
 	"specguard/internal/isa"
 	"specguard/internal/prog"
@@ -29,6 +30,7 @@ func (iv interval) overlaps(o interval) bool {
 // a comparison interval over a counter register.
 type dispatch struct {
 	block   *prog.Block
+	bi      int // block's number
 	index   int
 	counter isa.Reg
 	iv      interval
@@ -62,19 +64,19 @@ type dispatch struct {
 // split-branch output and carry no phase contract.
 func (a *funcAnalysis) checkSplits() {
 	var dispatches []dispatch
-	for _, b := range a.f.Blocks {
-		if !a.reach[b] {
+	for bi, b := range a.f.Blocks {
+		if !a.reach[bi] {
 			continue
 		}
 		for i, in := range b.Instrs {
 			if in.Op != isa.Bp && in.Op != isa.Bpl {
 				continue
 			}
-			counter, iv, ok := a.resolvePredInterval(b, i, in.Rs, 0)
+			counter, iv, ok := a.resolvePredInterval(bi, i, in.Rs, 0)
 			if !ok {
 				continue
 			}
-			dispatches = append(dispatches, dispatch{block: b, index: i, counter: counter, iv: iv})
+			dispatches = append(dispatches, dispatch{block: b, bi: bi, index: i, counter: counter, iv: iv})
 		}
 	}
 
@@ -150,7 +152,8 @@ func itoa(v int64) string {
 	return string(buf[i:])
 }
 
-// resolvePredInterval resolves predicate pr, used at (b, idx), to a
+// resolvePredInterval resolves predicate pr, used at instruction idx of
+// block bi, to a
 // counter interval by chasing unique unguarded reaching definitions:
 //
 //	plt pd, c, imm  → [min, imm)
@@ -160,11 +163,11 @@ func itoa(v int64) string {
 //
 // Anything else (peq, guarded defs, multiple reaching defs, register
 // comparands) does not express an interval and fails the resolution.
-func (a *funcAnalysis) resolvePredInterval(b *prog.Block, idx int, pr isa.Reg, depth int) (isa.Reg, interval, bool) {
+func (a *funcAnalysis) resolvePredInterval(bi, idx int, pr isa.Reg, depth int) (isa.Reg, interval, bool) {
 	if depth > 4 { // pand chains deeper than any splitter emits
 		return isa.NoReg, interval{}, false
 	}
-	ud := a.rd.UniqueDef(b, idx, pr)
+	ud := a.rd.uniqueDef(bi, idx, pr)
 	if ud == nil || ud.Instr.Guarded() {
 		return isa.NoReg, interval{}, false
 	}
@@ -181,11 +184,11 @@ func (a *funcAnalysis) resolvePredInterval(b *prog.Block, idx int, pr isa.Reg, d
 		}
 		return in.Rs, interval{lo: in.Imm, hi: math.MaxInt64}, true
 	case isa.PAnd:
-		c1, iv1, ok := a.resolvePredInterval(ud.Block, ud.Index, in.Rs, depth+1)
+		c1, iv1, ok := a.resolvePredInterval(ud.blk, ud.Index, in.Rs, depth+1)
 		if !ok {
 			return isa.NoReg, interval{}, false
 		}
-		c2, iv2, ok := a.resolvePredInterval(ud.Block, ud.Index, in.Rt, depth+1)
+		c2, iv2, ok := a.resolvePredInterval(ud.blk, ud.Index, in.Rt, depth+1)
 		if !ok || c1 != c2 {
 			return isa.NoReg, interval{}, false
 		}
@@ -212,8 +215,8 @@ func (a *funcAnalysis) resolvePredInterval(b *prog.Block, idx int, pr isa.Reg, d
 // counter-discipline check keys off this signature instead of group
 // size.
 func (a *funcAnalysis) hasPeriodicWrap(c isa.Reg) bool {
-	for _, b := range a.f.Blocks {
-		if !a.reach[b] {
+	for bi, b := range a.f.Blocks {
+		if !a.reach[bi] {
 			continue
 		}
 		var wrapPred isa.Reg
@@ -256,8 +259,8 @@ func (a *funcAnalysis) checkCounterDiscipline(c isa.Reg, group []dispatch) {
 	anchor := group[0]
 	inits, incs := 0, 0
 	var incSites []dispatch // reuse the (block, index) pair shape
-	for _, b := range a.f.Blocks {
-		if !a.reach[b] {
+	for bi, b := range a.f.Blocks {
+		if !a.reach[bi] {
 			continue
 		}
 		for i, in := range b.Instrs {
@@ -267,7 +270,7 @@ func (a *funcAnalysis) checkCounterDiscipline(c isa.Reg, group []dispatch) {
 			switch {
 			case isCounterInc(in, c):
 				incs++
-				incSites = append(incSites, dispatch{block: b, index: i})
+				incSites = append(incSites, dispatch{block: b, bi: bi, index: i})
 			case in.Op == isa.Li && !in.Guarded():
 				inits++
 				if b != entry {
@@ -349,10 +352,6 @@ func (a *funcAnalysis) findDoubleInc(c isa.Reg, site dispatch, dispatchAt map[*p
 
 // definesReg reports whether in writes r.
 func definesReg(in *isa.Instr, r isa.Reg) bool {
-	for _, d := range in.Defs() {
-		if d == r {
-			return true
-		}
-	}
-	return false
+	var buf [1]isa.Reg
+	return slices.Contains(in.AppendDefs(buf[:0]), r)
 }

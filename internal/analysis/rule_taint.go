@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"slices"
+
 	"specguard/internal/dep"
 	"specguard/internal/isa"
 	"specguard/internal/machine"
@@ -68,19 +70,24 @@ type taintPass struct {
 
 	entry map[string]dep.RegSet // per-function entry fact
 	exit  map[string]dep.RegSet // per-function fact at its rets
-	rds   map[string]*ReachDefs
 
-	in map[*prog.Block]dep.RegSet // block pointers are program-unique
+	// Per function (by index): its block index, its reaching
+	// definitions and its in-facts by block number.
+	ixs []*cfgIndex
+	rds []*ReachDefs
+	in  [][]dep.RegSet
 }
 
-// checkTaint runs the pass; a program with no secret regions is exempt.
-func checkTaint(p *prog.Program, opts Options, res *Result) {
+// newTaintPass sets the pass up over Analyze's per-function block
+// indices and reaching definitions. A program with no secret regions is
+// exempt: it returns nil.
+func newTaintPass(p *prog.Program, opts Options, res *Result, ixs []*cfgIndex, rds []*ReachDefs) *taintPass {
 	secret := false
 	for _, r := range p.Regions {
 		secret = secret || r.Secret
 	}
 	if !secret {
-		return
+		return nil
 	}
 
 	tp := &taintPass{
@@ -90,8 +97,9 @@ func checkTaint(p *prog.Program, opts Options, res *Result) {
 		regions: prog.SortedRegions(p.Regions),
 		entry:   make(map[string]dep.RegSet, len(p.Funcs)),
 		exit:    make(map[string]dep.RegSet, len(p.Funcs)),
-		rds:     make(map[string]*ReachDefs, len(p.Funcs)),
-		in:      make(map[*prog.Block]dep.RegSet),
+		ixs:     ixs,
+		rds:     rds,
+		in:      make([][]dep.RegSet, len(p.Funcs)),
 	}
 	tp.allMask = 1<<uint(len(tp.regions)+1) - 1
 	for i, r := range tp.regions {
@@ -99,14 +107,10 @@ func checkTaint(p *prog.Program, opts Options, res *Result) {
 			tp.zones |= 1 << uint(i)
 		}
 	}
-	for _, f := range p.Funcs {
-		if len(f.Blocks) > 0 {
-			tp.rds[f.Name] = NewReachDefs(f)
-		}
+	for fi, f := range p.Funcs {
+		tp.in[fi] = make([]dep.RegSet, len(f.Blocks))
 	}
-
-	tp.solveFixpoint()
-	tp.report()
+	return tp
 }
 
 // solveFixpoint iterates per-function solves and the global summaries
@@ -114,21 +118,19 @@ func checkTaint(p *prog.Program, opts Options, res *Result) {
 func (tp *taintPass) solveFixpoint() {
 	for changed := true; changed; {
 		changed = false
-		for _, f := range tp.p.Funcs {
+		for fi, f := range tp.p.Funcs {
 			if len(f.Blocks) == 0 {
 				continue
 			}
-			in, out := tp.solveFunc(f)
-			for b, x := range in {
-				if !x.Equal(tp.in[b]) {
-					tp.in[b] = x
-					changed = true
-				}
+			in, out := tp.solveFunc(fi)
+			if !slices.Equal(in, tp.in[fi]) {
+				tp.in[fi] = in
+				changed = true
 			}
 			ex := tp.exit[f.Name]
-			for _, b := range f.Blocks {
+			for bi, b := range f.Blocks {
 				if t := b.Terminator(); t != nil && t.Op == isa.Ret {
-					ex = ex.Union(out[b])
+					ex = ex.Union(out[bi])
 				}
 			}
 			if !ex.Equal(tp.exit[f.Name]) {
@@ -142,38 +144,39 @@ func (tp *taintPass) solveFixpoint() {
 	}
 }
 
-// solveFunc runs the forward may-taint worklist over one function with
+// solveFunc runs the forward may-taint worklist over function fi with
 // the current global summaries.
-func (tp *taintPass) solveFunc(f *prog.Func) (in, out map[*prog.Block]dep.RegSet) {
-	entry := f.Entry()
-	return solve(f, flow[dep.RegSet]{
+func (tp *taintPass) solveFunc(fi int) (in, out []dep.RegSet) {
+	ix := tp.ixs[fi]
+	return solve(ix, flow[dep.RegSet]{
 		forward: true,
-		boundary: func(b *prog.Block) dep.RegSet {
-			if b == entry {
-				return tp.entry[f.Name]
+		boundary: func(bi int, _ dep.RegSet) dep.RegSet {
+			if bi == 0 {
+				return tp.entry[ix.f.Name]
 			}
 			return dep.RegSet{}
 		},
-		top:   func() dep.RegSet { return dep.RegSet{} },
-		meet:  func(a, b dep.RegSet) dep.RegSet { return a.Union(b) },
-		equal: func(a, b dep.RegSet) bool { return a.Equal(b) },
-		transfer: func(b *prog.Block, x dep.RegSet) dep.RegSet {
-			for i, in := range b.Instrs {
-				x = tp.step(f, b, i, in, x)
+		top:   emptySet,
+		meet:  dep.RegSet.Union,
+		equal: dep.RegSet.Equal,
+		transfer: func(bi int, _, x dep.RegSet) dep.RegSet {
+			for i, in := range ix.f.Blocks[bi].Instrs {
+				x = tp.step(fi, bi, i, in, x)
 			}
 			return x
 		},
 	})
 }
 
-// step is the per-instruction taint transfer.
-func (tp *taintPass) step(f *prog.Func, b *prog.Block, i int, in *isa.Instr, x dep.RegSet) dep.RegSet {
+// step is the per-instruction taint transfer at instruction i of block
+// bi of function fi.
+func (tp *taintPass) step(fi, bi, i int, in *isa.Instr, x dep.RegSet) dep.RegSet {
 	switch {
 	case in.Op == isa.Call:
 		return x.Union(tp.exit[in.Label])
 	case in.Op.IsLoad():
 		t := x.Intersects(dep.UsesOf(in)) || // tainted address or guard
-			tp.zones&tp.attr(f, b, i, in) != 0 // word may hold a secret
+			tp.zones&tp.attr(fi, bi, i, in) != 0 // word may hold a secret
 		if !in.Guarded() {
 			x = x.Minus(dep.DefsOf(in))
 		}
@@ -204,9 +207,9 @@ func (tp *taintPass) step(f *prog.Func, b *prog.Block, i int, in *isa.Instr, x d
 // stores into zone taints. Reports whether anything grew.
 func (tp *taintPass) sweepSummaries() bool {
 	grew := false
-	for _, f := range tp.p.Funcs {
-		for _, b := range f.Blocks {
-			x := tp.in[b]
+	for fi, f := range tp.p.Funcs {
+		for bi, b := range f.Blocks {
+			x := tp.in[fi][bi]
 			for i, in := range b.Instrs {
 				switch {
 				case in.Op == isa.Call:
@@ -219,14 +222,14 @@ func (tp *taintPass) sweepSummaries() bool {
 					// UsesOf covers the stored value, the base register
 					// and the guard — any of them tainted taints the word.
 					if x.Intersects(dep.UsesOf(in)) {
-						m := tp.attr(f, b, i, in)
+						m := tp.attr(fi, bi, i, in)
 						if tp.zones|m != tp.zones {
 							tp.zones |= m
 							grew = true
 						}
 					}
 				}
-				x = tp.step(f, b, i, in, x)
+				x = tp.step(fi, bi, i, in, x)
 			}
 		}
 	}
@@ -237,17 +240,19 @@ func (tp *taintPass) sweepSummaries() bool {
 // whose reaching definitions are all unguarded li constants gives exact
 // zones; r0 with no reaching defs is the constant zero; anything else
 // is unknown (all zones).
-func (tp *taintPass) attr(f *prog.Func, b *prog.Block, i int, in *isa.Instr) uint64 {
-	rd := tp.rds[f.Name]
-	defs := rd.ReachingAt(b, i, in.Rs)
-	if len(defs) == 0 {
+func (tp *taintPass) attr(fi, bi, i int, in *isa.Instr) uint64 {
+	rd := tp.rds[fi]
+	var buf [8]int32
+	sites := rd.reaching(buf[:0], bi, i, in.Rs)
+	if len(sites) == 0 {
 		if in.Rs.IsZero() {
 			return tp.zoneOf(in.Imm)
 		}
 		return tp.allMask
 	}
 	var m uint64
-	for _, d := range defs {
+	for _, k := range sites {
+		d := &rd.sites[k]
 		if d.Instr.Op != isa.Li || d.Instr.Guarded() {
 			return tp.allMask
 		}
@@ -281,8 +286,8 @@ func (tp *taintPass) report() {
 	w := win.SpecWindow()
 
 	for fi, f := range tp.p.Funcs {
-		for _, b := range f.Blocks {
-			x := tp.in[b]
+		for bi, b := range f.Blocks {
+			x := tp.in[fi][bi]
 			for i, in := range b.Instrs {
 				switch {
 				case in.Op.IsMem() && x.Has(in.Rs):
@@ -297,7 +302,7 @@ func (tp *taintPass) report() {
 					tp.diag(RuleSecretDepBranch, fi, f, b, i,
 						"branch condition may carry secret-region taint: outcome (and thus timing) depends on a secret")
 				}
-				x = tp.step(f, b, i, in, x)
+				x = tp.step(fi, bi, i, in, x)
 			}
 		}
 	}

@@ -27,11 +27,12 @@ import (
 // findings. See mustDefined.
 func (a *funcAnalysis) checkDefs() {
 	warned := make(map[isa.Reg]bool)
-	for _, b := range a.f.Blocks {
-		if !a.reach[b] {
+	var ubuf [3]isa.Reg
+	for bi, b := range a.f.Blocks {
+		if !a.reach[bi] {
 			continue
 		}
-		must := a.mustIn[b]
+		must := a.mustIn[bi]
 		for i, in := range b.Instrs {
 			if in.Pred.IsTruePred() {
 				if in.PredNeg {
@@ -46,7 +47,7 @@ func (a *funcAnalysis) checkDefs() {
 					"guard predicate %s is not defined on every path to this instruction", in.Pred)
 			}
 
-			for _, u := range in.Uses() {
+			for _, u := range in.AppendUses(ubuf[:0]) {
 				if u == in.Pred {
 					continue // the guard is checked above, as an error
 				}

@@ -6,102 +6,150 @@ import (
 	"specguard/internal/prog"
 )
 
+// cfgIndex numbers one function's blocks in layout order and flattens
+// their CFG edges to those numbers, so every dataflow solve keeps its
+// facts in slices indexed by block number rather than in maps keyed by
+// block pointer. Analyze builds one per function and shares it across
+// all of the function's solves.
+type cfgIndex struct {
+	f *prog.Func
+	// Block i's predecessors are edge[at[2i]:at[2i+1]] and its
+	// successors edge[at[2i+1]:at[2i+2]], in Preds/Succs order.
+	at   []int32
+	edge []int32
+}
+
+func newCFGIndex(f *prog.Func) *cfgIndex {
+	n := len(f.Blocks)
+	ix := &cfgIndex{f: f, at: make([]int32, 2*n+1)}
+	num := make(map[*prog.Block]int32, n)
+	edges := 0
+	for i, b := range f.Blocks {
+		num[b] = int32(i)
+		edges += len(b.Preds) + len(b.Succs)
+	}
+	ix.edge = make([]int32, 0, edges)
+	for i, b := range f.Blocks {
+		for _, p := range b.Preds {
+			ix.edge = append(ix.edge, num[p])
+		}
+		ix.at[2*i+1] = int32(len(ix.edge))
+		for _, s := range b.Succs {
+			ix.edge = append(ix.edge, num[s])
+		}
+		ix.at[2*i+2] = int32(len(ix.edge))
+	}
+	return ix
+}
+
+// indexAll builds the block index of every function with blocks (nil
+// for an empty one), by function number.
+func indexAll(p *prog.Program) []*cfgIndex {
+	ixs := make([]*cfgIndex, len(p.Funcs))
+	for fi, f := range p.Funcs {
+		if len(f.Blocks) > 0 {
+			ixs[fi] = newCFGIndex(f)
+		}
+	}
+	return ixs
+}
+
+func (ix *cfgIndex) preds(i int) []int32 { return ix.edge[ix.at[2*i]:ix.at[2*i+1]] }
+func (ix *cfgIndex) succs(i int) []int32 { return ix.edge[ix.at[2*i+1]:ix.at[2*i+2]] }
+
 // flow describes one iterative dataflow problem over a function's CFG.
 // The solver is generic over the fact type so RegSet problems
-// (must-definedness, observed reads) and bitset problems (reaching
-// definitions, available copies) share one worklist.
+// (must-definedness, observed reads, taint) and bitset problems
+// (reaching definitions, available copies) share one worklist. The
+// solver owns every fact it holds and hands each back as the storage
+// argument x (the zero T when it has none yet): bitset facts are
+// rewritten in place there, so a solve allocates its facts once, and
+// value facts (dep.RegSet) simply ignore it.
 type flow[T any] struct {
 	forward bool
-	// boundary supplies the fact entering a block with no predecessors
-	// (forward) or leaving a block with no successors (backward).
-	boundary func(b *prog.Block) T
-	// top is the identity of meet: the initial optimistic value.
-	top func() T
-	// meet combines facts flowing in from multiple edges.
-	meet  func(a, b T) T
+	// boundary returns the fact entering block i when it has no
+	// predecessors (forward) or leaving it when it has no successors
+	// (backward).
+	boundary func(i int, x T) T
+	// top returns the identity of meet: the initial optimistic value.
+	top func(x T) T
+	// meet returns x combined with a fact flowing in along one edge.
+	meet  func(x, y T) T
 	equal func(a, b T) bool
-	// transfer pushes a fact through a whole block: in→out (forward)
-	// or out→in (backward).
-	transfer func(b *prog.Block, x T) T
+	// transfer pushes y through all of block i — in→out (forward) or
+	// out→in (backward) — into x's storage, leaving y unchanged.
+	transfer func(i int, x, y T) T
 }
 
 // solve runs the worklist algorithm to a fixpoint and returns the
-// per-block in and out facts. Unreachable blocks are solved too (their
-// facts start from boundary/top), so rule passes can index any block.
-func solve[T any](f *prog.Func, fl flow[T]) (in, out map[*prog.Block]T) {
-	in = make(map[*prog.Block]T, len(f.Blocks))
-	out = make(map[*prog.Block]T, len(f.Blocks))
-	for _, b := range f.Blocks {
-		in[b] = fl.top()
-		out[b] = fl.top()
+// per-block in and out facts, indexed by block number. Unreachable
+// blocks are solved too (their facts start from boundary/top), so rule
+// passes can index any block.
+func solve[T any](ix *cfgIndex, fl flow[T]) (in, out []T) {
+	n := len(ix.f.Blocks)
+	in, out = make([]T, n), make([]T, n)
+	var none T
+	for i := range n {
+		in[i], out[i] = fl.top(none), fl.top(none)
 	}
+	next := fl.top(none) // a transfer's result, swapped in when it changes a fact
 
-	// Seed the worklist in an order that converges quickly: layout
-	// order approximates reverse postorder for forward problems; its
-	// reverse approximates postorder for backward problems.
-	queue := make([]*prog.Block, 0, len(f.Blocks))
-	onQueue := make(map[*prog.Block]bool, len(f.Blocks))
-	push := func(b *prog.Block) {
+	// A FIFO ring: a block is queued at most once at a time, so n slots
+	// suffice. Seed it in an order that converges quickly: layout order
+	// approximates reverse postorder for forward problems; its reverse
+	// approximates postorder for backward problems.
+	queue := make([]int32, n)
+	onQueue := make([]bool, n)
+	head, size := 0, 0
+	push := func(b int32) {
 		if !onQueue[b] {
 			onQueue[b] = true
-			queue = append(queue, b)
+			queue[(head+size)%n] = b
+			size++
 		}
 	}
-	if fl.forward {
-		for _, b := range f.Blocks {
-			push(b)
-		}
-	} else {
-		for i := len(f.Blocks) - 1; i >= 0; i-- {
-			push(f.Blocks[i])
+	for i := range n {
+		if fl.forward {
+			push(int32(i))
+		} else {
+			push(int32(n - 1 - i))
 		}
 	}
 
-	for len(queue) > 0 {
-		b := queue[0]
-		queue = queue[1:]
+	for size > 0 {
+		b := int(queue[head])
+		head = (head + 1) % n
+		size--
 		onQueue[b] = false
 
-		if fl.forward {
-			var x T
-			if len(b.Preds) == 0 {
-				x = fl.boundary(b)
-			} else {
-				x = fl.top()
-				for _, p := range b.Preds {
-					x = fl.meet(x, out[p])
-				}
-			}
-			in[b] = x
-			nout := fl.transfer(b, x)
-			if !fl.equal(nout, out[b]) {
-				out[b] = nout
-				for _, s := range b.Succs {
-					push(s)
-				}
-			}
+		// src and dst are the block's facts on the meet and transfer
+		// sides; along and against are the edges each side reads.
+		src, dst, along, against := in, out, ix.preds(b), ix.succs(b)
+		if !fl.forward {
+			src, dst, along, against = out, in, against, along
+		}
+		x := src[b]
+		if len(along) == 0 {
+			x = fl.boundary(b, x)
 		} else {
-			var x T
-			if len(b.Succs) == 0 {
-				x = fl.boundary(b)
-			} else {
-				x = fl.top()
-				for _, s := range b.Succs {
-					x = fl.meet(x, in[s])
-				}
+			x = fl.top(x)
+			for _, p := range along {
+				x = fl.meet(x, dst[p])
 			}
-			out[b] = x
-			nin := fl.transfer(b, x)
-			if !fl.equal(nin, in[b]) {
-				in[b] = nin
-				for _, p := range b.Preds {
-					push(p)
-				}
+		}
+		src[b] = x
+		next = fl.transfer(b, next, x)
+		if !fl.equal(next, dst[b]) {
+			dst[b], next = next, dst[b]
+			for _, s := range against {
+				push(s)
 			}
 		}
 	}
 	return in, out
 }
+
+func emptySet(dep.RegSet) dep.RegSet { return dep.RegSet{} }
 
 // allRegs is the universe: every architectural register.
 var allRegs = func() dep.RegSet {
@@ -138,21 +186,21 @@ var hardwired = func() dep.RegSet {
 // starts from architectural zero-init, where only the hardwired r0/p0
 // hold meaningful values; a called function inherits the caller's
 // fully-live state (universe), so nothing in it can be "first read".
-func mustDefined(f *prog.Func, entryZeroed bool) (in, out map[*prog.Block]dep.RegSet) {
-	entry := f.Entry()
-	return solve(f, flow[dep.RegSet]{
+func mustDefined(ix *cfgIndex, entryZeroed bool) (in, out []dep.RegSet) {
+	return solve(ix, flow[dep.RegSet]{
 		forward: true,
-		boundary: func(b *prog.Block) dep.RegSet {
-			if b == entry && entryZeroed {
+		boundary: func(i int, _ dep.RegSet) dep.RegSet {
+			if i == 0 && entryZeroed {
 				return hardwired
 			}
 			return allRegs
 		},
-		top:   func() dep.RegSet { return allRegs },
+		top:   func(dep.RegSet) dep.RegSet { return allRegs },
 		meet:  intersect,
-		equal: func(a, b dep.RegSet) bool { return a.Equal(b) },
-		transfer: func(b *prog.Block, x dep.RegSet) dep.RegSet {
-			return mustDefTransfer(b.Instrs, len(b.Instrs), x)
+		equal: dep.RegSet.Equal,
+		transfer: func(i int, _, y dep.RegSet) dep.RegSet {
+			b := ix.f.Blocks[i]
+			return mustDefTransfer(b.Instrs, len(b.Instrs), y)
 		},
 	})
 }
@@ -191,15 +239,15 @@ func mustDefTransfer(instrs []*isa.Instr, n int, x dep.RegSet) dep.RegSet {
 // Unguarded defs kill; guarded defs do not (the guard may be false, so
 // the old value can still be read). No kill is credited across a Call:
 // whether the callee overwrites a register is unknown.
-func observedReads(f *prog.Func, sums map[string]dep.RegSet) (in, out map[*prog.Block]dep.RegSet) {
-	return solve(f, flow[dep.RegSet]{
+func observedReads(ix *cfgIndex, sums map[string]dep.RegSet) (in, out []dep.RegSet) {
+	return solve(ix, flow[dep.RegSet]{
 		forward:  false,
-		boundary: func(b *prog.Block) dep.RegSet { return dep.RegSet{} },
-		top:      func() dep.RegSet { return dep.RegSet{} },
-		meet:     func(a, b dep.RegSet) dep.RegSet { return a.Union(b) },
-		equal:    func(a, b dep.RegSet) bool { return a.Equal(b) },
-		transfer: func(b *prog.Block, x dep.RegSet) dep.RegSet {
-			return obsTransfer(b.Instrs, 0, x, sums)
+		boundary: func(int, dep.RegSet) dep.RegSet { return dep.RegSet{} },
+		top:      emptySet,
+		meet:     dep.RegSet.Union,
+		equal:    dep.RegSet.Equal,
+		transfer: func(i int, _, y dep.RegSet) dep.RegSet {
+			return obsTransfer(ix.f.Blocks[i].Instrs, 0, y, sums)
 		},
 	})
 }
@@ -231,22 +279,25 @@ func obsTransfer(instrs []*isa.Instr, from int, x dep.RegSet, sums map[string]de
 // summarize computes, for every function, the set of registers it may
 // read before writing them (its exposed reads, including those of its
 // callees) — a fixpoint over the call graph, so recursion converges to
-// the conservative union.
-func summarize(p *prog.Program) map[string]dep.RegSet {
-	sums := make(map[string]dep.RegSet, len(p.Funcs))
+// the conservative union. It also returns each function's observed-in
+// facts (nil for an empty function) from the final pass, which changed
+// no summary and so solved every function against the final sums: they
+// are exactly the facts the speculation rule consumes.
+func summarize(p *prog.Program, ixs []*cfgIndex) (sums map[string]dep.RegSet, obsIn [][]dep.RegSet) {
+	sums = make(map[string]dep.RegSet, len(p.Funcs))
+	obsIn = make([][]dep.RegSet, len(p.Funcs))
 	for changed := true; changed; {
 		changed = false
-		for _, f := range p.Funcs {
+		for fi, f := range p.Funcs {
 			if len(f.Blocks) == 0 {
 				continue
 			}
-			in, _ := observedReads(f, sums)
-			s := in[f.Entry()]
-			if !s.Equal(sums[f.Name]) {
+			obsIn[fi], _ = observedReads(ixs[fi], sums)
+			if s := obsIn[fi][0]; !s.Equal(sums[f.Name]) {
 				sums[f.Name] = s
 				changed = true
 			}
 		}
 	}
-	return sums
+	return sums, obsIn
 }

@@ -14,6 +14,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"specguard/internal/core"
@@ -80,14 +81,15 @@ var (
 	grepProto     = protoCache{build: buildGrep}
 )
 
+// kernels is the registry All and ByName serve, built once.
+var kernels = []Workload{Compress(), Espresso(), Xlisp(), Grep()}
+
 // All returns the four kernels in the paper's Table 1 order.
-func All() []Workload {
-	return []Workload{Compress(), Espresso(), Xlisp(), Grep()}
-}
+func All() []Workload { return slices.Clone(kernels) }
 
 // ByName returns the named workload.
 func ByName(name string) (Workload, error) {
-	for _, w := range All() {
+	for _, w := range kernels {
 		if w.Name == name {
 			return w, nil
 		}

@@ -250,7 +250,8 @@ func hoistSim(b, side []*isa.Instr, m *machine.Model) (nb, nside []*isa.Instr) {
 	for _, in := range side {
 		ok := hoistEligible(in) && !(in.Op.IsLoad() && seenStore)
 		if ok {
-			for _, u := range in.Uses() {
+			var ubuf [3]isa.Reg
+			for _, u := range in.AppendUses(ubuf[:0]) {
 				if stayDefs.Has(u) {
 					ok = false
 					break
@@ -302,8 +303,10 @@ func appendBeforeTerminator(b []*isa.Instr, in *isa.Instr) []*isa.Instr {
 // register feeds next iteration's value, so shortening its block-local
 // placement cannot raise throughput (the recurrence bounds it).
 func loopCarried(in *isa.Instr) bool {
-	for _, d := range in.Defs() {
-		for _, u := range in.Uses() {
+	var dbuf [1]isa.Reg
+	var ubuf [3]isa.Reg
+	for _, d := range in.AppendDefs(dbuf[:0]) {
+		for _, u := range in.AppendUses(ubuf[:0]) {
 			if d == u {
 				return true
 			}

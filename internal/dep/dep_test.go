@@ -436,3 +436,19 @@ func TestLiveAt(t *testing.T) {
 		t.Error("r2 must stay live up to halt")
 	}
 }
+
+// TestDefsUsesOfAllocateNothing pins DefsOf and UsesOf to stack
+// buffers: the transforms and the audit call them per instruction.
+func TestDefsUsesOfAllocateNothing(t *testing.T) {
+	in := &isa.Instr{Op: isa.Sw, Rd: isa.R(4), Rs: isa.R(5), Pred: isa.P(1)}
+	ld := &isa.Instr{Op: isa.Lw, Rd: isa.R(4), Rs: isa.R(5)}
+	var sink RegSet
+	if n := testing.AllocsPerRun(100, func() {
+		sink = DefsOf(ld).Union(UsesOf(in))
+	}); n != 0 {
+		t.Errorf("DefsOf/UsesOf allocate %v objects per call, want 0", n)
+	}
+	if want := (RegSet{}); sink == want {
+		t.Error("sets are empty")
+	}
+}

@@ -115,8 +115,9 @@ func (s RegSet) String() string {
 
 // DefsOf returns the set of registers written by in.
 func DefsOf(in *isa.Instr) RegSet {
+	var buf [1]isa.Reg // an instruction defines at most one register
 	var s RegSet
-	for _, r := range in.Defs() {
+	for _, r := range in.AppendDefs(buf[:0]) {
 		s.Add(r)
 	}
 	return s
@@ -124,8 +125,9 @@ func DefsOf(in *isa.Instr) RegSet {
 
 // UsesOf returns the set of registers read by in (guard included).
 func UsesOf(in *isa.Instr) RegSet {
+	var buf [3]isa.Reg // two operands plus a guard predicate
 	var s RegSet
-	for _, r := range in.Uses() {
+	for _, r := range in.AppendUses(buf[:0]) {
 		s.Add(r)
 	}
 	return s

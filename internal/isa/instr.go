@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // Instr is one instruction. The same value flows through the assembler,
 // the compiler passes, the architectural interpreter and the pipeline
@@ -133,60 +130,64 @@ func (in *Instr) MachineLegal() bool {
 // internal/asm, e.g. "add r3, r1, r2", "lw r4, 8(r5)",
 // "beq r1, r2, L1", "(p1) mov r6, r9", "(!p2) add r1, r1, 1".
 func (in *Instr) String() string {
-	var b strings.Builder
+	var buf [48]byte
+	return string(in.AppendText(buf[:0]))
+}
+
+// AppendText appends the instruction's assembler text (String's
+// rendering) to dst and returns the extended slice. It is the one
+// instruction printer: String, the program printers and
+// prog.Program.Fingerprint all go through it, and a caller that passes
+// a buffer with room for the line allocates nothing.
+func (in *Instr) AppendText(dst []byte) []byte {
 	if in.Guarded() {
+		dst = append(dst, '(')
 		if in.PredNeg {
-			fmt.Fprintf(&b, "(!%s) ", in.Pred)
-		} else {
-			fmt.Fprintf(&b, "(%s) ", in.Pred)
+			dst = append(dst, '!')
 		}
+		dst = in.Pred.appendText(dst)
+		dst = append(dst, ") "...)
 	}
-	b.WriteString(in.Op.String())
-	arg := func(first bool, s string) {
-		if first {
-			b.WriteByte(' ')
-		} else {
-			b.WriteString(", ")
-		}
-		b.WriteString(s)
-	}
-	second := func() string {
+	dst = in.Op.appendText(dst)
+	second := func(dst []byte) []byte {
 		if in.Rt != NoReg {
-			return in.Rt.String()
+			return in.Rt.appendText(dst)
 		}
-		return fmt.Sprintf("%d", in.Imm)
+		return strconv.AppendInt(dst, in.Imm, 10)
 	}
 	switch in.Op.info().format {
 	case fmtNone:
 	case fmtR3, fmtP3:
-		arg(true, in.Rd.String())
-		arg(false, in.Rs.String())
-		arg(false, second())
+		dst = in.Rd.appendText(append(dst, ' '))
+		dst = in.Rs.appendText(append(dst, ", "...))
+		dst = second(append(dst, ", "...))
 	case fmtR2, fmtP2:
-		arg(true, in.Rd.String())
-		arg(false, in.Rs.String())
+		dst = in.Rd.appendText(append(dst, ' '))
+		dst = in.Rs.appendText(append(dst, ", "...))
 	case fmtRI:
-		arg(true, in.Rd.String())
-		arg(false, fmt.Sprintf("%d", in.Imm))
+		dst = in.Rd.appendText(append(dst, ' '))
+		dst = strconv.AppendInt(append(dst, ", "...), in.Imm, 10)
 	case fmtMem:
-		arg(true, in.Rd.String())
-		arg(false, fmt.Sprintf("%d(%s)", in.Imm, in.Rs))
+		dst = in.Rd.appendText(append(dst, ' '))
+		dst = strconv.AppendInt(append(dst, ", "...), in.Imm, 10)
+		dst = in.Rs.appendText(append(dst, '('))
+		dst = append(dst, ')')
 	case fmtBr2:
-		arg(true, in.Rs.String())
-		arg(false, second())
-		arg(false, in.Label)
+		dst = in.Rs.appendText(append(dst, ' '))
+		dst = second(append(dst, ", "...))
+		dst = append(append(dst, ", "...), in.Label...)
 	case fmtBrP:
-		arg(true, in.Rs.String())
-		arg(false, in.Label)
+		dst = in.Rs.appendText(append(dst, ' '))
+		dst = append(append(dst, ", "...), in.Label...)
 	case fmtLbl:
-		arg(true, in.Label)
+		dst = append(append(dst, ' '), in.Label...)
 	case fmtSwitch:
-		arg(true, in.Rs.String())
+		dst = in.Rs.appendText(append(dst, ' '))
 		for _, t := range in.Targets {
-			arg(false, t)
+			dst = append(append(dst, ", "...), t...)
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // Clone returns a deep copy of the instruction (Targets included).

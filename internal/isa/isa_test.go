@@ -409,3 +409,26 @@ func TestQuickUsesWellFormed(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAppendTextAllocatesNothing pins the one instruction printer:
+// AppendText renders String's text, and into a buffer with room for
+// the line it allocates nothing.
+func TestAppendTextAllocatesNothing(t *testing.T) {
+	ins := []*Instr{
+		{Op: Add, Rd: R(3), Rs: R(1), Rt: R(2)},
+		{Op: Lw, Rd: R(4), Rs: R(5), Imm: -8},
+		{Op: Bnel, Rs: R(5), Imm: 12, Label: "loop"},
+		{Op: Switch, Rs: R(2), Targets: []string{"A", "B", "C"}},
+		{Op: Mov, Rd: R(6), Rs: R(9), Pred: P(1), PredNeg: true},
+		{Op: Op(200)},
+	}
+	buf := make([]byte, 0, 64)
+	for _, in := range ins {
+		if got, want := string(in.AppendText(buf[:0])), in.String(); got != want {
+			t.Errorf("AppendText = %q, String = %q", got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { buf = in.AppendText(buf[:0]) }); n != 0 {
+			t.Errorf("%s: AppendText allocates %v objects, want 0", in, n)
+		}
+	}
+}

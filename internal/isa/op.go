@@ -1,6 +1,6 @@
 package isa
 
-import "fmt"
+import "strconv"
 
 // Op identifies an operation. The set mirrors the MIPS-like intermediate
 // code of the paper plus the compiler-synthesized predicate operations
@@ -207,9 +207,17 @@ func (o Op) info() opInfo {
 // String returns the assembler mnemonic for o.
 func (o Op) String() string {
 	if o >= numOps {
-		return fmt.Sprintf("op%d", o)
+		return string(o.appendText(nil))
 	}
 	return opTable[o].name
+}
+
+// appendText appends o's mnemonic (String's rendering) to dst.
+func (o Op) appendText(dst []byte) []byte {
+	if o >= numOps {
+		return strconv.AppendUint(append(dst, "op"...), uint64(o), 10)
+	}
+	return append(dst, opTable[o].name...)
 }
 
 // Unit returns the functional-unit class that executes o.

@@ -11,7 +11,10 @@
 // (which the paper notes can never be registered in the BTB).
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Reg names a register in one of three files: integer r0–r31,
 // floating-point f0–f31, or predicate p0–p7. The zero value is NoReg,
@@ -104,15 +107,23 @@ func (r Reg) IsTruePred() bool { return r == predBase }
 
 // String formats r in assembly syntax: "r4", "f2", "p1", or "-" for NoReg.
 func (r Reg) String() string {
+	var buf [4]byte
+	return string(r.appendText(buf[:0]))
+}
+
+// appendText appends r's assembly syntax (String's rendering) to dst.
+func (r Reg) appendText(dst []byte) []byte {
 	switch {
 	case r.IsInt():
-		return fmt.Sprintf("r%d", r.Index())
+		dst = append(dst, 'r')
 	case r.IsFP():
-		return fmt.Sprintf("f%d", r.Index())
+		dst = append(dst, 'f')
 	case r.IsPred():
-		return fmt.Sprintf("p%d", r.Index())
+		dst = append(dst, 'p')
+	default:
+		return append(dst, '-')
 	}
-	return "-"
+	return strconv.AppendInt(dst, int64(r.Index()), 10)
 }
 
 // ParseReg parses assembly register syntax ("r12", "f3", "p1").

@@ -104,9 +104,9 @@ func (bp *BranchProfile) Segments(opt SegmentOptions) []Segment {
 	}
 	opt = opt.withDefaults(n)
 	w := opt.Window
-	// One prefix-popcount pass makes every window/segment count below
-	// O(1); the history is frozen during analysis.
-	ix := bp.Outcomes.Index()
+	// The vector's rank samples bound every count below to a few
+	// popcounts at each end, whatever the range.
+	v := bp.Outcomes
 
 	classify := func(freq float64) SegClass {
 		switch {
@@ -124,7 +124,7 @@ func (bp *BranchProfile) Segments(opt SegmentOptions) []Segment {
 		if end > n {
 			end = n
 		}
-		freq := float64(ix.CountRange(start, end)) / float64(end-start)
+		freq := float64(v.CountRange(start, end)) / float64(end-start)
 		cls := classify(freq)
 		if len(segs) > 0 && segs[len(segs)-1].Class == cls {
 			segs[len(segs)-1].End = end
@@ -156,7 +156,7 @@ func (bp *BranchProfile) Segments(opt SegmentOptions) []Segment {
 	// Merge neighbours that ended up with the same class, then refresh
 	// frequencies and classes from the raw data.
 	for i := 0; i < len(segs); i++ {
-		taken := ix.CountRange(segs[i].Start, segs[i].End)
+		taken := v.CountRange(segs[i].Start, segs[i].End)
 		segs[i].TakenFreq = float64(taken) / float64(segs[i].Len())
 		segs[i].Class = classify(segs[i].TakenFreq)
 	}

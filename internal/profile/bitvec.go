@@ -18,21 +18,51 @@ import (
 // thousands of word operations, not a million Get calls. Invariant:
 // bits at positions >= n are zero (Append only sets live bits and Load
 // masks stray payload bits), which the masked popcounts rely on.
+//
+// The vector also keeps rank samples as it grows: the taken count
+// before every rankWords-word block, so CountRange costs at most a few
+// popcounts at each end whatever the range. Segmentation issues
+// hundreds of overlapping range queries per branch site, and the
+// samples, written once by the one goroutine that records or loads the
+// history, serve every later reader without an index built per query.
 type BitVector struct {
 	words []uint64
 	n     int
+	taken int     // taken outcomes in words
+	ranks []int32 // ranks[k] = taken outcomes in words[:k*rankWords]
 }
+
+// rankWords is the spacing of BitVector's rank samples: one int32 per
+// 512 outcomes, a sixteenth of the packed history's size.
+const rankWords = 8
 
 // Append records one outcome.
 func (v *BitVector) Append(taken bool) {
 	word := v.n >> 6
 	if word == len(v.words) {
+		if word%rankWords == 0 {
+			v.ranks = append(v.ranks, int32(v.taken))
+		}
 		v.words = append(v.words, 0)
 	}
 	if taken {
 		v.words[word] |= 1 << uint(v.n&63)
+		v.taken++
 	}
 	v.n++
+}
+
+// fromWords builds a vector over packed words whose bits at positions
+// >= n are already zero, counting its rank samples in one pass.
+func fromWords(words []uint64, n int) *BitVector {
+	v := &BitVector{words: words, n: n, ranks: make([]int32, 0, (len(words)+rankWords-1)/rankWords)}
+	for i, w := range words {
+		if i%rankWords == 0 {
+			v.ranks = append(v.ranks, int32(v.taken))
+		}
+		v.taken += bits.OnesCount64(w)
+	}
+	return v
 }
 
 // Get returns outcome i.
@@ -48,37 +78,31 @@ func (v *BitVector) Len() int { return v.n }
 
 // CountRange returns how many outcomes in [from, to) are taken. Bounds
 // are validated once up front: an inverted or out-of-range pair is a
-// caller bug and panics with the offending values (the old
-// implementation silently returned 0 for from > to and panicked
-// bit-by-bit through Get otherwise).
+// caller bug and panics with the offending values.
 func (v *BitVector) CountRange(from, to int) int {
 	if from < 0 || to > v.n || from > to {
 		panic(fmt.Sprintf("profile: CountRange[%d,%d) out of range for %d outcomes", from, to, v.n))
 	}
-	if from == to {
-		return 0
+	return v.rank(to) - v.rank(from)
+}
+
+// rank returns how many outcomes in [0, i) are taken: the rank sample
+// of i's block plus the words of the block before i.
+func (v *BitVector) rank(i int) int {
+	if i == v.n {
+		return v.taken
 	}
-	fw, lw := from>>6, (to-1)>>6
-	head := ^uint64(0) << uint(from&63)
-	tail := ^uint64(0) >> uint(63-(to-1)&63)
-	if fw == lw {
-		return bits.OnesCount64(v.words[fw] & head & tail)
+	w := i >> 6
+	block := w / rankWords
+	c := int(v.ranks[block])
+	for _, x := range v.words[block*rankWords : w] {
+		c += bits.OnesCount64(x)
 	}
-	c := bits.OnesCount64(v.words[fw] & head)
-	for i := fw + 1; i < lw; i++ {
-		c += bits.OnesCount64(v.words[i])
-	}
-	return c + bits.OnesCount64(v.words[lw]&tail)
+	return c + bits.OnesCount64(v.words[w]&(1<<uint(i&63)-1))
 }
 
 // Count returns the total number of taken outcomes.
-func (v *BitVector) Count() int {
-	c := 0
-	for _, w := range v.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
+func (v *BitVector) Count() int { return v.taken }
 
 // Toggles returns the number of adjacent outcome flips
 // (TTTFFFTTFF has 3: T→F, F→T, T→F). Each word is XORed against
@@ -106,47 +130,6 @@ func (v *BitVector) Toggles() int {
 		}
 	}
 	return t
-}
-
-// CountIndex is a prefix-popcount index over a BitVector, making
-// CountRange O(1) instead of O(words in range) — segmentation issues
-// hundreds of overlapping range queries per branch site. The index is
-// a snapshot: Appends after Index are not visible through it.
-type CountIndex struct {
-	v      *BitVector
-	prefix []int32 // prefix[i] = taken outcomes in words[:i]
-}
-
-// Index builds a CountIndex in one pass over the words.
-func (v *BitVector) Index() *CountIndex {
-	prefix := make([]int32, len(v.words)+1)
-	var c int32
-	for i, w := range v.words {
-		prefix[i] = c
-		c += int32(bits.OnesCount64(w))
-	}
-	prefix[len(v.words)] = c
-	return &CountIndex{v: v, prefix: prefix}
-}
-
-// CountRange returns how many outcomes in [from, to) are taken, with
-// the same bounds contract as BitVector.CountRange.
-func (ix *CountIndex) CountRange(from, to int) int {
-	v := ix.v
-	if from < 0 || to > v.n || from > to {
-		panic(fmt.Sprintf("profile: CountRange[%d,%d) out of range for %d outcomes", from, to, v.n))
-	}
-	if from == to {
-		return 0
-	}
-	fw, lw := from>>6, (to-1)>>6
-	head := ^uint64(0) << uint(from&63)
-	tail := ^uint64(0) >> uint(63-(to-1)&63)
-	if fw == lw {
-		return bits.OnesCount64(v.words[fw] & head & tail)
-	}
-	c := bits.OnesCount64(v.words[fw]&head) + bits.OnesCount64(v.words[lw]&tail)
-	return c + int(ix.prefix[lw]-ix.prefix[fw+1])
 }
 
 // String renders the vector as a T/F string, for tests and debugging.

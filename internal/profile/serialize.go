@@ -85,7 +85,7 @@ func Load(r io.Reader) (*Profile, error) {
 		}
 		p.sites[id] = &BranchProfile{
 			Site:     id,
-			Outcomes: &BitVector{words: words, n: s.Count},
+			Outcomes: fromWords(words, s.Count),
 		}
 	}
 	return p, nil

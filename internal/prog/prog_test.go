@@ -393,3 +393,29 @@ func TestDuplicateBlockPanics(t *testing.T) {
 	f.AddBlock("b")
 	f.AddBlock("b")
 }
+
+// TestFingerprintAllocations pins the streamed fingerprint: the
+// printed program is hashed line by line from a stack buffer, so the
+// allocation count is a constant, not one per instruction.
+func TestFingerprintAllocations(t *testing.T) {
+	build := func(n int) *Program {
+		b := NewBuilder("main")
+		b.Block("entry")
+		for i := 0; i < n; i++ {
+			b.Op3(isa.Add, isa.R(1), isa.R(1), isa.R(2))
+		}
+		b.Block("done").Halt()
+		p := NewProgram()
+		p.AddFunc(b.Func())
+		if err := p.AddRegion(Region{Name: "buf", Base: 64, Len: 64, Secret: true}); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	small, large := build(4), build(400)
+	a := testing.AllocsPerRun(20, func() { small.Fingerprint() })
+	b := testing.AllocsPerRun(20, func() { large.Fingerprint() })
+	if a != b || b > 2 {
+		t.Errorf("Fingerprint allocates %v objects for 5 instructions and %v for 401, want the same small constant", a, b)
+	}
+}

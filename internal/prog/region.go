@@ -30,11 +30,6 @@ func (r Region) class() string {
 	return "public"
 }
 
-// String renders the region in the assembler's .region syntax.
-func (r Region) String() string {
-	return fmt.Sprintf(".region %s %d %d %s", r.Name, r.Base, r.Len, r.class())
-}
-
 // AddRegion appends a validated region annotation. It returns an error
 // for malformed geometry (negative or unaligned bounds, empty length),
 // duplicate names, or overlap with an already-declared region of the

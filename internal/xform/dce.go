@@ -38,7 +38,8 @@ func EliminateDeadCode(f *prog.Func) int {
 				in := b.Instrs[i]
 				dead := isPure(in)
 				if dead {
-					for _, d := range in.Defs() {
+					var dbuf [1]isa.Reg
+					for _, d := range in.AppendDefs(dbuf[:0]) {
 						if l.Has(d) {
 							dead = false
 							break
@@ -88,5 +89,6 @@ func isPure(in *isa.Instr) bool {
 	if op == isa.Div {
 		return false // faulting is observable
 	}
-	return len(in.Defs()) > 0
+	var dbuf [1]isa.Reg
+	return len(in.AppendDefs(dbuf[:0])) > 0
 }

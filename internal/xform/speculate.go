@@ -119,7 +119,8 @@ func Speculate(f *prog.Func, into, from *prog.Block, pool *RegPool, opts SpecOpt
 		// Source availability: every source must be live at the end of
 		// `into`, i.e. not produced by a non-hoisted instruction above.
 		blocked := false
-		for _, u := range in.Uses() {
+		var ubuf [3]isa.Reg
+		for _, u := range in.AppendUses(ubuf[:0]) {
 			if stayDefs.Has(u) {
 				blocked = true
 				break
@@ -154,7 +155,8 @@ func Speculate(f *prog.Func, into, from *prog.Block, pool *RegPool, opts SpecOpt
 		// Destination handling.
 		var needRename bool
 		var oldDest isa.Reg
-		if ds := h.Defs(); len(ds) == 1 {
+		var dbuf [1]isa.Reg
+		if ds := h.AppendDefs(dbuf[:0]); len(ds) == 1 {
 			oldDest = ds[0]
 			needRename = stayUses.Has(oldDest) || protected.Has(oldDest)
 		}

@@ -16,6 +16,7 @@ package xform
 import (
 	"fmt"
 
+	"specguard/internal/dep"
 	"specguard/internal/isa"
 	"specguard/internal/prog"
 )
@@ -29,16 +30,11 @@ type RegPool struct {
 }
 
 // mentioned collects every register appearing in f.
-func mentioned(f *prog.Func) map[isa.Reg]bool {
-	seen := make(map[isa.Reg]bool)
+func mentioned(f *prog.Func) dep.RegSet {
+	var seen dep.RegSet
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			for _, r := range in.Defs() {
-				seen[r] = true
-			}
-			for _, r := range in.Uses() {
-				seen[r] = true
-			}
+			seen = seen.Union(dep.DefsOf(in)).Union(dep.UsesOf(in))
 		}
 	}
 	return seen
@@ -50,7 +46,7 @@ func NewIntPool(f *prog.Func) *RegPool {
 	seen := mentioned(f)
 	p := &RegPool{}
 	for i := 1; i < isa.NumIntRegs; i++ {
-		if !seen[isa.R(i)] {
+		if !seen.Has(isa.R(i)) {
 			p.free = append(p.free, isa.R(i))
 		}
 	}
@@ -62,7 +58,7 @@ func NewFPPool(f *prog.Func) *RegPool {
 	seen := mentioned(f)
 	p := &RegPool{}
 	for i := 0; i < isa.NumFPRegs; i++ {
-		if !seen[isa.F(i)] {
+		if !seen.Has(isa.F(i)) {
 			p.free = append(p.free, isa.F(i))
 		}
 	}
@@ -75,7 +71,7 @@ func NewPredPool(f *prog.Func) *RegPool {
 	seen := mentioned(f)
 	p := &RegPool{}
 	for i := 1; i < isa.NumPredRegs; i++ {
-		if !seen[isa.P(i)] {
+		if !seen.Has(isa.P(i)) {
 			p.free = append(p.free, isa.P(i))
 		}
 	}
